@@ -19,15 +19,16 @@
 //! and line 8 can yield **several** maximal subsets `T′ ⊆ T ∪ {tb}` — one
 //! for [`AMin`] (Prop. 6.5), possibly many for [`AProd`] (Example 6.3).
 
-use crate::incremental::FdConfig;
-use crate::lists::CompleteStore;
+use crate::getnext::Policy;
+use crate::incremental::{FdConfig, MultiRunIter, RunIter};
+use crate::init::InitStrategy;
+use crate::priority::RankedIter;
+use crate::ranking::MonotoneCDetermined;
 use crate::sim::Similarity;
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
-use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
-use std::collections::VecDeque;
 
 /// Per-tuple correctness probabilities `prob(t)` (Section 6), in `[0,1]`.
 #[derive(Debug, Clone)]
@@ -92,7 +93,7 @@ pub trait ApproxJoin {
     ) -> Vec<TupleSet>;
 }
 
-// The approximate iterators *own* their join function, so borrowing and
+// The approximate policy *owns* its join function, so borrowing and
 // boxing callers both work: `ApproxFdIter::new(&db, ri, &a, τ)`
 // instantiates `A = &AMin<…>`, the query builder's dynamic path
 // `A = Box<dyn ApproxJoin>`.
@@ -366,24 +367,161 @@ fn approx_union(db: &Database, a: &TupleSet, b: &TupleSet) -> Option<Vec<TupleId
     Some(members)
 }
 
+/// `members` plus `t`, kept sorted.
+fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
+    let mut out = members.to_vec();
+    let pos = out.partition_point(|&x| x < t);
+    out.insert(pos, t);
+    out
+}
+
+/// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
+/// consistent when it is structurally valid and `A(T) ≥ τ`. Members of
+/// such a set may disagree on shared attributes, so nothing here relies
+/// on bindings or the join-column indexes: the extension and the seed
+/// growth scan whole relations by design.
+#[derive(Debug, Clone)]
+pub struct Approx<A> {
+    a: A,
+    tau: f64,
+}
+
+impl<A: ApproxJoin> Approx<A> {
+    pub(crate) fn new(a: A, tau: f64) -> Self {
+        Approx { a, tau }
+    }
+
+    /// Does the member list reach the threshold?
+    fn accepts(&self, db: &Database, members: &[TupleId], stats: &mut Stats) -> bool {
+        stats.approx_evals += 1;
+        self.a.score(db, members) >= self.tau
+    }
+}
+
+impl<A: ApproxJoin> Policy for Approx<A> {
+    const UNIQUE_PARTNER: bool = false;
+    const PREORDER_SEEDS: bool = false;
+    type Ref<'a>
+        = Approx<&'a A>
+    where
+        A: 'a;
+
+    fn by_ref(&self) -> Approx<&A> {
+        Approx {
+            a: &self.a,
+            tau: self.tau,
+        }
+    }
+
+    fn admits(&self, db: &Database, t: TupleId, stats: &mut Stats) -> bool {
+        self.accepts(db, &[t], stats)
+    }
+
+    /// Fig. 6 lines 2–6: greedily extend while the score stays above τ.
+    fn extend(
+        &self,
+        db: &Database,
+        mut set: TupleSet,
+        rel_min: usize,
+        stats: &mut Stats,
+    ) -> TupleSet {
+        loop {
+            stats.extension_passes += 1;
+            let mut grew = false;
+            for rel_idx in rel_min..db.num_relations() {
+                let rel = RelId(rel_idx as u16);
+                if set.tuple_from(db, rel).is_some()
+                    || !set
+                        .tuples()
+                        .iter()
+                        .any(|&m| db.rels_connected(db.rel_of(m), rel))
+                {
+                    continue;
+                }
+                for tg in db.tuples_of(rel) {
+                    stats.extension_scans += 1;
+                    let members = with_member(set.tuples(), tg);
+                    if self.accepts(db, &members, stats) {
+                        set = crate::jcc::rebuild(db, members);
+                        grew = true;
+                        break;
+                    }
+                }
+            }
+            if !grew {
+                return set;
+            }
+        }
+    }
+
+    /// Fig. 6 line 8: possibly several maximal subsets.
+    fn for_each_subset(
+        &self,
+        db: &Database,
+        set: &TupleSet,
+        tb: TupleId,
+        stats: &mut Stats,
+        mut f: impl FnMut(TupleSet, &mut Stats),
+    ) {
+        for t_prime in self.a.maximal_subsets(db, set, tb, self.tau, stats) {
+            f(t_prime, stats);
+        }
+    }
+
+    /// Fig. 6 lines 14–15 analog: a structural union that stays above τ.
+    fn union(
+        &self,
+        db: &Database,
+        a: &TupleSet,
+        b: &TupleSet,
+        stats: &mut Stats,
+    ) -> Option<TupleSet> {
+        let members = approx_union(db, a, b)?;
+        self.accepts(db, &members, stats)
+            .then(|| crate::jcc::rebuild(db, members))
+    }
+
+    /// All acceptable one-tuple growths, scanning every tuple (antitone
+    /// `A` guarantees the growth reaches every acceptable set).
+    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, mut f: impl FnMut(TupleSet)) {
+        for t in db.all_tuples() {
+            let rel = db.rel_of(t);
+            if set.contains(t)
+                || set.tuple_from(db, rel).is_some()
+                || !set
+                    .tuples()
+                    .iter()
+                    .any(|&m| db.rels_connected(db.rel_of(m), rel))
+            {
+                continue;
+            }
+            let members = with_member(set.tuples(), t);
+            if self.accepts(db, &members, stats) {
+                f(crate::jcc::rebuild(db, members));
+            }
+        }
+    }
+}
+
 /// Streaming `APPROXINCREMENTALFD(R, i, A, τ)` (Fig. 5): the tuple sets
 /// of `AFDi(R, A, τ)` — maximal sets with `A(T) ≥ τ` containing a tuple
 /// from `Ri` — with incremental polynomial delay for efficiently
 /// computable `A` (Theorem 6.6).
-pub struct ApproxFdIter<'db, A: ApproxJoin> {
-    db: &'db Database,
-    a: A,
-    tau: f64,
-    ri: RelId,
-    /// Pending sets: batch-front FIFO like the exact algorithm.
-    queue: VecDeque<(TupleId, TupleSet)>,
-    batch: Vec<(TupleId, TupleSet)>,
-    /// Printed results; indexed by every member tuple (engine-selected),
-    /// so line 11's containment check can look up by the new root.
-    complete: CompleteStore,
-    pager: Option<Pager<'db>>,
-    stats: Stats,
-}
+pub type ApproxFdIter<'db, A> = RunIter<'db, Approx<A>>;
+
+/// Streaming `AFD(R, A, τ)`: the union of the `APPROXINCREMENTALFD` runs
+/// over every `i ≤ n`, with exactly-once emission — the approximate
+/// counterpart of [`FdIter`](crate::FdIter), and what the query builder's
+/// `.approx(…)` streaming mode is backed by.
+pub type ApproxAllIter<'db, A> = MultiRunIter<'db, Approx<A>>;
+
+/// Streaming ranked `AFD(R, A, τ)`: yields `(tuple set, rank)` with the
+/// highest ranks first; every yielded set satisfies `A(T) ≥ τ` and
+/// together they form exactly the approximate full disjunction. Both
+/// ingredients keep their own requirement: `f` must be monotonically
+/// c-determined (Lemma 5.4's argument) and `A` acceptable and efficiently
+/// computable (Theorem 6.6's).
+pub type RankedApproxFdIter<'db, A, F> = RankedIter<'db, Approx<A>, F>;
 
 impl<'db, A: ApproxJoin> ApproxFdIter<'db, A> {
     /// Initializes `Incomplete` with the singletons of `Ri` whose score
@@ -399,181 +537,8 @@ impl<'db, A: ApproxJoin> ApproxFdIter<'db, A> {
     /// `engine` selects the `Complete` store structure, `page_size`
     /// switches the candidate scans to block-based execution.
     pub fn with_config(db: &'db Database, ri: RelId, a: A, tau: f64, cfg: FdConfig) -> Self {
-        let mut stats = Stats::new();
-        let mut batch = Vec::new();
-        for t in db.tuples_of(ri) {
-            stats.approx_evals += 1;
-            if a.score(db, &[t]) >= tau {
-                batch.push((t, TupleSet::singleton(db, t)));
-                stats.inserts += 1;
-            }
-        }
-        ApproxFdIter {
-            db,
-            a,
-            tau,
-            ri,
-            queue: VecDeque::new(),
-            batch,
-            complete: CompleteStore::new(cfg.engine),
-            pager: cfg.page_size.map(|ps| Pager::new(db, ps)),
-            stats,
-        }
+        Self::with_policy(db, ri, Approx::new(a, tau), cfg)
     }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Pages fetched so far (block-based execution only).
-    pub fn pages_read(&self) -> u64 {
-        self.pager.as_ref().map_or(0, |p| p.stats().pages_read())
-    }
-
-    /// Consumes the iterator, returning the join function (used by
-    /// [`ApproxAllIter`] to hand one owned function from relation run to
-    /// relation run).
-    pub fn into_inner(self) -> A {
-        self.a
-    }
-
-    fn pop(&mut self) -> Option<(TupleId, TupleSet)> {
-        for entry in self.batch.drain(..).rev() {
-            self.queue.push_front(entry);
-        }
-        self.queue.pop_front()
-    }
-
-    /// Fig. 6 lines 2–6: greedily extend while the score stays above τ.
-    fn extend_maximal(&mut self, mut set: TupleSet) -> TupleSet {
-        loop {
-            self.stats.extension_passes += 1;
-            let mut grew = false;
-            for rel_idx in 0..self.db.num_relations() {
-                let rel = RelId(rel_idx as u16);
-                if set.tuple_from(self.db, rel).is_some() {
-                    continue;
-                }
-                if !set
-                    .tuples()
-                    .iter()
-                    .any(|&m| self.db.rels_connected(self.db.rel_of(m), rel))
-                {
-                    continue;
-                }
-                for tg in self.db.tuples_of(rel) {
-                    self.stats.extension_scans += 1;
-                    let mut members = set.tuples().to_vec();
-                    let pos = members.partition_point(|&x| x < tg);
-                    members.insert(pos, tg);
-                    self.stats.approx_evals += 1;
-                    if self.a.score(self.db, &members) >= self.tau {
-                        set = crate::jcc::rebuild(self.db, members);
-                        grew = true;
-                        break;
-                    }
-                }
-            }
-            if !grew {
-                return set;
-            }
-        }
-    }
-
-    /// Fig. 6 lines 14–15 analog: merge `t_prime` into a pending set with
-    /// the same root when the union stays above τ.
-    fn try_merge(&mut self, root: TupleId, t_prime: &TupleSet) -> bool {
-        let db = self.db;
-        let a = &self.a;
-        let tau = self.tau;
-        for (r, s) in self.batch.iter_mut().chain(self.queue.iter_mut()) {
-            if *r != root {
-                continue;
-            }
-            self.stats.incomplete_scans += 1;
-            if let Some(members) = approx_union(db, s, t_prime) {
-                self.stats.approx_evals += 1;
-                if a.score(db, &members) >= tau {
-                    self.stats.merges += 1;
-                    *s = crate::jcc::rebuild(db, members);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// One candidate tuple of the Fig. 5 loop.
-    fn candidate(&mut self, set: &TupleSet, tb: TupleId) {
-        self.stats.candidate_scans += 1;
-        if set.contains(tb) {
-            return;
-        }
-        let subsets = self
-            .a
-            .maximal_subsets(self.db, set, tb, self.tau, &mut self.stats);
-        for t_prime in subsets {
-            let Some(new_root) = t_prime.tuple_from(self.db, self.ri) else {
-                continue;
-            };
-            if self
-                .complete
-                .contains_superset(&t_prime, new_root, &mut self.stats)
-            {
-                continue;
-            }
-            if self.try_merge(new_root, &t_prime) {
-                continue;
-            }
-            self.stats.inserts += 1;
-            self.batch.push((new_root, t_prime));
-        }
-    }
-
-    fn step(&mut self) -> Option<TupleSet> {
-        let (_root, set) = self.pop()?;
-        let set = self.extend_maximal(set);
-
-        // Take the pager out so the candidate callback can borrow `self`.
-        let pager = self.pager.take();
-        crate::getnext::scan_candidates(self.db, pager.as_ref(), |tb| self.candidate(&set, tb));
-        self.pager = pager;
-
-        // Line 19: print, registering every member as a lookup root (any
-        // later subset shares at least its own root tuple with the set).
-        self.complete.insert(set.clone(), set.tuples());
-        self.stats.results += 1;
-        Some(set)
-    }
-}
-
-impl<A: ApproxJoin> Iterator for ApproxFdIter<'_, A> {
-    type Item = TupleSet;
-
-    fn next(&mut self) -> Option<TupleSet> {
-        self.step()
-    }
-}
-
-/// Streaming `AFD(R, A, τ)`: the union of the `APPROXINCREMENTALFD`
-/// runs over every `i ≤ n`, with exactly-once emission — the approximate
-/// counterpart of [`FdIter`](crate::FdIter), and what the query builder's
-/// `.approx(…)` streaming mode is backed by.
-///
-/// Owns its join function and hands it from relation run to relation run
-/// (via [`ApproxFdIter::into_inner`]), so both borrowed (`&A`) and boxed
-/// (`Box<dyn ApproxJoin>`) functions drive it.
-pub struct ApproxAllIter<'db, A: ApproxJoin> {
-    db: &'db Database,
-    tau: f64,
-    cfg: FdConfig,
-    next_rel: usize,
-    current: Option<ApproxFdIter<'db, A>>,
-    emitted: FxHashSet<Box<[TupleId]>>,
-    stats: Stats,
-    /// Pages fetched by already-finished relation runs.
-    pages_done: u64,
 }
 
 impl<'db, A: ApproxJoin> ApproxAllIter<'db, A> {
@@ -583,66 +548,34 @@ impl<'db, A: ApproxJoin> ApproxAllIter<'db, A> {
     }
 
     /// Builds the driver with an explicit execution configuration, passed
-    /// to every per-relation run.
+    /// to every per-relation run. The Section 7 reuse strategies are an
+    /// exact-join refinement: every approximate run starts from
+    /// singletons.
     pub fn with_config(db: &'db Database, a: A, tau: f64, cfg: FdConfig) -> Self {
-        let current =
-            (db.num_relations() > 0).then(|| ApproxFdIter::with_config(db, RelId(0), a, tau, cfg));
-        ApproxAllIter {
-            db,
-            tau,
-            cfg,
-            next_rel: 1,
-            current,
-            emitted: FxHashSet::default(),
-            stats: Stats::new(),
-            pages_done: 0,
-        }
-    }
-
-    /// Counters of the finished runs plus the in-flight one.
-    pub fn stats_total(&self) -> Stats {
-        let mut s = self.stats;
-        if let Some(cur) = &self.current {
-            s.merge(cur.stats());
-        }
-        s
-    }
-
-    /// Pages fetched so far across all relation runs (block-based
-    /// execution only).
-    pub fn pages_read(&self) -> u64 {
-        self.pages_done + self.current.as_ref().map_or(0, |c| c.pages_read())
+        let cfg = FdConfig {
+            init: InitStrategy::Singletons,
+            ..cfg
+        };
+        Self::with_policy(db, Approx::new(a, tau), cfg)
     }
 }
 
-impl<A: ApproxJoin> Iterator for ApproxAllIter<'_, A> {
-    type Item = TupleSet;
+impl<'db, A: ApproxJoin, F: MonotoneCDetermined> RankedApproxFdIter<'db, A, F> {
+    /// Builds the iterator: enumerates the acceptable sets of size ≤ c
+    /// per relation, merges mergeable pairs, seeds the queues.
+    ///
+    /// Both functions are taken by value; pass `&a` / `&f` to keep using
+    /// borrowed ones (references implement the traits).
+    pub fn new(db: &'db Database, a: A, tau: f64, f: F) -> Self {
+        Self::with_config(db, a, tau, f, FdConfig::default())
+    }
 
-    fn next(&mut self) -> Option<TupleSet> {
-        loop {
-            let cur = self.current.as_mut()?;
-            match cur.next() {
-                Some(set) => {
-                    if self.emitted.insert(set.tuples().into()) {
-                        return Some(set);
-                    }
-                }
-                None => {
-                    let done = self.current.take().expect("checked above");
-                    self.stats.merge(done.stats());
-                    self.pages_done += done.pages_read();
-                    let a = done.into_inner();
-                    if self.next_rel >= self.db.num_relations() {
-                        return None;
-                    }
-                    let ri = RelId(self.next_rel as u16);
-                    self.next_rel += 1;
-                    self.current = Some(ApproxFdIter::with_config(
-                        self.db, ri, a, self.tau, self.cfg,
-                    ));
-                }
-            }
-        }
+    /// Like [`new`](Self::new) with an explicit execution configuration:
+    /// `engine` selects the `Complete` store structure, `page_size`
+    /// switches the candidate scans to block-based execution.
+    pub fn with_config(db: &'db Database, a: A, tau: f64, f: F, cfg: FdConfig) -> Self {
+        let n = db.num_relations();
+        Self::for_policy(db, Approx::new(a, tau), f, cfg, 0..n)
     }
 }
 

@@ -27,14 +27,13 @@
 //! Both functions are pure: database + previous results in, delta out.
 //! The session layer (`crate::session`) builds the stateful subscription engine on top.
 
-use crate::getnext::{get_next_result, ScanScope};
+use crate::getnext::{Engine, Exact, Fifo};
 use crate::incremental::FdConfig;
 use crate::jcc::{extend_to_maximal, rebuild};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
-use fd_relational::storage::Pager;
 use fd_relational::{Database, TupleId};
 
 /// The effect of one tuple insertion on the full disjunction.
@@ -105,38 +104,35 @@ pub fn delta_insert_many(
         seeds.iter().all(|&t| db.is_live(t)),
         "insert delta requires live seed tuples"
     );
-    let mut stats = Stats::new();
     if seeds.is_empty() {
         return InsertDelta::default();
     }
-    let mut incomplete = IncompleteQueue::new(cfg.engine);
+    let mut stats = Stats::new();
+    let mut queue = IncompleteQueue::new(cfg.engine);
     for &t in seeds {
-        incomplete.push(t, TupleSet::singleton(db, t), &mut stats);
+        queue.push(t, TupleSet::singleton(db, t), &mut stats);
     }
-    let mut complete = CompleteStore::new(cfg.engine);
-    let pager = cfg.page_size.map(|ps| Pager::new(db, ps));
-    let memo = std::cell::RefCell::new(FxHashSet::default());
-    let scope = ScanScope {
-        db,
+    let fifo = Fifo {
         ri: db.rel_of(seeds[0]),
-        rel_min: 0,
-        seeds,
-        memo: Some(&memo),
-        pager: pager.as_ref(),
+        queue,
     };
+    let complete = CompleteStore::new(cfg.engine);
+    let mut engine = Engine::new(db, Exact, fifo, complete, cfg.page_size, stats).with_seeds(seeds);
 
     let mut added: Vec<TupleSet> = Vec::new();
     let mut emitted: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
-    while let Some((_, set)) = get_next_result(&scope, &mut incomplete, &complete, &mut stats) {
+    while let Some((_, set)) = engine.get_next_result() {
+        engine.stats.results += 1;
         // The Complete store already suppresses subsets of printed sets;
         // the canonical filter additionally drops exact re-derivations
         // (two seeds contained in one maximal set each derive it once).
         if emitted.insert(set.tuples().into()) {
             let roots: Vec<TupleId> = seeds.iter().copied().filter(|&s| set.contains(s)).collect();
-            complete.insert(set.clone(), &roots);
+            engine.complete.insert(set.clone(), &roots);
             added.push(set);
         }
     }
+    let stats = engine.stats;
 
     let subsumed = previous
         .iter()

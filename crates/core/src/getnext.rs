@@ -1,4 +1,5 @@
-//! `GETNEXTRESULT` (Fig. 2 of the paper).
+//! `GETNEXTRESULT` (Fig. 2 of the paper) — the one engine behind every
+//! algorithm of the crate.
 //!
 //! Given the relations, the index `i`, and the `Incomplete`/`Complete`
 //! lists, produce the next result of `FDi(R)`:
@@ -16,62 +17,215 @@
 //! 19  return T
 //! ```
 //!
-//! The same routine serves the plain, ranked and restricted (Section 7)
-//! executions; a [`ScanScope`] carries the run-dependent knobs.
+//! `PRIORITYINCREMENTALFD` (Fig. 3) and `APPROXINCREMENTALFD` (Figs. 5–6)
+//! are edits of this body, and so is the code: [`Engine`] is generic over
+//!
+//! * a **consistency [`Policy`]** — [`Exact`] (`JCC`, lines 2, 8 and 14
+//!   as written) or [`Approx`](crate::Approx) (`A(·) ≥ τ`, the starred
+//!   lines of Figs. 5–6);
+//! * a **[`Frontier`]** — the FIFO [`Fifo`] list of Fig. 1, or one rank
+//!   heap per relation for Fig. 3 (`priority::RankHeaps`).
+//!
+//! The four algorithms are the four combinations; the exactly-once
+//! drivers, the parallel drivers and delta maintenance all run this one
+//! candidate loop.
 
-use crate::jcc::{extend_to_maximal_from, maximal_subset_with};
+use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
+use fd_relational::fxhash::FxHashSet;
 use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
 
-/// Run-dependent scan configuration for one `INCREMENTALFD(R, i)` run.
-pub(crate) struct ScanScope<'db, 'p> {
-    /// The database.
-    pub db: &'db Database,
-    /// The run's relation `Ri`: results must contain one of its tuples.
-    pub ri: RelId,
-    /// First relation index included in the extension and candidate scans
-    /// (0 for the standalone algorithm; `i + 1` under Section 7's
-    /// repeated-work optimization, which relies on a global `Complete`).
-    pub rel_min: usize,
-    /// Tightens line 10's root filter from "contains a tuple of `Ri`" to
-    /// "contains one of these tuples". Used by the delta-maintenance run
-    /// seeded at freshly inserted tuples: with a single seed `t` that run
-    /// is `INCREMENTALFD(R', i)` over the database in which `Ri` is
-    /// replaced by `{t}` (Theorem 4.10 then says it emits exactly the
-    /// maximal join-consistent connected sets containing `t`); with `k`
-    /// seeds it is the batched union of those runs — `Incomplete` starts
-    /// from all `k` singletons, a derivation's root is the first seed it
-    /// contains, and printed sets register under *every* contained seed
-    /// so the line-11 suppression stays root-complete. Empty means no
-    /// seed filter (the plain and ranked executions).
-    pub seeds: &'p [TupleId],
-    /// Derivation memo for seeded runs: the canonical member lists of
-    /// every `T′` already processed by lines 10–18. A re-derived exact
-    /// duplicate is a no-op — it is either still in `Incomplete` (the
-    /// line-14 merge with its own growth succeeds trivially), was merged
-    /// into an entry that still covers it, or is covered by a printed
-    /// superset (`Complete` only grows) — so it can skip the store scans
-    /// entirely. Seeded runs re-derive heavily (every pop scans every
-    /// candidate, and cross-seed derivations repeat per pop), which is
-    /// why they carry the memo; the plain runs keep the paper's exact
-    /// trace.
-    pub memo: Option<&'p std::cell::RefCell<fd_relational::fxhash::FxHashSet<Box<[TupleId]>>>>,
-    /// Block-based execution (Section 7): scan through a pager, counting
-    /// page fetches, instead of tuple at a time.
-    pub pager: Option<&'p Pager<'db>>,
+/// What "consistent" means for one execution: the predicate behind the
+/// extension (lines 2–6), the maximal subsets (line 8), the merge
+/// (lines 14–15) and the `≤ c` seed enumeration of Fig. 3. Implemented by
+/// [`Exact`] and [`Approx`](crate::Approx).
+pub trait Policy {
+    /// Lemma 4.4: an exact `T′` merges with at most one `Incomplete`
+    /// entry, so the indexed store may probe the entries of its root in
+    /// any order. Approximate joins give no such guarantee, so their
+    /// merge scans same-root entries in pop order and takes the first.
+    const UNIQUE_PARTNER: bool;
+
+    /// Visit order of the `≤ c` enumeration: `true` walks the growth tree
+    /// in preorder, ascending ids first; `false` pops the most recently
+    /// found set first. The fixpoint merge after the enumeration depends
+    /// on that order when merge partners are not unique.
+    const PREORDER_SEEDS: bool;
+
+    /// The policy borrowed, for parallel workers sharing one policy.
+    type Ref<'a>: Policy
+    where
+        Self: 'a;
+
+    /// Borrows the policy (see [`Policy::Ref`]).
+    fn by_ref(&self) -> Self::Ref<'_>;
+
+    /// May the singleton `{t}` seed a run (Fig. 5 line 3*)?
+    fn admits(&self, db: &Database, t: TupleId, stats: &mut Stats) -> bool;
+
+    /// Lines 2–6: extends `set` to a maximal consistent set, adding only
+    /// tuples of relations `≥ rel_min`.
+    fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet;
+
+    /// Line 8: calls `f` on every maximal consistent subset of
+    /// `set ∪ {tb}` that contains `tb`.
+    fn for_each_subset(
+        &self,
+        db: &Database,
+        set: &TupleSet,
+        tb: TupleId,
+        stats: &mut Stats,
+        f: impl FnMut(TupleSet, &mut Stats),
+    );
+
+    /// Line 14: the union of two sets, when it is consistent.
+    fn union(
+        &self,
+        db: &Database,
+        a: &TupleSet,
+        b: &TupleSet,
+        stats: &mut Stats,
+    ) -> Option<TupleSet>;
+
+    /// Fig. 3 line 4: calls `f` on every consistent one-tuple growth of
+    /// `set`, in the enumeration's visit order.
+    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, f: impl FnMut(TupleSet));
 }
 
-/// The single block-scan code path (previously two near-identical twins):
-/// applies `f` to every live tuple of relations `rel_min..n`, each
-/// relation in ascending id order — base band then that relation's
-/// dynamic inserts — honoring block-based execution when a pager is
-/// configured (page granularity is what makes this scan inherently
-/// unindexable: every page must be fetched and counted, so the line-7
-/// candidate scan stays on this path while the extension loops use
-/// [`Database::probe`]).
+/// The exact policy: join consistency and connectivity (`JCC`), with the
+/// extension probing the join-column indexes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Exact;
+
+impl Policy for Exact {
+    const UNIQUE_PARTNER: bool = true;
+    const PREORDER_SEEDS: bool = true;
+    type Ref<'a> = Exact;
+
+    fn by_ref(&self) -> Exact {
+        Exact
+    }
+
+    fn admits(&self, _db: &Database, _t: TupleId, _stats: &mut Stats) -> bool {
+        true
+    }
+
+    fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet {
+        extend_to_maximal_from(db, set, rel_min, stats)
+    }
+
+    fn for_each_subset(
+        &self,
+        db: &Database,
+        set: &TupleSet,
+        tb: TupleId,
+        stats: &mut Stats,
+        mut f: impl FnMut(TupleSet, &mut Stats),
+    ) {
+        // Footnote 3: the maximal subset is unique.
+        let t_prime = maximal_subset_with(db, set, tb, stats);
+        f(t_prime, stats)
+    }
+
+    fn union(
+        &self,
+        db: &Database,
+        a: &TupleSet,
+        b: &TupleSet,
+        stats: &mut Stats,
+    ) -> Option<TupleSet> {
+        try_union(db, a, b, stats)
+    }
+
+    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, mut f: impl FnMut(TupleSet)) {
+        // Candidates via the join-column indexes: the sorted union of the
+        // per-relation probes visits tuples in ascending id order. The
+        // probe only skips tuples whose bound shared attribute already
+        // disagrees with `set`; `can_add` stays the authoritative check.
+        let mut candidates: Vec<TupleId> = Vec::new();
+        for rel_idx in 0..db.num_relations() {
+            candidates.extend(db.probe(RelId(rel_idx as u16), set.bindings()));
+        }
+        candidates.sort_unstable();
+        for t in candidates {
+            if !set.contains(t) && can_add(db, set, t, stats) {
+                f(add_tuple(db, set, t));
+            }
+        }
+    }
+}
+
+/// Where pending tuple sets wait: the `Incomplete` list(s).
+pub(crate) trait Frontier {
+    /// Line 1: removes the next pending set, with the relation `Ri` of
+    /// the list it came from and its root (its tuple of `Ri`).
+    fn pop(&mut self, stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)>;
+
+    /// Lines 14–15: merges `t_prime` into a pending set of `Ri`'s list
+    /// sharing its root. Returns the merge success.
+    fn try_merge<P: Policy>(
+        &mut self,
+        db: &Database,
+        policy: &P,
+        ri: RelId,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool;
+
+    /// Line 18: appends a new pending set to `Ri`'s list.
+    fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats);
+}
+
+/// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
+/// Table 3's batch-front order.
+#[derive(Debug)]
+pub(crate) struct Fifo {
+    pub(crate) ri: RelId,
+    pub(crate) queue: IncompleteQueue,
+}
+
+impl Frontier for Fifo {
+    fn pop(&mut self, _stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)> {
+        let (root, set) = self.queue.pop()?;
+        Some((self.ri, root, set))
+    }
+
+    fn try_merge<P: Policy>(
+        &mut self,
+        db: &Database,
+        policy: &P,
+        _ri: RelId,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool {
+        self.queue
+            .try_merge(root, P::UNIQUE_PARTNER, stats, |s, stats| {
+                policy.union(db, s, t_prime, stats)
+            })
+    }
+
+    fn push(
+        &mut self,
+        _db: &Database,
+        _ri: RelId,
+        root: TupleId,
+        set: TupleSet,
+        stats: &mut Stats,
+    ) {
+        self.queue.push(root, set, stats);
+    }
+}
+
+/// Block-based or tuple-at-a-time scan (Section 7): applies `f` to every
+/// live tuple of relations `rel_min..n`, each relation in ascending id
+/// order — base band then that relation's dynamic inserts. With a pager,
+/// every page is fetched and counted, which is what makes the line-7
+/// candidate scan inherently unindexable in block mode.
 pub(crate) fn scan_tuples_from(
     db: &Database,
     rel_min: usize,
@@ -97,97 +251,162 @@ pub(crate) fn scan_tuples_from(
     }
 }
 
-/// Whole-database candidate scan (the Fig. 2 line-7 scan as the ranked
-/// and approximate iterators run it): [`scan_tuples_from`] at
-/// `rel_min = 0`.
-pub(crate) fn scan_candidates(db: &Database, pager: Option<&Pager<'_>>, f: impl FnMut(TupleId)) {
-    scan_tuples_from(db, 0, pager, f)
+/// One execution of the `GETNEXTRESULT` loop: the database, the policy,
+/// the frontier, the shared `Complete` list and the run's counters.
+pub(crate) struct Engine<'db, P, Q> {
+    pub(crate) db: &'db Database,
+    pub(crate) policy: P,
+    pub(crate) frontier: Q,
+    /// Printed results. The drivers insert into it (the printing rule is
+    /// theirs); the engine reads it on line 11.
+    pub(crate) complete: CompleteStore,
+    pager: Option<Pager<'db>>,
+    /// First relation index of the extension and candidate scans (0 for
+    /// the standalone algorithm; `i + 1` under Section 7's repeated-work
+    /// optimization, which relies on a global `Complete`).
+    rel_min: usize,
+    /// Tightens line 10's root filter from "contains a tuple of `Ri`" to
+    /// "contains one of these tuples". Used by the delta-maintenance run
+    /// seeded at freshly inserted tuples: with a single seed `t` that run
+    /// is `INCREMENTALFD(R', i)` over the database in which `Ri` is
+    /// replaced by `{t}` (Theorem 4.10 then says it emits exactly the
+    /// maximal join-consistent connected sets containing `t`); with `k`
+    /// seeds it is the batched union of those runs — `Incomplete` starts
+    /// from all `k` singletons, a derivation's root is the first seed it
+    /// contains, and printed sets register under *every* contained seed
+    /// so the line-11 suppression stays root-complete. Empty means no
+    /// seed filter.
+    seeds: Vec<TupleId>,
+    /// Derivation memo for seeded runs: the canonical member lists of
+    /// every `T′` already processed by lines 10–18. A re-derived exact
+    /// duplicate is a no-op — it is either still in `Incomplete` (the
+    /// line-14 merge with its own growth succeeds trivially), was merged
+    /// into an entry that still covers it, or is covered by a printed
+    /// superset (`Complete` only grows) — so it can skip the store scans
+    /// entirely. Seeded runs re-derive heavily (every pop scans every
+    /// candidate, and cross-seed derivations repeat per pop), which is
+    /// why they carry the memo; the plain runs keep the paper's exact
+    /// trace.
+    memo: FxHashSet<Box<[TupleId]>>,
+    pub(crate) stats: Stats,
 }
 
-impl ScanScope<'_, '_> {
-    /// Applies `f` to every candidate tuple in scan scope — the same
-    /// shared scan, restricted to relations `≥ rel_min` and counted in
-    /// the run's stats.
-    fn for_each_candidate(&self, stats: &mut Stats, mut f: impl FnMut(TupleId, &mut Stats)) {
-        scan_tuples_from(self.db, self.rel_min, self.pager, |t| {
-            stats.candidate_scans += 1;
-            f(t, stats);
-        });
-    }
-}
-
-/// One call of `GETNEXTRESULT`. Returns the maximally-extended tuple set
-/// removed from `Incomplete` (Fig. 2 returns it for printing; the caller
-/// is responsible for appending it to `Complete`). Returns `None` when
-/// `Incomplete` is empty.
-pub(crate) fn get_next_result(
-    scope: &ScanScope<'_, '_>,
-    incomplete: &mut IncompleteQueue,
-    complete: &CompleteStore,
-    stats: &mut Stats,
-) -> Option<(TupleId, TupleSet)> {
-    let db = scope.db;
-    // Line 1: remove the first tuple set.
-    let (root, set) = incomplete.pop()?;
-    // Lines 2–6: maximal extension.
-    let set = extend_to_maximal_from(db, set, scope.rel_min, stats);
-
-    // Multi-seed runs re-derive a maximal set once per contained seed
-    // (the singletons are all queued before any suppression can kick
-    // in). The candidate loop below depends only on (db, set), so a
-    // re-derivation of an already-printed set would regenerate exactly
-    // the T′ collection the first emission already processed — skip the
-    // scan and let the caller's canonical filter drop the duplicate.
-    if !scope.seeds.is_empty() && complete.contains_exact(set.tuples()) {
-        stats.results += 1;
-        return Some((root, set));
-    }
-
-    // Lines 7–18: derive successor tuple sets.
-    scope.for_each_candidate(stats, |tb, stats| {
-        if set.contains(tb) {
-            return;
+impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
+    /// An engine over `frontier` and `complete`; `page_size` switches the
+    /// candidate scans to block-based execution.
+    pub(crate) fn new(
+        db: &'db Database,
+        policy: P,
+        frontier: Q,
+        complete: CompleteStore,
+        page_size: Option<usize>,
+        stats: Stats,
+    ) -> Self {
+        Engine {
+            db,
+            policy,
+            frontier,
+            complete,
+            pager: page_size.map(|ps| Pager::new(db, ps)),
+            rel_min: 0,
+            seeds: Vec::new(),
+            memo: FxHashSet::default(),
+            stats,
         }
-        // Line 8 (footnote 3): unique maximal JCC subset containing tb.
-        let t_prime = maximal_subset_with(db, &set, tb, stats);
-        // Line 10: must contain a tuple from Ri (one of the seed tuples
-        // in a delta-maintenance run). The any-seed filter is what makes
-        // the multi-seed run sound: printed sets suppress derivations of
-        // *every* contained seed, and in exchange each pop re-seeds the
-        // cross-root representatives that suppression removes. (A
-        // tighter "inherit the popped root" filter loses exactly those
-        // representatives and drops results.)
-        let new_root = if scope.seeds.is_empty() {
-            match t_prime.tuple_from(db, scope.ri) {
-                Some(root) => root,
-                None => return,
-            }
-        } else {
-            match scope.seeds.iter().copied().find(|&s| t_prime.contains(s)) {
-                Some(seed) => seed,
-                None => return,
-            }
-        };
-        // Seeded runs: skip exact re-derivations (see `ScanScope::memo`).
-        if let Some(memo) = scope.memo {
-            if !memo.borrow_mut().insert(t_prime.tuples().into()) {
+    }
+
+    /// Restricts the extension and candidate scans to relations
+    /// `≥ rel_min` (see the field docs).
+    pub(crate) fn with_rel_min(mut self, rel_min: usize) -> Self {
+        self.rel_min = rel_min;
+        self
+    }
+
+    /// Switches line 10 to the seed filter (see the field docs).
+    pub(crate) fn with_seeds(mut self, seeds: &[TupleId]) -> Self {
+        self.seeds = seeds.to_vec();
+        self
+    }
+
+    /// Pages fetched so far (block-based execution only).
+    pub(crate) fn pages_read(&self) -> u64 {
+        self.pager.as_ref().map_or(0, |p| p.stats().pages_read())
+    }
+
+    /// One call of `GETNEXTRESULT`. Returns the root and the maximally
+    /// extended tuple set removed from the frontier (Fig. 2 returns it
+    /// for printing; the caller decides whether to print it and appends
+    /// it to `Complete`). Returns `None` when the frontier is empty.
+    pub(crate) fn get_next_result(&mut self) -> Option<(TupleId, TupleSet)> {
+        let Engine {
+            db,
+            policy,
+            frontier,
+            complete,
+            pager,
+            rel_min,
+            seeds,
+            memo,
+            stats,
+        } = self;
+        let db: &Database = db;
+        // Line 1: remove the first tuple set.
+        let (ri, root, set) = frontier.pop(stats)?;
+        // Lines 2–6: maximal extension.
+        let set = policy.extend(db, set, *rel_min, stats);
+
+        // Multi-seed runs re-derive a maximal set once per contained seed
+        // (the singletons are all queued before any suppression can kick
+        // in). The candidate loop below depends only on (db, set), so a
+        // re-derivation of an already-printed set would regenerate exactly
+        // the T′ collection the first emission already processed — skip the
+        // scan and let the caller's canonical filter drop the duplicate.
+        if !seeds.is_empty() && complete.contains_exact(set.tuples()) {
+            return Some((root, set));
+        }
+
+        // Lines 7–18: derive successor tuple sets.
+        scan_tuples_from(db, *rel_min, pager.as_ref(), |tb| {
+            stats.candidate_scans += 1;
+            if set.contains(tb) {
                 return;
             }
-        }
-        // Line 11: already represented in Complete?
-        if complete.contains_superset(&t_prime, new_root, stats) {
-            return;
-        }
-        // Lines 14–15: merge into an Incomplete entry sharing the root.
-        if incomplete.try_merge(db, new_root, &t_prime, stats) {
-            return;
-        }
-        // Line 18: genuinely new — append.
-        incomplete.push(new_root, t_prime, stats);
-    });
-
-    stats.results += 1;
-    Some((root, set))
+            // Line 8.
+            policy.for_each_subset(db, &set, tb, stats, |t_prime, stats| {
+                // Line 10: must contain a tuple from Ri (one of the seed
+                // tuples in a delta-maintenance run). The any-seed filter
+                // is what makes the multi-seed run sound: printed sets
+                // suppress derivations of *every* contained seed, and in
+                // exchange each pop re-seeds the cross-root
+                // representatives that suppression removes. (A tighter
+                // "inherit the popped root" filter loses exactly those
+                // representatives and drops results.)
+                let new_root = if seeds.is_empty() {
+                    t_prime.tuple_from(db, ri)
+                } else {
+                    seeds.iter().copied().find(|&s| t_prime.contains(s))
+                };
+                let Some(new_root) = new_root else {
+                    return;
+                };
+                // Seeded runs: skip exact re-derivations (see `memo`).
+                if !seeds.is_empty() && !memo.insert(t_prime.tuples().into()) {
+                    return;
+                }
+                // Line 11: already represented in Complete?
+                if complete.contains_superset(&t_prime, new_root, stats) {
+                    return;
+                }
+                // Lines 14–15: merge into a pending entry sharing the root.
+                if frontier.try_merge(db, policy, ri, new_root, &t_prime, stats) {
+                    return;
+                }
+                // Line 18: genuinely new — append.
+                frontier.push(db, ri, new_root, t_prime, stats);
+            });
+        });
+        Some((root, set))
+    }
 }
 
 #[cfg(test)]
@@ -204,35 +423,53 @@ mod tests {
     const S1: TupleId = TupleId(6);
     const S2: TupleId = TupleId(7);
 
+    /// An exact FIFO engine for `FD1` with the given initial entries.
+    fn engine<'db>(
+        db: &'db Database,
+        engine: StoreEngine,
+        seeds: impl IntoIterator<Item = TupleId>,
+        page_size: Option<usize>,
+    ) -> Engine<'db, Exact, Fifo> {
+        let mut stats = Stats::new();
+        let mut queue = IncompleteQueue::new(engine);
+        for t in seeds {
+            queue.push(t, TupleSet::singleton(db, t), &mut stats);
+        }
+        let fifo = Fifo {
+            ri: RelId(0),
+            queue,
+        };
+        Engine::new(
+            db,
+            Exact,
+            fifo,
+            CompleteStore::new(engine),
+            page_size,
+            stats,
+        )
+    }
+
+    fn pending(e: &Engine<'_, Exact, Fifo>) -> Vec<Vec<TupleId>> {
+        e.frontier
+            .queue
+            .iter()
+            .map(|s| s.tuples().to_vec())
+            .collect()
+    }
+
     /// Drives the first `GETNEXTRESULT` call of Example 4.1 and checks the
     /// exact list contents of Table 3's "Iteration 1" column.
     #[test]
     fn first_iteration_of_example_4_1() {
         let db = tourist_database();
-        let mut stats = Stats::new();
-        let mut incomplete = IncompleteQueue::new(StoreEngine::Scan);
-        let complete = CompleteStore::new(StoreEngine::Scan);
-        for t in db.tuples_of(RelId(0)) {
-            incomplete.push(t, TupleSet::singleton(&db, t), &mut stats);
-        }
-        let scope = ScanScope {
-            db: &db,
-            ri: RelId(0),
-            rel_min: 0,
-            seeds: &[],
-            memo: None,
-            pager: None,
-        };
-        let (root, result) =
-            get_next_result(&scope, &mut incomplete, &complete, &mut stats).unwrap();
+        let mut e = engine(&db, StoreEngine::Scan, db.tuples_of(RelId(0)), None);
+        let (root, result) = e.get_next_result().unwrap();
         assert_eq!(root, C1);
         assert_eq!(result.tuples(), &[C1, A1]);
-
-        let pending: Vec<Vec<TupleId>> = incomplete.iter().map(|s| s.tuples().to_vec()).collect();
         // Table 3, Iteration 1 — exact list contents and order:
         // {c1,a2,s1}, {c1,s2}, {c2}, {c3}.
         assert_eq!(
-            pending,
+            pending(&e),
             vec![vec![C1, A2, S1], vec![C1, S2], vec![C2], vec![C3]]
         );
     }
@@ -241,27 +478,14 @@ mod tests {
     #[test]
     fn second_iteration_adds_nothing() {
         let db = tourist_database();
-        let mut stats = Stats::new();
-        let mut incomplete = IncompleteQueue::new(StoreEngine::Scan);
-        let mut complete = CompleteStore::new(StoreEngine::Scan);
-        for t in db.tuples_of(RelId(0)) {
-            incomplete.push(t, TupleSet::singleton(&db, t), &mut stats);
-        }
-        let scope = ScanScope {
-            db: &db,
-            ri: RelId(0),
-            rel_min: 0,
-            seeds: &[],
-            memo: None,
-            pager: None,
-        };
-        let (_, r1) = get_next_result(&scope, &mut incomplete, &complete, &mut stats).unwrap();
-        complete.insert(r1, &[C1]);
+        let mut e = engine(&db, StoreEngine::Scan, db.tuples_of(RelId(0)), None);
+        let (_, r1) = e.get_next_result().unwrap();
+        e.complete.insert(r1, &[C1]);
 
-        let before: Vec<Vec<TupleId>> = incomplete.iter().map(|s| s.tuples().to_vec()).collect();
-        let (_, r2) = get_next_result(&scope, &mut incomplete, &complete, &mut stats).unwrap();
+        let before = pending(&e);
+        let (_, r2) = e.get_next_result().unwrap();
         assert_eq!(r2.tuples(), &[C1, A2, S1]);
-        let after: Vec<Vec<TupleId>> = incomplete.iter().map(|s| s.tuples().to_vec()).collect();
+        let after = pending(&e);
         // {c1,a2,s1} was consumed; no new set appeared.
         assert_eq!(after.len(), before.len() - 1);
         assert!(after.contains(&vec![C1, S2]));
@@ -272,30 +496,18 @@ mod tests {
     #[test]
     fn exhausts_to_none() {
         let db = tourist_database();
-        let mut stats = Stats::new();
-        let mut incomplete = IncompleteQueue::new(StoreEngine::Indexed);
-        let mut complete = CompleteStore::new(StoreEngine::Indexed);
-        incomplete.push(C3, TupleSet::singleton(&db, C3), &mut stats);
-        let scope = ScanScope {
-            db: &db,
-            ri: RelId(0),
-            rel_min: 0,
-            seeds: &[],
-            memo: None,
-            pager: None,
-        };
+        let mut e = engine(&db, StoreEngine::Indexed, [C3], None);
         let mut count = 0;
-        while let Some((root, set)) =
-            get_next_result(&scope, &mut incomplete, &complete, &mut stats)
-        {
-            complete.insert(set, &[root]);
+        while let Some((root, set)) = e.get_next_result() {
+            e.complete.insert(set, &[root]);
             count += 1;
         }
         // Starting from {c3} alone: {c3,a3} is the only reachable result
         // rooted at c3... plus any sets derived via the candidate loop that
         // contain a Climates tuple reachable from it.
         assert!(count >= 1);
-        assert!(complete
+        assert!(e
+            .complete
             .sets()
             .iter()
             .any(|s| s.tuples() == [C3, TupleId(5)]));
@@ -304,43 +516,19 @@ mod tests {
     #[test]
     fn block_based_scan_counts_pages_and_matches_tuple_based() {
         let db = tourist_database();
-        let run = |pager: Option<&Pager<'_>>| {
-            let mut stats = Stats::new();
-            let mut incomplete = IncompleteQueue::new(StoreEngine::Indexed);
-            let mut complete = CompleteStore::new(StoreEngine::Indexed);
-            for t in db.tuples_of(RelId(0)) {
-                incomplete.push(t, TupleSet::singleton(&db, t), &mut stats);
-            }
-            let scope = ScanScope {
-                db: &db,
-                ri: RelId(0),
-                rel_min: 0,
-                seeds: &[],
-                memo: None,
-                pager,
-            };
+        let run = |page_size: Option<usize>| {
+            let mut e = engine(&db, StoreEngine::Indexed, db.tuples_of(RelId(0)), page_size);
             let mut out = Vec::new();
-            while let Some((root, set)) =
-                get_next_result(&scope, &mut incomplete, &complete, &mut stats)
-            {
-                complete.insert(set.clone(), &[root]);
-                out.push(set);
+            while let Some((root, set)) = e.get_next_result() {
+                e.complete.insert(set.clone(), &[root]);
+                out.push(set.tuples().to_vec());
             }
-            out
+            (out, e.pages_read())
         };
-        let tuple_based = run(None);
-        let pager = Pager::new(&db, 4);
-        let block_based = run(Some(&pager));
-        assert_eq!(
-            tuple_based
-                .iter()
-                .map(|s| s.tuples().to_vec())
-                .collect::<Vec<_>>(),
-            block_based
-                .iter()
-                .map(|s| s.tuples().to_vec())
-                .collect::<Vec<_>>()
-        );
-        assert!(pager.stats().pages_read() > 0);
+        let (tuple_based, no_pages) = run(None);
+        let (block_based, pages) = run(Some(4));
+        assert_eq!(tuple_based, block_based);
+        assert_eq!(no_pages, 0);
+        assert!(pages > 0);
     }
 }

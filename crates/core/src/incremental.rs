@@ -1,21 +1,26 @@
-//! `INCREMENTALFD` (Fig. 1 of the paper) as polynomial-delay iterators.
+//! `INCREMENTALFD` (Fig. 1 of the paper) as polynomial-delay iterators,
+//! for both consistency policies.
 //!
-//! * [`FdiIter`] computes `FDi(R)` — the results containing a tuple of
+//! * [`RunIter`] computes `FDi(R)` — the results containing a tuple of
 //!   `Ri` — one tuple set per `next()` call (Theorem 4.10's incremental
-//!   delivery).
-//! * [`FdIter`] computes the entire `FD(R)` by running the algorithm for
-//!   every `i ≤ n` and suppressing duplicates, exactly as Section 4
+//!   delivery). [`FdiIter`] is the exact run, [`ApproxFdIter`] the
+//!   approximate one (Fig. 5).
+//! * [`MultiRunIter`] computes the entire `FD(R)` by running the algorithm
+//!   for every `i ≤ n` and suppressing duplicates, exactly as Section 4
 //!   prescribes (a set is emitted by the run of its *smallest* member
-//!   relation). Section 7's alternative `Incomplete` initializations are
-//!   selected through [`FdConfig`].
+//!   relation). [`FdIter`] is the exact driver, [`ApproxAllIter`] the
+//!   approximate one. Section 7's alternative `Incomplete`
+//!   initializations are selected through [`FdConfig`].
+//!
+//! [`ApproxFdIter`]: crate::ApproxFdIter
+//! [`ApproxAllIter`]: crate::ApproxAllIter
 
-use crate::getnext::{get_next_result, ScanScope};
+use crate::getnext::{Engine, Exact, Fifo, Policy};
 use crate::init::InitStrategy;
 use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
-use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
 
 /// Execution knobs shared by all variants.
@@ -44,21 +49,22 @@ impl FdConfig {
     }
 }
 
-/// Iterator over `FDi(R)`: the tuple sets of the full disjunction that
-/// contain a tuple from relation `Ri` (Fig. 1). Each `next()` performs one
-/// `GETNEXTRESULT` call and therefore runs in incremental polynomial time.
-pub struct FdiIter<'db> {
-    db: &'db Database,
-    ri: RelId,
-    rel_min: usize,
+/// Iterator over `FDi(R)` under the exact policy (Fig. 1).
+pub type FdiIter<'db> = RunIter<'db, Exact>;
+
+/// Iterator over `FD(R)` under the exact policy, every tuple set once.
+pub type FdIter<'db> = MultiRunIter<'db, Exact>;
+
+/// Iterator over the tuple sets that contain a tuple from relation `Ri`
+/// (Fig. 1; Fig. 5 under the approximate policy). Each `next()` performs
+/// one `GETNEXTRESULT` call and therefore runs in incremental polynomial
+/// time.
+pub struct RunIter<'db, P> {
+    engine: Engine<'db, P, Fifo>,
     /// Section 7 reuse strategies: do not re-print a result contained in a
     /// previously printed one ("We must only print tuple sets that are not
     /// contained in previously printed tuple sets").
     suppress_contained: bool,
-    incomplete: IncompleteQueue,
-    complete: CompleteStore,
-    pager: Option<Pager<'db>>,
-    stats: Stats,
 }
 
 impl<'db> FdiIter<'db> {
@@ -70,21 +76,23 @@ impl<'db> FdiIter<'db> {
 
     /// Standard initialization with explicit configuration.
     pub fn with_config(db: &'db Database, ri: RelId, cfg: FdConfig) -> Self {
+        Self::with_policy(db, ri, Exact, cfg)
+    }
+}
+
+impl<'db, P: Policy> RunIter<'db, P> {
+    /// Standard initialization: a singleton `{t}` for every tuple
+    /// `t ∈ Ri` the policy admits (Fig. 1 lines 1–4, Fig. 5 line 3*).
+    pub(crate) fn with_policy(db: &'db Database, ri: RelId, policy: P, cfg: FdConfig) -> Self {
         let mut stats = Stats::new();
         let mut incomplete = IncompleteQueue::new(cfg.engine);
         for t in db.tuples_of(ri) {
-            incomplete.push(t, TupleSet::singleton(db, t), &mut stats);
+            if policy.admits(db, t, &mut stats) {
+                incomplete.push(t, TupleSet::singleton(db, t), &mut stats);
+            }
         }
-        Self::from_parts(
-            db,
-            ri,
-            0,
-            false,
-            incomplete,
-            CompleteStore::new(cfg.engine),
-            cfg,
-            stats,
-        )
+        let complete = CompleteStore::new(cfg.engine);
+        Self::from_parts(db, ri, policy, 0, false, incomplete, complete, cfg, stats)
     }
 
     /// Custom initialization (Remarks 4.3/4.5 allow it as long as every
@@ -95,93 +103,85 @@ impl<'db> FdiIter<'db> {
     pub(crate) fn from_parts(
         db: &'db Database,
         ri: RelId,
+        policy: P,
         rel_min: usize,
         suppress_contained: bool,
-        incomplete: IncompleteQueue,
+        queue: IncompleteQueue,
         complete: CompleteStore,
         cfg: FdConfig,
         stats: Stats,
     ) -> Self {
-        let pager = cfg.page_size.map(|ps| Pager::new(db, ps));
-        FdiIter {
-            db,
-            ri,
-            rel_min,
+        let fifo = Fifo { ri, queue };
+        let engine = Engine::new(db, policy, fifo, complete, cfg.page_size, stats);
+        RunIter {
+            engine: engine.with_rel_min(rel_min),
             suppress_contained,
-            incomplete,
-            complete,
-            pager,
-            stats,
         }
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Pages fetched so far (block-based execution only).
     pub fn pages_read(&self) -> u64 {
-        self.pager.as_ref().map_or(0, |p| p.stats().pages_read())
+        self.engine.pages_read()
     }
 
     /// Labels of the current `Incomplete` and `Complete` lists, in list
     /// order — the columns of the paper's Table 3. Call between `next()`
     /// invocations to reproduce the trace.
     pub fn snapshot(&self) -> (Vec<String>, Vec<String>) {
-        let inc = self.incomplete.iter().map(|s| s.label(self.db)).collect();
+        let db = self.engine.db;
+        let inc = self
+            .engine
+            .frontier
+            .queue
+            .iter()
+            .map(|s| s.label(db))
+            .collect();
         let comp = self
+            .engine
             .complete
             .sets()
             .iter()
-            .map(|s| s.label(self.db))
+            .map(|s| s.label(db))
             .collect();
         (inc, comp)
     }
 
     /// Consumes the iterator, returning the final statistics.
     pub fn into_stats(self) -> Stats {
-        self.stats
+        self.engine.stats
     }
+}
 
-    /// Internal step shared with [`FdIter`]: produce the next result and
-    /// record it in `Complete`.
-    fn step(&mut self) -> Option<TupleSet> {
+impl<P: Policy> Iterator for RunIter<'_, P> {
+    type Item = TupleSet;
+
+    /// Produces the next result and records it in `Complete`.
+    fn next(&mut self) -> Option<TupleSet> {
         loop {
-            let scope = ScanScope {
-                db: self.db,
-                ri: self.ri,
-                rel_min: self.rel_min,
-                seeds: &[],
-                memo: None,
-                pager: self.pager.as_ref(),
-            };
-            let (root, set) = get_next_result(
-                &scope,
-                &mut self.incomplete,
-                &self.complete,
-                &mut self.stats,
-            )?;
+            let (root, set) = self.engine.get_next_result()?;
+            let engine = &mut self.engine;
+            engine.stats.results += 1;
             // Section 7 reuse strategies: with scans restricted to later
             // relations, a popped seed may be (contained in) an already
             // printed result — its candidate loop still ran, but it must
             // not be printed again.
             if self.suppress_contained
-                && self.complete.contains_superset(&set, root, &mut self.stats)
+                && engine
+                    .complete
+                    .contains_superset(&set, root, &mut engine.stats)
             {
                 continue;
             }
-            self.complete.insert(set.clone(), set.tuples());
+            // Every member is a lookup root: any later subset shares at
+            // least its own root tuple with the set.
+            engine.complete.insert(set.clone(), set.tuples());
             return Some(set);
         }
-    }
-}
-
-impl Iterator for FdiIter<'_> {
-    type Item = TupleSet;
-
-    fn next(&mut self) -> Option<TupleSet> {
-        self.step()
     }
 }
 
@@ -198,8 +198,9 @@ pub fn fdi(db: &Database, ri: RelId) -> Vec<TupleSet> {
     FdiIter::new(db, ri).collect()
 }
 
-/// Iterator over the entire full disjunction `FD(R) = ⋃ᵢ FDi(R)`,
-/// emitting every tuple set exactly once.
+/// Iterator over the entire full disjunction `FD(R) = ⋃ᵢ FDi(R)` (or its
+/// approximate counterpart `AFD(R, A, τ)`), emitting every tuple set
+/// exactly once.
 ///
 /// With the default [`InitStrategy::Singletons`], run `i` re-derives sets
 /// already produced by earlier runs; following Section 4, a set is emitted
@@ -207,10 +208,12 @@ pub fn fdi(db: &Database, ri: RelId) -> Vec<TupleSet> {
 /// from `R1..R_{i-1}`" test). The Section 7 strategies instead reuse
 /// previous results and restrict the scans; a global canonical filter
 /// guarantees exactly-once emission for every strategy.
-pub struct FdIter<'db> {
+pub struct MultiRunIter<'db, P> {
     db: &'db Database,
     cfg: FdConfig,
-    current: Option<Box<FdiIter<'db>>>,
+    /// The policy between runs (each run owns it while it is in flight).
+    policy: Option<P>,
+    current: Option<Box<RunIter<'db, P>>>,
     next_rel: usize,
     /// All results produced so far (drives the reuse strategies).
     produced: Vec<TupleSet>,
@@ -218,7 +221,10 @@ pub struct FdIter<'db> {
     /// strategy exactly-once even where Remark 4.5's precondition is
     /// heuristic).
     emitted: FxHashSet<Box<[TupleId]>>,
+    /// Counters of the finished runs.
     stats: Stats,
+    /// Pages fetched by the finished runs.
+    pages_done: u64,
 }
 
 impl<'db> FdIter<'db> {
@@ -229,14 +235,22 @@ impl<'db> FdIter<'db> {
 
     /// Explicit configuration.
     pub fn with_config(db: &'db Database, cfg: FdConfig) -> Self {
-        FdIter {
+        Self::with_policy(db, Exact, cfg)
+    }
+}
+
+impl<'db, P: Policy> MultiRunIter<'db, P> {
+    pub(crate) fn with_policy(db: &'db Database, policy: P, cfg: FdConfig) -> Self {
+        MultiRunIter {
             db,
             cfg,
+            policy: Some(policy),
             current: None,
             next_rel: 0,
             produced: Vec::new(),
             emitted: FxHashSet::default(),
             stats: Stats::new(),
+            pages_done: 0,
         }
     }
 
@@ -249,27 +263,36 @@ impl<'db> FdIter<'db> {
         s
     }
 
+    /// Pages fetched so far across all runs (block-based execution only).
+    pub fn pages_read(&self) -> u64 {
+        self.pages_done + self.current.as_ref().map_or(0, |c| c.pages_read())
+    }
+
     /// Folds the finished run's statistics in and starts the next run;
     /// false when all `n` runs are done.
     fn advance_run(&mut self) -> bool {
         if let Some(done) = self.current.take() {
-            self.stats.merge(done.stats());
+            self.pages_done += done.pages_read();
+            let engine = done.engine;
+            self.stats.merge(&engine.stats);
+            self.policy = Some(engine.policy);
         }
         if self.next_rel >= self.db.num_relations() {
             return false;
         }
         let ri = RelId(self.next_rel as u16);
         self.next_rel += 1;
-        let iter = self
+        let policy = self.policy.take().expect("policy returned by the last run");
+        let run = self
             .cfg
             .init
-            .build_run(self.db, ri, self.cfg, &self.produced);
-        self.current = Some(Box::new(iter));
+            .build_run(self.db, ri, policy, self.cfg, &self.produced);
+        self.current = Some(Box::new(run));
         true
     }
 }
 
-impl Iterator for FdIter<'_> {
+impl<P: Policy> Iterator for MultiRunIter<'_, P> {
     type Item = TupleSet;
 
     fn next(&mut self) -> Option<TupleSet> {
@@ -280,7 +303,7 @@ impl Iterator for FdIter<'_> {
                 }
                 return None;
             };
-            match cur.step() {
+            match cur.next() {
                 None => {
                     if !self.advance_run() {
                         return None;
@@ -294,7 +317,9 @@ impl Iterator for FdIter<'_> {
                     // the Section 7 reuse strategies safe where Remark
                     // 4.5's precondition is heuristic.
                     if self.emitted.insert(set.tuples().into()) {
-                        self.produced.push(set.clone());
+                        if self.cfg.init != InitStrategy::Singletons {
+                            self.produced.push(set.clone());
+                        }
                         return Some(set);
                     }
                 }

@@ -19,8 +19,9 @@
 //! equivalence suite); they differ in operation counts, which experiment
 //! E11 measures.
 
-use crate::incremental::{FdConfig, FdiIter};
-use crate::jcc::{extend_to_maximal_from, rebuild};
+use crate::getnext::Policy;
+use crate::incremental::{FdConfig, RunIter};
+use crate::jcc::rebuild;
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -45,50 +46,35 @@ pub enum InitStrategy {
 impl InitStrategy {
     /// Builds the `FDi` run for this strategy given all previously
     /// produced results.
-    pub(crate) fn build_run<'db>(
+    pub(crate) fn build_run<'db, P: Policy>(
         self,
         db: &'db Database,
         ri: RelId,
+        policy: P,
         cfg: FdConfig,
         produced: &[TupleSet],
-    ) -> FdiIter<'db> {
-        match self {
-            InitStrategy::Singletons => FdiIter::with_config(db, ri, cfg),
-            InitStrategy::ReuseResults => {
-                let mut stats = Stats::new();
-                let mut incomplete = IncompleteQueue::new(cfg.engine);
-                let covered = seed_previous(db, ri, produced, &mut incomplete, &mut stats, false);
-                seed_uncovered_singletons(db, ri, &covered, &mut incomplete, &mut stats);
-                let complete = seed_complete(db, cfg, produced);
-                FdiIter::from_parts(
-                    db,
-                    ri,
-                    ri.index() + 1,
-                    true,
-                    incomplete,
-                    complete,
-                    cfg,
-                    stats,
-                )
-            }
-            InitStrategy::TrimExtend => {
-                let mut stats = Stats::new();
-                let mut incomplete = IncompleteQueue::new(cfg.engine);
-                let covered = seed_previous(db, ri, produced, &mut incomplete, &mut stats, true);
-                seed_uncovered_singletons(db, ri, &covered, &mut incomplete, &mut stats);
-                let complete = seed_complete(db, cfg, produced);
-                FdiIter::from_parts(
-                    db,
-                    ri,
-                    ri.index() + 1,
-                    true,
-                    incomplete,
-                    complete,
-                    cfg,
-                    stats,
-                )
-            }
-        }
+    ) -> RunIter<'db, P> {
+        let trim = match self {
+            InitStrategy::Singletons => return RunIter::with_policy(db, ri, policy, cfg),
+            InitStrategy::ReuseResults => false,
+            InitStrategy::TrimExtend => true,
+        };
+        let mut stats = Stats::new();
+        let mut incomplete = IncompleteQueue::new(cfg.engine);
+        let covered = seed_previous(db, ri, &policy, produced, &mut incomplete, &mut stats, trim);
+        seed_uncovered_singletons(db, ri, &covered, &mut incomplete, &mut stats);
+        let complete = seed_complete(cfg, produced);
+        RunIter::from_parts(
+            db,
+            ri,
+            policy,
+            ri.index() + 1,
+            true,
+            incomplete,
+            complete,
+            cfg,
+            stats,
+        )
     }
 }
 
@@ -98,9 +84,10 @@ impl InitStrategy {
 /// later relations; contained or duplicate seeds are dropped (the paper's
 /// requirement to preserve the `O(f)` space bound and Remark 4.5).
 /// Returns the set of `ri` tuples covered by some previous result.
-fn seed_previous(
+fn seed_previous<P: Policy>(
     db: &Database,
     ri: RelId,
+    policy: &P,
     produced: &[TupleSet],
     incomplete: &mut IncompleteQueue,
     stats: &mut Stats,
@@ -128,7 +115,7 @@ fn seed_previous(
                 .filter(|&t| comp.binary_search(&db.rel_of(t)).is_ok())
                 .collect();
             let trimmed = rebuild(db, kept);
-            extend_to_maximal_from(db, trimmed, ri.index() + 1, stats)
+            policy.extend(db, trimmed, ri.index() + 1, stats)
         } else {
             prev.clone()
         };
@@ -175,8 +162,7 @@ fn seed_uncovered_singletons(
 
 /// Builds the global `Complete` store holding all previous results,
 /// indexed by every member tuple so any run's root lookups work.
-fn seed_complete(db: &Database, cfg: FdConfig, produced: &[TupleSet]) -> CompleteStore {
-    let _ = db;
+fn seed_complete(cfg: FdConfig, produced: &[TupleSet]) -> CompleteStore {
     let mut complete = CompleteStore::new(cfg.engine);
     for prev in produced {
         complete.insert(prev.clone(), prev.tuples());

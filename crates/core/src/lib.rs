@@ -60,24 +60,25 @@ pub mod jcc;
 pub mod obs;
 pub mod priority;
 pub mod query;
-pub mod ranked_approx;
 pub mod ranking;
 pub mod serve;
 pub mod session;
 pub mod sim;
 pub mod store;
 
-pub use approx::{AMin, AProd, ApproxAllIter, ApproxFdIter, ApproxJoin, ProbScores};
+pub use approx::{
+    AMin, AProd, Approx, ApproxAllIter, ApproxFdIter, ApproxJoin, ProbScores, RankedApproxFdIter,
+};
 pub use delta::{BatchDelta, DeleteDelta, InsertDelta};
 pub use error::FdError;
-pub use incremental::{canonicalize, fdi, FdConfig, FdIter, FdiIter};
+pub use getnext::{Exact, Policy};
+pub use incremental::{canonicalize, fdi, FdConfig, FdIter, FdiIter, MultiRunIter, RunIter};
 pub use init::InitStrategy;
 pub use lists::{CompleteStore, IncompleteQueue, StoreEngine};
 pub use obs::{Counter, EventLog, Gauge, Histogram, MetricsServer, QueryTimings, Registry, Span};
 pub use padded::{format_results, padded_relation, padded_tuple, padded_tuple_over};
-pub use priority::RankedFdIter;
+pub use priority::{RankedFdIter, RankedIter};
 pub use query::{BoxedApprox, BoxedRanking, FdQuery, FdResult, FdStream, QueryParts};
-pub use ranked_approx::RankedApproxFdIter;
 pub use ranking::{
     canonical_rank_order, FMax, FPairSum, FSum, FTriple, ImpScores, MonotoneCDetermined,
     RankingFunction,

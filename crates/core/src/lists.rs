@@ -8,11 +8,10 @@
 //! ablation benchmark (experiment E10) can compare them; they produce
 //! identical results and differ only in scan work.
 
-use crate::jcc::try_union;
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::{FxHashMap, FxHashSet};
-use fd_relational::{Database, TupleId};
+use fd_relational::TupleId;
 use std::collections::VecDeque;
 
 /// Which store implementation to use.
@@ -179,54 +178,57 @@ impl IncompleteQueue {
         None
     }
 
-    /// Fig. 2 lines 14–15: finds a stored `S` with `JCC(S ∪ T′)` and
-    /// replaces it by the union, preserving its queue position. Returns
-    /// true when a merge happened. Merge partners must share the root
-    /// tuple, which the indexed engine exploits.
+    /// Fig. 2 lines 14–15: offers `T′` to the stored sets sharing its
+    /// root and replaces the first `S` for which `union(S)` succeeds by
+    /// that union, preserving its queue position. Returns true when a
+    /// merge happened.
+    ///
+    /// With a `unique` partner (exact joins, Lemma 4.4) the order does not
+    /// matter: the indexed engine probes the root's entries, the scan
+    /// engine every entry in pop order. Otherwise (approximate joins) the
+    /// same-root entries are scanned in pop order.
     pub fn try_merge(
         &mut self,
-        db: &Database,
         root: TupleId,
-        t_prime: &TupleSet,
+        unique: bool,
         stats: &mut Stats,
+        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
     ) -> bool {
-        match self.engine {
-            StoreEngine::Scan => {
-                // Logical order: pending batch first, then older entries.
-                let slots: Vec<u32> = self
-                    .batch
-                    .iter()
-                    .copied()
-                    .chain(self.order.iter().copied())
-                    .collect();
-                for slot in slots {
-                    if let Some((_, s)) = &self.slots[slot as usize] {
-                        stats.incomplete_scans += 1;
-                        if let Some(u) = try_union(db, s, t_prime, stats) {
-                            stats.merges += 1;
-                            self.slots[slot as usize].as_mut().expect("live slot").1 = u;
-                            return true;
-                        }
-                    }
-                }
-                false
+        let IncompleteQueue {
+            engine,
+            slots,
+            order,
+            batch,
+            by_root,
+            ..
+        } = self;
+        let mut offer = |slot: u32, stats: &mut Stats| {
+            let Some((r, s)) = slots[slot as usize].as_mut() else {
+                return false;
+            };
+            if !unique && *r != root {
+                return false;
             }
-            StoreEngine::Indexed => {
-                let Some(slots) = self.by_root.get(&root) else {
-                    return false;
-                };
-                for &slot in slots {
-                    if let Some((_, s)) = &self.slots[slot as usize] {
-                        stats.incomplete_scans += 1;
-                        if let Some(u) = try_union(db, s, t_prime, stats) {
-                            stats.merges += 1;
-                            self.slots[slot as usize].as_mut().expect("live slot").1 = u;
-                            return true;
-                        }
-                    }
+            stats.incomplete_scans += 1;
+            match union(s, stats) {
+                Some(u) => {
+                    stats.merges += 1;
+                    *s = u;
+                    true
                 }
-                false
+                None => false,
             }
+        };
+        if unique && *engine == StoreEngine::Indexed {
+            by_root
+                .get(&root)
+                .is_some_and(|idx| idx.iter().any(|&slot| offer(slot, stats)))
+        } else {
+            // Logical order: pending batch first, then older entries.
+            batch
+                .iter()
+                .chain(order.iter())
+                .any(|&slot| offer(slot, stats))
         }
     }
 
@@ -244,13 +246,25 @@ impl IncompleteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jcc::rebuild;
-    use fd_relational::tourist_database;
+    use crate::jcc::{rebuild, try_union};
+    use fd_relational::{tourist_database, Database};
 
     const C1: TupleId = TupleId(0);
     const C2: TupleId = TupleId(1);
     const A2: TupleId = TupleId(4);
     const S1: TupleId = TupleId(6);
+
+    fn merge(
+        db: &Database,
+        q: &mut IncompleteQueue,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool {
+        q.try_merge(root, true, stats, |s, stats| {
+            try_union(db, s, t_prime, stats)
+        })
+    }
 
     fn both_engines() -> [StoreEngine; 2] {
         [StoreEngine::Scan, StoreEngine::Indexed]
@@ -311,7 +325,7 @@ mod tests {
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
 
             let t_prime = rebuild(&db, vec![C1, S1]);
-            assert!(q.try_merge(&db, C1, &t_prime, &mut stats));
+            assert!(merge(&db, &mut q, C1, &t_prime, &mut stats));
             assert_eq!(stats.merges, 1);
 
             let (root, merged) = q.pop().unwrap();
@@ -329,7 +343,7 @@ mod tests {
             let mut q = IncompleteQueue::new(engine);
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
             let t_prime = rebuild(&db, vec![C1, S1]);
-            assert!(!q.try_merge(&db, C1, &t_prime, &mut stats));
+            assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
         }
     }
 
@@ -343,12 +357,12 @@ mod tests {
         let mut q = IncompleteQueue::new(StoreEngine::Scan);
         q.push(C2, TupleSet::singleton(&db, C2), &mut scan_stats);
         q.push(C1, rebuild(&db, vec![C1, A2]), &mut scan_stats);
-        assert!(q.try_merge(&db, C1, &t_prime, &mut scan_stats));
+        assert!(merge(&db, &mut q, C1, &t_prime, &mut scan_stats));
 
         let mut q = IncompleteQueue::new(StoreEngine::Indexed);
         q.push(C2, TupleSet::singleton(&db, C2), &mut idx_stats);
         q.push(C1, rebuild(&db, vec![C1, A2]), &mut idx_stats);
-        assert!(q.try_merge(&db, C1, &t_prime, &mut idx_stats));
+        assert!(merge(&db, &mut q, C1, &t_prime, &mut idx_stats));
 
         assert!(idx_stats.incomplete_scans < scan_stats.incomplete_scans);
     }
@@ -362,7 +376,7 @@ mod tests {
         let _ = q.pop();
         // Merge must not resurrect the popped slot.
         let t_prime = rebuild(&db, vec![C1, S1]);
-        assert!(!q.try_merge(&db, C1, &t_prime, &mut stats));
+        assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
         assert_eq!(q.iter().count(), 0);
     }
 }

@@ -10,11 +10,10 @@
 //! **Ranked.** `PRIORITYINCREMENTALFD` shards the same way: a worker
 //! seeds the priority queues `Incomplete_i` for a contiguous slice of the
 //! relations and runs the shared `GETNEXTRESULT` body
-//! (`RankedFdIter::for_relations`), enumerating exactly the answers that
+//! (`RankedIter::for_policy`), enumerating exactly the answers that
 //! contain a tuple of one of its relations. A worker's *raw* emission is
-//! not globally rank-ordered — Lemma 5.4's order guarantee relies on the
-//! rank witness of an answer (its c-determining subset) sitting in *some*
-//! queue, and that queue may belong to another shard — so each worker
+//! not globally rank-ordered — an answer's rank witness (its
+//! c-determining subset) may sit in another shard's queue — so each worker
 //! materializes its shard, sorts it into the canonical ranked order, and
 //! the per-worker streams are then k-way heap-merged ([`RankedMerge`])
 //! into one globally ordered stream — the rank-preserving merge of
@@ -42,13 +41,14 @@
 //! stream. The workers themselves still enumerate their full shards:
 //! Theorem 5.5's "top-k in poly(k)" early exit belongs to the sequential
 //! plan, the parallel plan instead splits the enumeration across cores.
+//!
+//! Both drivers are generic over the consistency [`Policy`], so the
+//! approximate modes parallelize the same way.
 
-use crate::approx::{ApproxFdIter, ApproxJoin};
-use crate::incremental::{FdConfig, FdiIter};
-use crate::priority::{Rank, RankedFdIter};
-use crate::ranked_approx::RankedApproxFdIter;
-use crate::ranking::canonical_rank_order;
-use crate::ranking::MonotoneCDetermined;
+use crate::getnext::Policy;
+use crate::incremental::{FdConfig, RunIter};
+use crate::priority::{Rank, RankedIter};
+use crate::ranking::{canonical_rank_order, MonotoneCDetermined};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::{Database, RelId};
@@ -89,12 +89,14 @@ fn run_sharded<T: Send>(
     out
 }
 
-/// Computes `FD(R)` using up to `threads` workers. Results are returned
-/// in canonical order together with the merged statistics and the total
-/// pages fetched (block-based execution only). With `threads == 1` this
-/// degenerates to the sequential algorithm.
-pub(crate) fn parallel_full_disjunction(
+/// Computes `FD(R)` — or `AFD(R, A, τ)` under the approximate policy —
+/// using up to `threads` workers. Results are returned in canonical order
+/// together with the merged statistics and the total pages fetched
+/// (block-based execution only). With `threads == 1` this degenerates to
+/// the sequential algorithm.
+pub(crate) fn parallel_runs<P: Policy + Sync>(
     db: &Database,
+    policy: &P,
     cfg: FdConfig,
     threads: usize,
 ) -> (Vec<TupleSet>, Stats, u64) {
@@ -108,54 +110,10 @@ pub(crate) fn parallel_full_disjunction(
         let mut pages = 0;
         for rel_idx in lo..hi {
             let ri = RelId(rel_idx as u16);
-            let mut iter = FdiIter::with_config(db, ri, cfg);
+            let mut iter = RunIter::with_policy(db, ri, policy.by_ref(), cfg);
             for set in &mut iter {
                 // Ownership rule: emit a set only in the run of its
                 // smallest member relation.
-                if !set.has_tuple_before(db, ri) {
-                    out.push(set);
-                }
-            }
-            stats.merge(iter.stats());
-            pages += iter.pages_read();
-        }
-        (out, stats, pages)
-    });
-    let mut results = Vec::new();
-    let mut stats = Stats::new();
-    let mut pages = 0;
-    for (out, s, p) in collected {
-        results.extend(out);
-        stats.merge(&s);
-        pages += p;
-    }
-    results.sort();
-    (results, stats, pages)
-}
-
-/// Computes `AFD(R, A, τ)` using up to `threads` workers: each worker
-/// drives the `APPROXINCREMENTALFD` runs of its relation shard, the
-/// batch ownership rule (smallest member relation) makes emission
-/// exactly-once across workers. Results are returned in canonical order.
-pub(crate) fn parallel_approx<A: ApproxJoin + Sync>(
-    db: &Database,
-    a: &A,
-    tau: f64,
-    cfg: FdConfig,
-    threads: usize,
-) -> (Vec<TupleSet>, Stats, u64) {
-    let n = db.num_relations();
-    if n == 0 {
-        return (Vec::new(), Stats::new(), 0);
-    }
-    let collected = run_sharded(&shard_relations(n, threads), |lo, hi| {
-        let mut out = Vec::new();
-        let mut stats = Stats::new();
-        let mut pages = 0;
-        for rel_idx in lo..hi {
-            let ri = RelId(rel_idx as u16);
-            let mut iter = ApproxFdIter::with_config(db, ri, a, tau, cfg);
-            for set in &mut iter {
                 if !set.has_tuple_before(db, ri) {
                     out.push(set);
                 }
@@ -217,59 +175,30 @@ fn sort_canonical(v: &mut [(TupleSet, f64)]) {
     v.sort_by(|a, b| canonical_rank_order(a.1, &a.0, b.1, &b.0));
 }
 
-/// Ranked `FD(R)` across up to `threads` workers: shards the seed
-/// relations, runs one restricted `PRIORITYINCREMENTALFD` per shard, and
-/// returns the k-way merge of the per-worker streams plus merged
-/// statistics and page counts.
-pub(crate) fn parallel_ranked<F: MonotoneCDetermined + Sync>(
+/// Ranked `FD(R)` (or ranked `AFD(R, A, τ)`) across up to `threads`
+/// workers: shards the seed relations, runs one restricted ranked
+/// enumeration per shard, and returns the k-way merge of the per-worker
+/// streams, carrying their merged statistics and page counts.
+pub(crate) fn parallel_ranked<P, F>(
     db: &Database,
+    policy: &P,
     f: &F,
     cfg: FdConfig,
     threads: usize,
     cut: RankedCut,
-) -> (RankedMerge, Stats, u64) {
-    let n = db.num_relations();
-    let collected = run_sharded(&shard_relations(n, threads), |lo, hi| {
-        let mut it = RankedFdIter::for_relations(db, f, cfg, lo..hi);
-        let mut out: Vec<(TupleSet, f64)> = (&mut it).collect();
-        sort_canonical(&mut out);
-        apply_cut_sorted(&mut out, cut);
-        (out, *it.stats(), it.pages_read())
-    });
-    merge_collected(collected)
-}
-
-/// Ranked `AFD(R, A, τ)` across up to `threads` workers — the
-/// ranked-approximate twin of [`parallel_ranked`].
-pub(crate) fn parallel_ranked_approx<A, F>(
-    db: &Database,
-    a: &A,
-    tau: f64,
-    f: &F,
-    cfg: FdConfig,
-    threads: usize,
-    cut: RankedCut,
-) -> (RankedMerge, Stats, u64)
+) -> RankedMerge
 where
-    A: ApproxJoin + Sync,
+    P: Policy + Sync,
     F: MonotoneCDetermined + Sync,
 {
     let n = db.num_relations();
     let collected = run_sharded(&shard_relations(n, threads), |lo, hi| {
-        let mut it = RankedApproxFdIter::for_relations(db, a, tau, f, cfg, lo..hi);
+        let mut it = RankedIter::for_policy(db, policy.by_ref(), f, cfg, lo..hi);
         let mut out: Vec<(TupleSet, f64)> = (&mut it).collect();
         sort_canonical(&mut out);
         apply_cut_sorted(&mut out, cut);
         (out, *it.stats(), it.pages_read())
     });
-    merge_collected(collected)
-}
-
-/// One ranked worker's canonically sorted shard stream plus its merged
-/// counters and page count.
-type ShardOutput = (Vec<(TupleSet, f64)>, Stats, u64);
-
-fn merge_collected(collected: Vec<ShardOutput>) -> (RankedMerge, Stats, u64) {
     let mut streams = Vec::with_capacity(collected.len());
     let mut stats = Stats::new();
     let mut pages = 0;
@@ -278,7 +207,7 @@ fn merge_collected(collected: Vec<ShardOutput>) -> (RankedMerge, Stats, u64) {
         stats.merge(&s);
         pages += p;
     }
-    (RankedMerge::new(streams), stats, pages)
+    RankedMerge::new(streams, stats, pages)
 }
 
 /// One head of the k-way merge. The heap is a max-heap, so "greater"
@@ -327,10 +256,14 @@ pub(crate) struct RankedMerge {
     streams: Vec<std::vec::IntoIter<(TupleSet, f64)>>,
     heap: BinaryHeap<MergeHead>,
     last: Option<TupleSet>,
+    /// Merged counters of the finished workers.
+    pub(crate) stats: Stats,
+    /// Pages fetched by all workers.
+    pub(crate) pages: u64,
 }
 
 impl RankedMerge {
-    fn new(worker_outputs: Vec<Vec<(TupleSet, f64)>>) -> Self {
+    fn new(worker_outputs: Vec<Vec<(TupleSet, f64)>>, stats: Stats, pages: u64) -> Self {
         let mut streams: Vec<_> = worker_outputs.into_iter().map(Vec::into_iter).collect();
         let mut heap = BinaryHeap::with_capacity(streams.len());
         for (src, stream) in streams.iter_mut().enumerate() {
@@ -346,6 +279,8 @@ impl RankedMerge {
             streams,
             heap,
             last: None,
+            stats,
+            pages,
         }
     }
 
@@ -382,7 +317,9 @@ impl RankedMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::getnext::Exact;
     use crate::incremental::canonicalize;
+    use crate::priority::RankedFdIter;
     use crate::query::FdQuery;
     use crate::ranking::{FMax, ImpScores};
     use fd_relational::tourist_database;
@@ -396,7 +333,7 @@ mod tests {
         let db = tourist_database();
         let base = batch(&db);
         for threads in [1, 2, 3, 8] {
-            let (got, stats, _) = parallel_full_disjunction(&db, FdConfig::default(), threads);
+            let (got, stats, _) = parallel_runs(&db, &Exact, FdConfig::default(), threads);
             assert_eq!(base, got, "threads = {threads}");
             assert!(stats.results >= base.len() as u64);
         }
@@ -405,7 +342,7 @@ mod tests {
     #[test]
     fn zero_threads_is_clamped() {
         let db = tourist_database();
-        let (got, _, _) = parallel_full_disjunction(&db, FdConfig::default(), 0);
+        let (got, _, _) = parallel_runs(&db, &Exact, FdConfig::default(), 0);
         assert_eq!(got.len(), 6);
     }
 
@@ -414,7 +351,7 @@ mod tests {
         // Every result appears exactly once even with one thread per
         // relation.
         let db = tourist_database();
-        let (got, _, _) = parallel_full_disjunction(&db, FdConfig::default(), 3);
+        let (got, _, _) = parallel_runs(&db, &Exact, FdConfig::default(), 3);
         let mut canon: Vec<_> = got.iter().map(|s| s.tuples().to_vec()).collect();
         canon.dedup();
         assert_eq!(canon.len(), got.len());
@@ -431,8 +368,15 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         for threads in [1, 2, 3, 8] {
-            let (mut merge, stats, _) =
-                parallel_ranked(&db, &f, FdConfig::default(), threads, RankedCut::default());
+            let mut merge = parallel_ranked(
+                &db,
+                &Exact,
+                &f,
+                FdConfig::default(),
+                threads,
+                RankedCut::default(),
+            );
+            let stats = merge.stats;
             let mut out = Vec::new();
             while let Some(pair) = merge.next_pair() {
                 out.push(pair);
@@ -454,8 +398,14 @@ mod tests {
         let db = tourist_database();
         let imp = ImpScores::from_fn(&db, |t| (t.0 % 3) as f64); // heavy ties
         let f = FMax::new(&imp);
-        let (mut full, _, _) =
-            parallel_ranked(&db, &f, FdConfig::default(), 1, RankedCut::default());
+        let mut full = parallel_ranked(
+            &db,
+            &Exact,
+            &f,
+            FdConfig::default(),
+            1,
+            RankedCut::default(),
+        );
         let mut want = Vec::new();
         while let Some(p) = full.next_pair() {
             want.push(p);
@@ -466,7 +416,7 @@ mod tests {
                     top_k: Some(k),
                     min_rank: None,
                 };
-                let (mut merge, _, _) = parallel_ranked(&db, &f, FdConfig::default(), threads, cut);
+                let mut merge = parallel_ranked(&db, &Exact, &f, FdConfig::default(), threads, cut);
                 let mut got = Vec::new();
                 while let Some(p) = merge.next_pair() {
                     got.push(p);
@@ -486,12 +436,18 @@ mod tests {
     #[test]
     fn empty_database_yields_empty_streams() {
         let db = fd_relational::DatabaseBuilder::new().build().unwrap();
-        let (sets, _, _) = parallel_full_disjunction(&db, FdConfig::default(), 4);
+        let (sets, _, _) = parallel_runs(&db, &Exact, FdConfig::default(), 4);
         assert!(sets.is_empty());
         let imp = ImpScores::uniform(&db, 1.0);
         let f = FMax::new(&imp);
-        let (mut merge, _, _) =
-            parallel_ranked(&db, &f, FdConfig::default(), 4, RankedCut::default());
+        let mut merge = parallel_ranked(
+            &db,
+            &Exact,
+            &f,
+            FdConfig::default(),
+            4,
+            RankedCut::default(),
+        );
         assert!(merge.next_pair().is_none());
         assert!(merge.peek_rank().is_none());
     }

@@ -1,40 +1,47 @@
 //! `PRIORITYINCREMENTALFD` (Fig. 3 of the paper): the full disjunction in
-//! ranking order, for monotonically c-determined ranking functions.
+//! ranking order, for monotonically c-determined ranking functions — and,
+//! under the approximate policy, the ranked approximate full disjunction
+//! the paper sketches at the end of Section 6 (*"adapting
+//! `APPROXINCREMENTALFD` in the spirit of `PRIORITYINCREMENTALFD`"*).
 //!
 //! Differences from `INCREMENTALFD`, following the paper:
 //!
-//! * there are `n` lists `Incomplete_i` — priority queues keyed by the
-//!   rank of the (partial) tuple set — instead of one FIFO list;
-//! * `Incomplete_i` is initialized with **every** JCC tuple set of size at
-//!   most `c` containing a tuple from `Ri`, after which mergeable pairs
-//!   are unioned to a fixpoint (Fig. 3 lines 3–8); that seeds each queue
-//!   with the rank-determining subsets of all results;
+//! * the frontier is `n` lists `Incomplete_i` — priority queues keyed by
+//!   the rank of the (partial) tuple set — instead of one FIFO list
+//!   ([`RankHeaps`]);
+//! * `Incomplete_i` is initialized with **every** consistent tuple set of
+//!   size at most `c` containing a tuple from `Ri`, after which mergeable
+//!   pairs are unioned to a fixpoint (Fig. 3 lines 3–8); that seeds each
+//!   queue with the rank-determining subsets of all results;
 //! * each step pops the globally highest-ranked entry (lines 10–15), runs
-//!   the `GETNEXTRESULT` body against the *shared* `Complete`, and prints
-//!   the extension unless it was printed before (line 17) — a set is
-//!   generated once per member tuple, so exact duplicates must be
+//!   the shared `GETNEXTRESULT` body against the *shared* `Complete`, and
+//!   prints the extension unless it was printed before (line 17) — a set
+//!   is generated once per member tuple, so exact duplicates must be
 //!   filtered.
 //!
-//! Lemma 5.4: the emission order is non-increasing in `f`; Theorem 5.5:
-//! the top-k answers arrive in polynomial time in the input and `k`.
-//! [`RankedFdIter`] exposes the stream unboundedly; the `.top_k` /
-//! `.threshold` (Remark 5.6) bounds are applied by the
-//! [`FdQuery`](crate::FdQuery) builder.
+//! Theorem 5.5: the top-k answers arrive in polynomial time in the input
+//! and `k`. **Known defect:** entries are popped by the rank of their
+//! *partial* set but printed with the rank of their maximal extension, so
+//! [`RankedFdIter`] can print an answer after a lower-ranked one — the
+//! non-increasing order of Lemma 5.4 is not guaranteed. The repository
+//! benchmark reports such runs as `known defect`. [`RankedFdIter`]
+//! exposes the stream unboundedly; the `.top_k` / `.threshold`
+//! (Remark 5.6) bounds are applied by the [`FdQuery`](crate::FdQuery)
+//! builder.
 //!
 //! The iterator can also be restricted to a contiguous *shard* of the
-//! seed relations (`RankedFdIter::for_relations`): it then emits, still
-//! in rank order, exactly the answers containing a tuple of one of those
-//! relations — the per-worker unit of the crate's parallel ranked
-//! driver, whose k-way merge reassembles the full ranking.
+//! seed relations (`RankedIter::for_policy`): it then emits exactly the
+//! answers containing a tuple of one of those relations — the per-worker
+//! unit of the crate's parallel ranked driver, whose k-way merge
+//! reassembles the full ranking.
 
+use crate::getnext::{Engine, Exact, Frontier, Policy};
 use crate::incremental::FdConfig;
-use crate::jcc::{can_add, extend_to_maximal, maximal_subset_with, try_union};
 use crate::lists::{CompleteStore, StoreEngine};
 use crate::ranking::MonotoneCDetermined;
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::{FxHashMap, FxHashSet};
-use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -97,16 +104,14 @@ struct Entry {
 /// at tuples of `Ri`.
 #[derive(Debug)]
 struct LazyQueue {
-    engine: StoreEngine,
     slots: Vec<Option<Entry>>,
     heap: BinaryHeap<HeapItem>,
     by_root: FxHashMap<TupleId, Vec<u32>>,
 }
 
 impl LazyQueue {
-    fn new(engine: StoreEngine) -> Self {
+    fn new() -> Self {
         LazyQueue {
-            engine,
             slots: Vec::new(),
             heap: BinaryHeap::new(),
             by_root: FxHashMap::default(),
@@ -117,9 +122,7 @@ impl LazyQueue {
         stats.heap_pushes += 1;
         let slot = self.slots.len() as u32;
         self.slots.push(Some(Entry { root, set, gen: 0 }));
-        if self.engine == StoreEngine::Indexed {
-            self.by_root.entry(root).or_default().push(slot);
-        }
+        self.by_root.entry(root).or_default().push(slot);
         self.heap.push(HeapItem {
             rank: Rank(rank),
             gen: 0,
@@ -155,27 +158,30 @@ impl LazyQueue {
         None
     }
 
-    /// Fig. 2 lines 14–15 in queue form: merge `t_prime` into an entry
-    /// sharing its root, re-ranking it (lazy increase-key). Returns the
-    /// merge success.
+    /// Fig. 2 lines 14–15 in queue form: replaces the first entry `S` for
+    /// which `union(S)` succeeds by that union, re-ranking it (lazy
+    /// increase-key). `indexed` restricts the scan to the entries of
+    /// `root`; otherwise every slot is examined. Returns the merge
+    /// success.
     fn try_merge(
         &mut self,
-        db: &Database,
         root: TupleId,
-        t_prime: &TupleSet,
-        rank_of: &mut impl FnMut(&TupleSet, &mut Stats) -> f64,
+        indexed: bool,
         stats: &mut Stats,
+        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
+        rank_of: impl FnOnce(&TupleSet, &mut Stats) -> f64,
     ) -> bool {
-        let candidates: Vec<u32> = match self.engine {
-            StoreEngine::Indexed => self.by_root.get(&root).cloned().unwrap_or_default(),
-            StoreEngine::Scan => (0..self.slots.len() as u32).collect(),
+        let candidates: Vec<u32> = if indexed {
+            self.by_root.get(&root).cloned().unwrap_or_default()
+        } else {
+            (0..self.slots.len() as u32).collect()
         };
         for slot in candidates {
             let Some(entry) = &self.slots[slot as usize] else {
                 continue;
             };
             stats.incomplete_scans += 1;
-            if let Some(u) = try_union(db, &entry.set, t_prime, stats) {
+            if let Some(u) = union(&entry.set, stats) {
                 stats.merges += 1;
                 let gen = entry.gen + 1;
                 let rank = rank_of(&u, stats);
@@ -193,20 +199,89 @@ impl LazyQueue {
     }
 }
 
-/// Streaming `PRIORITYINCREMENTALFD`: yields `(tuple set, rank)` pairs in
-/// non-increasing rank order until the full disjunction is exhausted.
-/// Take `k` items for the top-(k, f) problem, or use `take_while` on the
-/// rank for the (τ, f)-threshold problem.
-pub struct RankedFdIter<'db, F: MonotoneCDetermined> {
-    db: &'db Database,
+/// The ranked frontier of Fig. 3: one [`LazyQueue`] per seed relation of
+/// the run (`rel_lo..`), ranked by `f`.
+pub(crate) struct RankHeaps<F> {
     f: F,
     /// Index of the first seed relation covered by `queues` (0 for the
     /// full run; the shard start for a parallel worker).
     rel_lo: usize,
+    /// The queue's store engine; approximate merges always probe by root.
+    engine: StoreEngine,
     queues: Vec<LazyQueue>,
-    complete: CompleteStore,
-    pager: Option<Pager<'db>>,
-    stats: Stats,
+}
+
+impl<F: MonotoneCDetermined> RankHeaps<F> {
+    /// The queue with the highest-ranked valid top, with that rank; ties
+    /// go to the lower relation.
+    fn best(&mut self, stats: &mut Stats) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (qi, q) in self.queues.iter_mut().enumerate() {
+            if let Some(r) = q.peek_rank(stats) {
+                best = Some(match best {
+                    Some((bi, br)) if br >= r => (bi, br),
+                    _ => (qi, r),
+                });
+            }
+        }
+        best
+    }
+
+    fn rank(&self, db: &Database, set: &TupleSet, stats: &mut Stats) -> f64 {
+        stats.rank_evals += 1;
+        self.f.rank(db, set)
+    }
+}
+
+impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
+    fn pop(&mut self, stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)> {
+        // Lines 10–15: the queue whose top ranks highest.
+        let (qi, _) = self.best(stats)?;
+        let (root, set) = self.queues[qi].pop(stats)?;
+        Some((RelId((self.rel_lo + qi) as u16), root, set))
+    }
+
+    fn try_merge<P: Policy>(
+        &mut self,
+        db: &Database,
+        policy: &P,
+        ri: RelId,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool {
+        let indexed = self.engine == StoreEngine::Indexed || !P::UNIQUE_PARTNER;
+        let f = &self.f;
+        self.queues[ri.index() - self.rel_lo].try_merge(
+            root,
+            indexed,
+            stats,
+            |s, stats| policy.union(db, s, t_prime, stats),
+            |u, stats| {
+                stats.rank_evals += 1;
+                f.rank(db, u)
+            },
+        )
+    }
+
+    fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats) {
+        let rank = self.rank(db, &set, stats);
+        self.queues[ri.index() - self.rel_lo].push(root, set, rank, stats);
+    }
+}
+
+/// Streaming `PRIORITYINCREMENTALFD` under the exact policy.
+pub type RankedFdIter<'db, F> = RankedIter<'db, Exact, F>;
+
+/// Streaming ranked enumeration: yields `(tuple set, rank)` pairs, highest
+/// ranks first (up to the known defect in the module docs), until the
+/// full disjunction is exhausted. Take `k` items for the top-(k, f)
+/// problem, or use `take_while` on the rank for the (τ, f)-threshold
+/// problem. Under the approximate policy every yielded set satisfies
+/// `A(T) ≥ τ` and together they form exactly the approximate full
+/// disjunction.
+pub struct RankedIter<'db, P, F> {
+    engine: Engine<'db, P, RankHeaps<F>>,
 }
 
 impl<'db, F: MonotoneCDetermined> RankedFdIter<'db, F> {
@@ -238,213 +313,132 @@ impl<'db, F: MonotoneCDetermined> RankedFdIter<'db, F> {
     /// (`init` concerns the n-run batch drivers and does not alter this
     /// single-pass algorithm.)
     pub fn with_config(db: &'db Database, f: F, cfg: FdConfig) -> Self {
-        Self::for_relations(db, f, cfg, 0..db.num_relations())
+        Self::for_policy(db, Exact, f, cfg, 0..db.num_relations())
     }
+}
 
+impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
     /// Builds a run restricted to the seed relations `rels` (a contiguous
     /// index range): only the queues `Incomplete_i` for `i ∈ rels` are
-    /// seeded, so the stream delivers exactly the answers of
-    /// `⋃_{i ∈ rels} FDi(R)`. Extension and candidate scans stay global,
-    /// so every emitted set is maximal in the *whole* database. Emission
-    /// is *not* globally rank-ordered (an answer's rank witness may live
-    /// in another shard's queue); the parallel ranked driver sorts each
-    /// shard before merging the shard streams back into the full ranking.
-    pub(crate) fn for_relations(
+    /// seeded, so the stream delivers exactly the answers containing a
+    /// tuple of one of those relations. Extension and candidate scans
+    /// stay global, so every emitted set is maximal in the *whole*
+    /// database. Emission is *not* globally rank-ordered (an answer's rank
+    /// witness may live in another shard's queue); the parallel ranked
+    /// driver sorts each shard before merging the shard streams back into
+    /// the full ranking.
+    pub(crate) fn for_policy(
         db: &'db Database,
+        policy: P,
         f: F,
         cfg: FdConfig,
         rels: std::ops::Range<usize>,
     ) -> Self {
         let mut stats = Stats::new();
         let c = f.c().max(1);
-        let rel_lo = rels.start;
-        let mut queues = Vec::with_capacity(rels.len());
+        let mut heaps = RankHeaps {
+            f,
+            rel_lo: rels.start,
+            engine: cfg.engine,
+            queues: Vec::with_capacity(rels.len()),
+        };
         for rel_idx in rels {
             let ri = RelId(rel_idx as u16);
-            let seeds = enumerate_bounded_jcc_sets(db, ri, c, &mut stats);
-            let merged = merge_to_fixpoint(db, seeds, &mut stats);
-            let mut q = LazyQueue::new(cfg.engine);
-            for (root, set) in merged {
-                stats.rank_evals += 1;
-                let rank = f.rank(db, &set);
-                q.push(root, set, rank, &mut stats);
+            heaps.queues.push(LazyQueue::new());
+            let seeds = enumerate_bounded(db, &policy, ri, c, &mut stats);
+            for (root, set) in merge_to_fixpoint(db, &policy, seeds, &mut stats) {
+                heaps.push(db, ri, root, set, &mut stats);
             }
-            queues.push(q);
         }
-        RankedFdIter {
-            db,
-            f,
-            rel_lo,
-            queues,
-            complete: CompleteStore::new(cfg.engine),
-            pager: cfg.page_size.map(|ps| Pager::new(db, ps)),
-            stats,
+        let complete = CompleteStore::new(cfg.engine);
+        RankedIter {
+            engine: Engine::new(db, policy, heaps, complete, cfg.page_size, stats),
         }
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Pages fetched so far (block-based execution only).
     pub fn pages_read(&self) -> u64 {
-        self.pager.as_ref().map_or(0, |p| p.stats().pages_read())
+        self.engine.pages_read()
     }
 
-    /// Rank of the next answer, without consuming it. `None` when the
+    /// Rank of the next queue top, without consuming it — an upper bound
+    /// on the rank of every answer not yet printed. `None` when the
     /// stream is exhausted.
     pub fn peek_rank(&mut self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for qi in 0..self.queues.len() {
-            if let Some(r) = self.queues[qi].peek_rank(&mut self.stats) {
-                best = Some(match best {
-                    Some(b) if b >= r => b,
-                    _ => r,
-                });
-            }
-        }
-        best
+        let engine = &mut self.engine;
+        engine.frontier.best(&mut engine.stats).map(|(_, r)| r)
     }
+}
 
-    /// One iteration of the loop in Fig. 3 lines 9–17. Returns the next
-    /// *printed* answer, skipping re-generated duplicates internally.
-    fn step(&mut self) -> Option<(TupleSet, f64)> {
+impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
+    type Item = (TupleSet, f64);
+
+    /// One iteration of the loop in Fig. 3 lines 9–17: the next *printed*
+    /// answer, skipping re-generated duplicates internally.
+    fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // Lines 10–15: find the queue whose top ranks highest.
-            let mut best: Option<(usize, f64)> = None;
-            for qi in 0..self.queues.len() {
-                if let Some(r) = self.queues[qi].peek_rank(&mut self.stats) {
-                    best = Some(match best {
-                        Some((bi, br)) if br >= r => (bi, br),
-                        _ => (qi, r),
-                    });
-                }
-            }
-            let (qi, _) = best?;
-            let ri = RelId((self.rel_lo + qi) as u16);
-            let (_, set) = self.queues[qi].pop(&mut self.stats)?;
-
-            // GETNEXTRESULT body against the shared Complete. Destructure
-            // so the candidate closure can borrow the queues/stores
-            // mutably while the ranking function stays shared.
-            let set = extend_to_maximal(self.db, set, &mut self.stats);
-            let RankedFdIter {
-                db,
-                f,
-                rel_lo: _,
-                queues,
-                complete,
-                pager,
-                stats,
-            } = self;
-            let db: &Database = db;
-            let candidate = |tb: TupleId| {
-                stats.candidate_scans += 1;
-                if set.contains(tb) {
-                    return;
-                }
-                let t_prime = maximal_subset_with(db, &set, tb, stats);
-                let Some(new_root) = t_prime.tuple_from(db, ri) else {
-                    return;
-                };
-                if complete.contains_superset(&t_prime, new_root, stats) {
-                    return;
-                }
-                let mut rank_of = |s: &TupleSet, st: &mut Stats| {
-                    st.rank_evals += 1;
-                    f.rank(db, s)
-                };
-                if queues[qi].try_merge(db, new_root, &t_prime, &mut rank_of, stats) {
-                    return;
-                }
-                stats.rank_evals += 1;
-                let rank = f.rank(db, &t_prime);
-                queues[qi].push(new_root, t_prime, rank, stats);
-            };
-            crate::getnext::scan_candidates(db, pager.as_ref(), candidate);
-
+            let (_, set) = self.engine.get_next_result()?;
+            let engine = &mut self.engine;
             // Line 17: print unless this exact set was printed before.
-            if self.complete.contains_exact(set.tuples()) {
+            if engine.complete.contains_exact(set.tuples()) {
                 continue;
             }
-            self.stats.rank_evals += 1;
-            let rank = self.f.rank(self.db, &set);
-            self.complete.insert(set.clone(), set.tuples());
-            self.stats.results += 1;
+            let rank = engine.frontier.rank(engine.db, &set, &mut engine.stats);
+            engine.complete.insert(set.clone(), set.tuples());
+            engine.stats.results += 1;
             return Some((set, rank));
         }
     }
 }
 
-impl<F: MonotoneCDetermined> Iterator for RankedFdIter<'_, F> {
-    type Item = (TupleSet, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.step()
-    }
-}
-
-/// Enumerates every JCC tuple set with at most `c` members that contains
-/// a tuple of `ri` (Fig. 3 line 4), by connectivity-preserving growth
-/// from each `ri` tuple. Returns `(root, set)` pairs, deduplicated.
-fn enumerate_bounded_jcc_sets(
+/// Enumerates every consistent tuple set with at most `c` members that
+/// contains a tuple of `ri` (Fig. 3 line 4), by consistency-preserving
+/// growth from each admitted `ri` tuple, in the policy's visit order.
+/// Returns `(root, set)` pairs, deduplicated.
+fn enumerate_bounded<P: Policy>(
     db: &Database,
+    policy: &P,
     ri: RelId,
     c: usize,
     stats: &mut Stats,
 ) -> Vec<(TupleId, TupleSet)> {
     let mut out = Vec::new();
     let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
-    for root in db.tuples_of(ri) {
-        let base = TupleSet::singleton(db, root);
-        grow(db, root, &base, c, &mut seen, &mut out, stats);
+    let mut stack: Vec<(TupleId, TupleSet)> = db
+        .tuples_of(ri)
+        .filter(|&t| policy.admits(db, t, stats))
+        .map(|t| (t, TupleSet::singleton(db, t)))
+        .collect();
+    if P::PREORDER_SEEDS {
+        stack.reverse();
     }
-    out
-}
-
-fn grow(
-    db: &Database,
-    root: TupleId,
-    set: &TupleSet,
-    c: usize,
-    seen: &mut FxHashSet<Box<[TupleId]>>,
-    out: &mut Vec<(TupleId, TupleSet)>,
-    stats: &mut Stats,
-) {
-    if !seen.insert(set.tuples().into()) {
-        return;
-    }
-    out.push((root, set.clone()));
-    if set.len() >= c {
-        return;
-    }
-    // Candidate enumeration via the join-column indexes: union the
-    // per-relation probes and sort back into ascending id order, which is
-    // exactly the order the former `all_tuples` scan visited. The probe
-    // only skips tuples whose bound shared attribute already disagrees
-    // with `set`; `can_add` stays the authoritative check.
-    let mut candidates: Vec<TupleId> = Vec::new();
-    for rel_idx in 0..db.num_relations() {
-        candidates.extend(db.probe(RelId(rel_idx as u16), set.bindings()));
-    }
-    candidates.sort_unstable();
-    for t in candidates {
-        if set.contains(t) {
+    while let Some((root, set)) = stack.pop() {
+        if !seen.insert(set.tuples().into()) {
             continue;
         }
-        if can_add(db, set, t, stats) {
-            let grown = crate::jcc::add_tuple(db, set, t);
-            grow(db, root, &grown, c, seen, out, stats);
+        if set.len() < c {
+            let first_child = stack.len();
+            policy.grow(db, &set, stats, |grown| stack.push((root, grown)));
+            if P::PREORDER_SEEDS {
+                stack[first_child..].reverse();
+            }
         }
+        out.push((root, set));
     }
+    out
 }
 
 /// Fig. 3 lines 5–8: repeatedly replace mergeable pairs by their union.
 /// Only sets sharing the same `ri` root can merge (a valid set holds one
 /// tuple per relation), so the fixpoint runs per root bucket.
-fn merge_to_fixpoint(
+fn merge_to_fixpoint<P: Policy>(
     db: &Database,
+    policy: &P,
     seeds: Vec<(TupleId, TupleSet)>,
     stats: &mut Stats,
 ) -> Vec<(TupleId, TupleSet)> {
@@ -463,7 +457,7 @@ fn merge_to_fixpoint(
         'fixpoint: loop {
             for i in 0..sets.len() {
                 for j in (i + 1)..sets.len() {
-                    if let Some(u) = try_union(db, &sets[i], &sets[j], stats) {
+                    if let Some(u) = policy.union(db, &sets[i], &sets[j], stats) {
                         stats.merges += 1;
                         sets.swap_remove(j);
                         sets[i] = u;
@@ -483,8 +477,11 @@ fn merge_to_fixpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::{AMin, ApproxAllIter, ProbScores};
     use crate::query::FdQuery;
     use crate::ranking::{FMax, FTriple, ImpScores};
+    use crate::sim::{EditDistanceSim, ExactSim};
+    use crate::RankedApproxFdIter;
     use fd_relational::tourist_database;
 
     /// The introduction's scenario: tropical > temperate > diverse.
@@ -588,7 +585,7 @@ mod tests {
         let mut union: Vec<Vec<TupleId>> = Vec::new();
         for (lo, hi) in [(0usize, 1usize), (1, 3)] {
             let shard: Vec<(TupleSet, f64)> =
-                RankedFdIter::for_relations(&db, &f, FdConfig::default(), lo..hi).collect();
+                RankedFdIter::for_policy(&db, Exact, &f, FdConfig::default(), lo..hi).collect();
             for (s, _) in &shard {
                 assert!(
                     (lo..hi).any(|r| s.tuple_from(&db, RelId(r as u16)).is_some()),
@@ -642,7 +639,7 @@ mod tests {
     fn enumeration_covers_all_small_jcc_sets() {
         let db = tourist_database();
         let mut stats = Stats::new();
-        let sets = enumerate_bounded_jcc_sets(&db, RelId(0), 2, &mut stats);
+        let sets = enumerate_bounded(&db, &Exact, RelId(0), 2, &mut stats);
         // Size-1: {c1},{c2},{c3}. Size-2 containing a Climates tuple:
         // {c1,a1},{c1,a2},{c1,s1},{c1,s2},{c2,s3},{c2,s4},{c3,a3}.
         assert_eq!(sets.len(), 10);
@@ -653,8 +650,8 @@ mod tests {
     fn merge_fixpoint_respects_roots() {
         let db = tourist_database();
         let mut stats = Stats::new();
-        let seeds = enumerate_bounded_jcc_sets(&db, RelId(0), 2, &mut stats);
-        let merged = merge_to_fixpoint(&db, seeds, &mut stats);
+        let seeds = enumerate_bounded(&db, &Exact, RelId(0), 2, &mut stats);
+        let merged = merge_to_fixpoint(&db, &Exact, seeds, &mut stats);
         // {c1,a2} and {c1,s1} merge into {c1,a2,s1}; no cross-root merges.
         assert!(merged
             .iter()
@@ -662,5 +659,76 @@ mod tests {
         for (root, set) in &merged {
             assert!(set.contains(*root));
         }
+    }
+
+    #[test]
+    fn ranked_approx_covers_afd_in_order() {
+        let db = tourist_database();
+        let a = AMin::new(ExactSim, ProbScores::uniform(&db, 1.0));
+        let imp = ImpScores::from_fn(&db, |t| (t.0 % 5) as f64);
+        let f = FMax::new(&imp);
+        let tau = 0.9;
+        let ranked: Vec<(TupleSet, f64)> = RankedApproxFdIter::new(&db, &a, tau, &f).collect();
+        // Order.
+        for w in ranked.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+        // Coverage = AFD.
+        let mut got: Vec<TupleSet> = ranked.into_iter().map(|x| x.0).collect();
+        got.sort();
+        let mut want: Vec<TupleSet> = ApproxAllIter::new(&db, &a, tau).collect();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn approx_top_k_is_prefix() {
+        let db = tourist_database();
+        let a = AMin::new(EditDistanceSim, ProbScores::uniform(&db, 1.0));
+        let imp = ImpScores::from_fn(&db, |t| t.0 as f64);
+        let f = FMax::new(&imp);
+        let all: Vec<_> = RankedApproxFdIter::new(&db, &a, 0.8, &f).collect();
+        for k in 0..=all.len() {
+            let got: Vec<_> = RankedApproxFdIter::new(&db, &a, 0.8, &f).take(k).collect();
+            assert_eq!(got.len(), k);
+            for (g, w) in got.iter().zip(all.iter()) {
+                assert_eq!(g.1, w.1);
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_runs_cover_the_ranked_approx_stream() {
+        let db = tourist_database();
+        let a = AMin::new(ExactSim, ProbScores::uniform(&db, 1.0));
+        let imp = ImpScores::from_fn(&db, |t| (t.0 % 5) as f64);
+        let f = FMax::new(&imp);
+        let full: Vec<TupleSet> = RankedApproxFdIter::new(&db, &a, 0.9, &f)
+            .map(|(s, _)| s)
+            .collect();
+        let mut union: Vec<TupleSet> = Vec::new();
+        for (lo, hi) in [(0usize, 2usize), (2, 3)] {
+            let policy = crate::Approx::new(&a, 0.9);
+            let shard = RankedIter::for_policy(&db, policy, &f, FdConfig::default(), lo..hi);
+            union.extend(shard.map(|(s, _)| s));
+        }
+        union.sort();
+        union.dedup();
+        let mut want = full;
+        want.sort();
+        assert_eq!(union, want);
+    }
+
+    #[test]
+    fn exact_similarity_reduces_to_plain_ranked_fd() {
+        let db = tourist_database();
+        let a = AMin::new(ExactSim, ProbScores::uniform(&db, 1.0));
+        let imp = ImpScores::from_fn(&db, |t| (10 - t.0) as f64);
+        let f = FMax::new(&imp);
+        let approx_ranks: Vec<f64> = RankedApproxFdIter::new(&db, &a, 1.0, &f)
+            .map(|x| x.1)
+            .collect();
+        let exact_ranks: Vec<f64> = RankedFdIter::new(&db, &f).map(|x| x.1).collect();
+        assert_eq!(approx_ranks, exact_ranks);
     }
 }

@@ -50,18 +50,15 @@
 //! assert_eq!(err, FdError::RankingRequired { option: ".top_k" });
 //! ```
 
-use crate::approx::{ApproxAllIter, ApproxJoin};
+use crate::approx::{Approx, ApproxJoin};
 use crate::error::FdError;
-use crate::incremental::{FdConfig, FdIter};
+use crate::getnext::{Exact, Policy};
+use crate::incremental::{FdConfig, MultiRunIter};
 use crate::init::InitStrategy;
 use crate::lists::StoreEngine;
 use crate::obs::QueryTimings;
-use crate::parallel::{
-    parallel_approx, parallel_full_disjunction, parallel_ranked, parallel_ranked_approx, RankedCut,
-    RankedMerge,
-};
-use crate::priority::RankedFdIter;
-use crate::ranked_approx::RankedApproxFdIter;
+use crate::parallel::{parallel_ranked, parallel_runs, RankedCut, RankedMerge};
+use crate::priority::RankedIter;
 use crate::ranking::{canonical_rank_order, MonotoneCDetermined};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -330,11 +327,7 @@ impl<'q> FdQuery<'q> {
         // plans materialize inside `build_inner`, and that work belongs
         // in the wall / time-to-first measurements.
         let started = std::time::Instant::now();
-        let mut stream = FdStream::new(
-            started,
-            build_inner(self.db, self.cfg, mode, ing),
-            self.top_k,
-        );
+        let mut stream = FdStream::new(started, build_inner(self.db, self.cfg, ing), self.top_k);
         let ranked_mode = matches!(mode, Mode::Ranked | Mode::RankedApprox);
         let mut sets = Vec::new();
         let mut ranks = Vec::new();
@@ -365,7 +358,7 @@ impl<'q> FdQuery<'q> {
     /// the sequential plan would stop after ~k answers; prefer the
     /// sequential plan when k is small and the database is large.
     pub fn stream(self) -> Result<FdStream<'q>, FdError> {
-        let mode = self.mode()?;
+        self.mode()?;
         let top_k = self.top_k;
         let ing = Ingredients {
             ranking: self.ranking,
@@ -377,7 +370,7 @@ impl<'q> FdQuery<'q> {
         let started = std::time::Instant::now();
         Ok(FdStream::new(
             started,
-            build_inner(self.db, self.cfg, mode, ing),
+            build_inner(self.db, self.cfg, ing),
             top_k,
         ))
     }
@@ -577,88 +570,60 @@ struct Ingredients<'q> {
     threads: Option<usize>,
 }
 
-fn build_inner<'q>(
-    db: &'q Database,
-    cfg: FdConfig,
-    mode: Mode,
-    ing: Ingredients<'q>,
-) -> StreamInner<'q> {
+fn build_inner<'q>(db: &'q Database, cfg: FdConfig, ing: Ingredients<'q>) -> StreamInner<'q> {
     let cut = RankedCut {
         top_k: ing.top_k,
         min_rank: ing.min_rank,
     };
-    match (mode, ing.threads) {
-        (Mode::Batch, None) => StreamInner::Batch(FdIter::with_config(db, cfg)),
-        (Mode::Batch, Some(threads)) => {
-            let (sets, stats, pages) = parallel_full_disjunction(db, cfg, threads);
-            StreamInner::Parallel {
-                sets: sets.into_iter(),
-                stats,
-                pages,
-            }
-        }
-        (Mode::Ranked, None) => {
-            let f = ing.ranking.expect("mode implies ranking");
-            StreamInner::Ranked(Bounded {
-                it: CanonicalTies::new(RankedFdIter::with_config(db, f, cfg)),
-                remaining: ing.top_k,
-                min_rank: ing.min_rank,
-            })
-        }
-        (Mode::Ranked, Some(threads)) => {
-            let f = ing.ranking.expect("mode implies ranking");
-            let (merge, stats, pages) = parallel_ranked(db, &f, cfg, threads, cut);
-            StreamInner::MergedRanked {
-                merge: Bounded {
-                    it: merge,
-                    remaining: ing.top_k,
-                    min_rank: ing.min_rank,
-                },
-                stats,
-                pages,
-            }
-        }
-        (Mode::Approx, None) => {
-            let (a, tau) = ing.approx.expect("mode implies approx");
-            StreamInner::Approx(ApproxAllIter::with_config(db, a, tau, cfg))
-        }
-        (Mode::Approx, Some(threads)) => {
-            let (a, tau) = ing.approx.expect("mode implies approx");
-            let (sets, stats, pages) = parallel_approx(db, &a, tau, cfg, threads);
-            StreamInner::Parallel {
-                sets: sets.into_iter(),
-                stats,
-                pages,
-            }
-        }
-        (Mode::RankedApprox, None) => {
-            let f = ing.ranking.expect("mode implies ranking");
-            let (a, tau) = ing.approx.expect("mode implies approx");
-            StreamInner::RankedApprox(Bounded {
-                it: CanonicalTies::new(RankedApproxFdIter::with_config(db, a, tau, f, cfg)),
-                remaining: ing.top_k,
-                min_rank: ing.min_rank,
-            })
-        }
-        (Mode::RankedApprox, Some(threads)) => {
-            let f = ing.ranking.expect("mode implies ranking");
-            let (a, tau) = ing.approx.expect("mode implies approx");
-            let (merge, stats, pages) = parallel_ranked_approx(db, &a, tau, &f, cfg, threads, cut);
-            StreamInner::MergedRanked {
-                merge: Bounded {
-                    it: merge,
-                    remaining: ing.top_k,
-                    min_rank: ing.min_rank,
-                },
-                stats,
-                pages,
-            }
-        }
+    match ing.approx {
+        None => plan(db, Exact, cfg, ing.ranking, cut, ing.threads),
+        Some((a, tau)) => plan(db, Approx::new(a, tau), cfg, ing.ranking, cut, ing.threads),
     }
 }
 
+/// The four plan shapes — sequential or parallel, unranked or ranked —
+/// over one consistency policy.
+fn plan<'q, P: Policy + Sync + 'q>(
+    db: &'q Database,
+    policy: P,
+    cfg: FdConfig,
+    ranking: Option<BoxedRanking<'q>>,
+    cut: RankedCut,
+    threads: Option<usize>,
+) -> StreamInner<'q> {
+    let ranked: Box<dyn RankedSource + 'q> = match (ranking, threads) {
+        (None, None) => {
+            return StreamInner::Unranked(Box::new(MultiRunIter::with_policy(db, policy, cfg)))
+        }
+        (None, Some(threads)) => {
+            let (sets, stats, pages) = parallel_runs(db, &policy, cfg, threads);
+            return StreamInner::Unranked(Box::new(Materialized {
+                sets: sets.into_iter(),
+                stats,
+                pages,
+            }));
+        }
+        (Some(f), None) => {
+            let n = db.num_relations();
+            Box::new(CanonicalTies::new(RankedIter::for_policy(
+                db,
+                policy,
+                f,
+                cfg,
+                0..n,
+            )))
+        }
+        (Some(f), Some(threads)) => Box::new(parallel_ranked(db, &policy, &f, cfg, threads, cut)),
+    };
+    StreamInner::Ranked(Bounded {
+        it: ranked,
+        remaining: cut.top_k,
+        min_rank: cut.min_rank,
+    })
+}
+
 /// The unified lazy answer stream of [`FdQuery::stream`]: one enum-backed
-/// iterator in place of the four mode-specific iterator types.
+/// iterator in place of the mode-specific iterator types.
 ///
 /// Yields `Result<TupleSet, FdError>` — with the current validation all
 /// errors surface at [`FdQuery::stream`] time, so every yielded item is
@@ -673,40 +638,81 @@ pub struct FdStream<'q> {
     kth: Option<std::time::Duration>,
 }
 
+/// A plan's answers: unranked (sequential runs or a parallel plan's
+/// materialized result) or ranked (sequential or k-way merged) with the
+/// `.top_k` / `.threshold` bounds.
 enum StreamInner<'q> {
-    Batch(FdIter<'q>),
-    Parallel {
-        sets: std::vec::IntoIter<TupleSet>,
-        stats: Stats,
-        pages: u64,
-    },
-    Ranked(Bounded<CanonicalTies<RankedFdIter<'q, BoxedRanking<'q>>>>),
-    MergedRanked {
-        merge: Bounded<RankedMerge>,
-        stats: Stats,
-        pages: u64,
-    },
-    Approx(ApproxAllIter<'q, BoxedApprox<'q>>),
-    RankedApprox(Bounded<CanonicalTies<RankedApproxFdIter<'q, BoxedApprox<'q>, BoxedRanking<'q>>>>),
+    Unranked(Box<dyn UnrankedSource + 'q>),
+    Ranked(Bounded<Box<dyn RankedSource + 'q>>),
 }
 
-/// A ranked iterator with the `.top_k` / `.threshold` bounds applied.
-/// Emission order is non-increasing in rank (Lemma 5.4), so the first
-/// queue-top below τ ends the stream without further work.
-struct Bounded<I> {
-    it: I,
-    remaining: Option<usize>,
-    min_rank: Option<f64>,
+/// The work a plan has done so far.
+trait Counted {
+    /// Work counters (for the parallel plans: the merged counters of all
+    /// workers of the already-finished computation).
+    fn total_stats(&self) -> Stats;
+    /// Pages fetched (block-based execution only), summed over all runs
+    /// and workers.
+    fn total_pages(&self) -> u64;
 }
 
-trait RankedSource {
+trait UnrankedSource: Iterator<Item = TupleSet> + Counted {}
+
+impl<I: Iterator<Item = TupleSet> + Counted> UnrankedSource for I {}
+
+trait RankedSource: Counted {
     fn peek_rank(&mut self) -> Option<f64>;
     fn next_pair(&mut self) -> Option<(TupleSet, f64)>;
 }
 
-impl<F: MonotoneCDetermined> RankedSource for RankedFdIter<'_, F> {
+impl<P: Policy> Counted for MultiRunIter<'_, P> {
+    fn total_stats(&self) -> Stats {
+        self.stats_total()
+    }
+
+    fn total_pages(&self) -> u64 {
+        self.pages_read()
+    }
+}
+
+/// A parallel unranked plan's answers, computed when the plan was built.
+struct Materialized {
+    sets: std::vec::IntoIter<TupleSet>,
+    stats: Stats,
+    pages: u64,
+}
+
+impl Iterator for Materialized {
+    type Item = TupleSet;
+
+    fn next(&mut self) -> Option<TupleSet> {
+        self.sets.next()
+    }
+}
+
+impl Counted for Materialized {
+    fn total_stats(&self) -> Stats {
+        self.stats
+    }
+
+    fn total_pages(&self) -> u64 {
+        self.pages
+    }
+}
+
+impl<P: Policy, F: MonotoneCDetermined> Counted for RankedIter<'_, P, F> {
+    fn total_stats(&self) -> Stats {
+        *self.stats()
+    }
+
+    fn total_pages(&self) -> u64 {
+        self.pages_read()
+    }
+}
+
+impl<P: Policy, F: MonotoneCDetermined> RankedSource for RankedIter<'_, P, F> {
     fn peek_rank(&mut self) -> Option<f64> {
-        RankedFdIter::peek_rank(self)
+        RankedIter::peek_rank(self)
     }
 
     fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
@@ -714,13 +720,13 @@ impl<F: MonotoneCDetermined> RankedSource for RankedFdIter<'_, F> {
     }
 }
 
-impl<A: ApproxJoin, F: MonotoneCDetermined> RankedSource for RankedApproxFdIter<'_, A, F> {
-    fn peek_rank(&mut self) -> Option<f64> {
-        RankedApproxFdIter::peek_rank(self)
+impl Counted for RankedMerge {
+    fn total_stats(&self) -> Stats {
+        self.stats
     }
 
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
-        self.next()
+    fn total_pages(&self) -> u64 {
+        self.pages
     }
 }
 
@@ -734,16 +740,44 @@ impl RankedSource for RankedMerge {
     }
 }
 
-/// Deterministic tie order for the ranked plans: the underlying iterator
-/// delivers answers in non-increasing rank order (Lemma 5.4) but breaks
-/// ties in an arbitrary, engine-dependent order. This adapter buffers
-/// each maximal run of equal-rank answers and releases it sorted by
-/// member ids — the same canonical order the parallel k-way merge
-/// produces — so the sequential and parallel ranked plans are
-/// output-identical and every engine/page-size configuration emits the
-/// same sequence. The look-ahead is one tie group plus one answer, so
-/// the incremental polynomial delay bound survives (scaled by the tie
-/// group size).
+impl<I: RankedSource + ?Sized> Counted for Box<I> {
+    fn total_stats(&self) -> Stats {
+        (**self).total_stats()
+    }
+
+    fn total_pages(&self) -> u64 {
+        (**self).total_pages()
+    }
+}
+
+impl<I: RankedSource + ?Sized> RankedSource for Box<I> {
+    fn peek_rank(&mut self) -> Option<f64> {
+        (**self).peek_rank()
+    }
+
+    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
+        (**self).next_pair()
+    }
+}
+
+/// A ranked iterator with the `.top_k` / `.threshold` bounds applied.
+/// Queue ranks bound every unseen answer's rank from above, so the first
+/// queue-top below τ ends the stream without further work.
+struct Bounded<I> {
+    it: I,
+    remaining: Option<usize>,
+    min_rank: Option<f64>,
+}
+
+/// Deterministic tie order for the sequential ranked plans: the
+/// underlying iterator breaks ties in an arbitrary, engine-dependent
+/// order. This adapter buffers each maximal run of equal-rank answers and
+/// releases it sorted by member ids — the same canonical order the
+/// parallel k-way merge produces — so the sequential and parallel ranked
+/// plans are output-identical and every engine/page-size configuration
+/// emits the same sequence. The look-ahead is one tie group plus one
+/// answer, so the incremental polynomial delay bound survives (scaled by
+/// the tie group size).
 struct CanonicalTies<I> {
     it: I,
     group: VecDeque<(TupleSet, f64)>,
@@ -759,11 +793,6 @@ impl<I: RankedSource> CanonicalTies<I> {
             pending: None,
             done: false,
         }
-    }
-
-    /// The wrapped iterator (for stats/pages accessors).
-    fn inner(&self) -> &I {
-        &self.it
     }
 
     /// Pulls the next full tie group out of the underlying stream and
@@ -803,6 +832,16 @@ impl<I: RankedSource> CanonicalTies<I> {
     }
 }
 
+impl<I: RankedSource> Counted for CanonicalTies<I> {
+    fn total_stats(&self) -> Stats {
+        self.it.total_stats()
+    }
+
+    fn total_pages(&self) -> u64 {
+        self.it.total_pages()
+    }
+}
+
 impl<I: RankedSource> RankedSource for CanonicalTies<I> {
     fn peek_rank(&mut self) -> Option<f64> {
         if let Some((_, r)) = self.group.front() {
@@ -831,8 +870,7 @@ impl<I: RankedSource> Bounded<I> {
         if let Some(tau) = self.min_rank {
             // Queue ranks never exceed the final ranks (monotonicity), so
             // once every queue top falls below τ no unseen answer can
-            // reach it — and emission is non-increasing, so stopping at
-            // the first sub-τ answer is exact.
+            // reach it.
             if self.it.peek_rank()? < tau {
                 return None;
             }
@@ -866,12 +904,8 @@ impl<'q> FdStream<'q> {
     /// ranked modes).
     pub fn next_ranked(&mut self) -> Option<(TupleSet, Option<f64>)> {
         let item = match &mut self.inner {
-            StreamInner::Batch(it) => it.next().map(|s| (s, None)),
-            StreamInner::Parallel { sets, .. } => sets.next().map(|s| (s, None)),
+            StreamInner::Unranked(it) => it.next().map(|s| (s, None)),
             StreamInner::Ranked(b) => b.next().map(|(s, r)| (s, Some(r))),
-            StreamInner::MergedRanked { merge, .. } => merge.next().map(|(s, r)| (s, Some(r))),
-            StreamInner::Approx(it) => it.next().map(|s| (s, None)),
-            StreamInner::RankedApprox(b) => b.next().map(|(s, r)| (s, Some(r))),
         };
         if item.is_some() {
             self.emitted += 1;
@@ -901,25 +935,17 @@ impl<'q> FdStream<'q> {
     /// computation).
     pub fn stats(&self) -> Stats {
         match &self.inner {
-            StreamInner::Batch(it) => it.stats_total(),
-            StreamInner::Parallel { stats, .. } => *stats,
-            StreamInner::Ranked(b) => *b.it.inner().stats(),
-            StreamInner::MergedRanked { stats, .. } => *stats,
-            StreamInner::Approx(it) => it.stats_total(),
-            StreamInner::RankedApprox(b) => *b.it.inner().stats(),
+            StreamInner::Unranked(it) => it.total_stats(),
+            StreamInner::Ranked(b) => b.it.total_stats(),
         }
     }
 
-    /// Pages fetched so far (block-based execution only). For the
-    /// parallel plans this is the sum over all workers; the sequential
-    /// multi-run batch driver accounts pages inside its per-run stats.
+    /// Pages fetched so far (block-based execution only), summed over
+    /// every run and, for the parallel plans, every worker.
     pub fn pages_read(&self) -> u64 {
         match &self.inner {
-            StreamInner::Batch(_) => 0,
-            StreamInner::Parallel { pages, .. } | StreamInner::MergedRanked { pages, .. } => *pages,
-            StreamInner::Ranked(b) => b.it.inner().pages_read(),
-            StreamInner::Approx(it) => it.pages_read(),
-            StreamInner::RankedApprox(b) => b.it.inner().pages_read(),
+            StreamInner::Unranked(it) => it.total_pages(),
+            StreamInner::Ranked(b) => b.it.total_pages(),
         }
     }
 }
@@ -935,7 +961,7 @@ impl Iterator for FdStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::canonicalize;
+    use crate::incremental::{canonicalize, FdIter};
     use crate::priority::RankedFdIter;
     use crate::ranking::{FMax, ImpScores};
     use crate::sim::ExactSim;
@@ -1192,6 +1218,13 @@ mod tests {
     #[test]
     fn page_size_is_honored_in_ranked_and_approx_modes() {
         let db = tourist_database();
+        let mut s = FdQuery::over(&db).page_size(2).stream().unwrap();
+        while s.next().is_some() {}
+        assert!(
+            s.pages_read() > 0,
+            "batch mode must count every run's pages"
+        );
+
         let imp = ImpScores::from_fn(&db, |t| t.0 as f64);
         let mut s = FdQuery::over(&db)
             .ranked(FMax::new(&imp))

@@ -14,13 +14,13 @@
 //! * [`baselines`] — brute-force oracle, Rajaraman–Ullman outerjoin
 //!   sequences, and a Kanza–Sagiv-2003-style batch algorithm;
 //! * [`workloads`] — synthetic schema/data generators for experiments;
-//! * [`live`] — a re-export shim over the dynamic surface, which lives
-//!   in [`core`]: the transactional [`FdSession`](crate::core::FdSession)
-//!   (batched `DeltaBatch` commits, one maintenance pass per commit,
-//!   push `EventSink` subscribers). The `fd watch` REPL drives it from
-//!   the command line, and `fd serve` / `fd connect`
-//!   ([`core::serve`]) expose one shared session
-//!   over TCP with commit events fanned out to subscribed clients.
+//!
+//! The dynamic surface lives in [`core`] too: the transactional
+//! [`FdSession`](crate::core::FdSession) (batched `DeltaBatch` commits,
+//! one maintenance pass per commit, push `EventSink` subscribers). The
+//! `fd watch` REPL drives it from the command line, and `fd serve` /
+//! `fd connect` ([`core::serve`]) expose one shared session over TCP with
+//! commit events fanned out to subscribed clients.
 //!
 //! ## Quickstart
 //!
@@ -66,23 +66,6 @@
 //! # Ok::<(), FdError>(())
 //! ```
 //!
-//! ## Migrating from the removed free functions
-//!
-//! The pre-builder free functions were kept as thin wrappers for one
-//! release and are now gone; each maps to a builder chain:
-//!
-//! | Removed entry point | Builder equivalent |
-//! |---|---|
-//! | `full_disjunction(&db)` | `FdQuery::over(&db).run()?.into_sets()` |
-//! | `full_disjunction_with(&db, cfg)` | `FdQuery::over(&db).with_config(cfg).run()?` |
-//! | `top_k(&db, &f, k)` | `FdQuery::over(&db).ranked(&f).top_k(k).run()?` |
-//! | `threshold(&db, &f, t)` | `FdQuery::over(&db).ranked(&f).threshold(t).run()?` |
-//! | `approx_full_disjunction(&db, &a, tau)` | `FdQuery::over(&db).approx(&a, tau).run()?` |
-//! | `approx_top_k(&db, &a, tau, &f, k)` | `FdQuery::over(&db).approx(&a, tau).ranked(&f).top_k(k).run()?` |
-//! | `parallel_full_disjunction(&db, cfg, n)` | `FdQuery::over(&db).with_config(cfg).parallel(n).run()?` |
-//! | `delta_insert(&db, t, prev, cfg)` | `FdQuery::over(&db).with_config(cfg).delta_insert(t, prev)?` |
-//! | `delta_delete(&db, t, prev, cfg)` | `FdQuery::over(&db).with_config(cfg).delta_delete(t, prev)?` |
-//!
 //! The streaming iterator types (`FdIter`, `RankedFdIter`, …) remain
 //! public — they are the engines the builder plans run on.
 
@@ -90,7 +73,6 @@
 
 pub use fd_baselines as baselines;
 pub use fd_core as core;
-pub use fd_live as live;
 pub use fd_relational as relational;
 pub use fd_workloads as workloads;
 
