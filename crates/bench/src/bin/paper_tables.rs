@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper plus the measured
-//! experiment tables recorded in EXPERIMENTS.md.
+//! experiment tables (see the README's "Build, test, bench" section; the
+//! committed `BENCH_*.json` files record the benchmark trajectories).
 //!
 //! ```sh
 //! cargo run --release -p fd-bench --bin paper_tables           # full

@@ -1,8 +1,9 @@
 //! # fd-bench
 //!
 //! Benchmark harness regenerating every table, figure and complexity /
-//! ordering claim of the paper (the per-experiment index lives in
-//! DESIGN.md; results are recorded in EXPERIMENTS.md). The crate offers:
+//! ordering claim of the paper. The README's "Build, test, bench" section
+//! lists the targets; the committed `BENCH_*.json` files at the
+//! repository root record the measured trajectories. The crate offers:
 //!
 //! * shared workload constructors used by both the Criterion benches and
 //!   the `paper_tables` binary, so the two always measure the same

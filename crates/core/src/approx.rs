@@ -18,10 +18,14 @@
 //! `A({t}) ≥ τ`; extension and merging test `A(…) ≥ τ` instead of `JCC`;
 //! and line 8 can yield **several** maximal subsets `T′ ⊆ T ∪ {tb}` — one
 //! for [`AMin`] (Prop. 6.5), possibly many for [`AProd`] (Example 6.3).
+//! Those changes are the [`Approx`] policy of the shared `GETNEXTRESULT`
+//! engine; [`ApproxFdIter`], [`ApproxAllIter`] and [`RankedApproxFdIter`]
+//! are the engine's iterators under that policy.
 
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
 use crate::init::InitStrategy;
+use crate::jcc::component_of;
 use crate::priority::RankedIter;
 use crate::ranking::MonotoneCDetermined;
 use crate::sim::Similarity;
@@ -146,21 +150,6 @@ fn members_connected(db: &Database, members: &[TupleId]) -> bool {
     rels.len() == members.len() && db.subset_connected(&rels)
 }
 
-/// Keeps the members in `tb`'s connected component.
-fn component_of(db: &Database, members: &[TupleId], tb: TupleId) -> Vec<TupleId> {
-    let rels: Vec<RelId> = members
-        .iter()
-        .filter(|&&t| t != tb)
-        .map(|&t| db.rel_of(t))
-        .collect();
-    let comp = db.subset_component(&rels, db.rel_of(tb));
-    members
-        .iter()
-        .copied()
-        .filter(|&t| t == tb || comp.binary_search(&db.rel_of(t)).is_ok())
-        .collect()
-}
-
 /// `A_min` (Example 6.1): the minimum over member probabilities and the
 /// similarities of all connected member pairs; `prob(t)` for singletons;
 /// 0 for disconnected sets. Efficiently computable (Prop. 6.5).
@@ -214,21 +203,15 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
             return Vec::new();
         }
         let rel_b = db.rel_of(tb);
-        let mut members: Vec<TupleId> = set
-            .tuples()
-            .iter()
-            .copied()
-            .filter(|&t| {
-                db.rel_of(t) != rel_b
-                    && (!pair_connected(db, t, tb) || {
-                        stats.approx_evals += 1;
-                        self.sim.sim(db, t, tb) >= tau
-                    })
-            })
-            .collect();
-        let pos = members.partition_point(|&x| x < tb);
-        members.insert(pos, tb);
-        let kept = component_of(db, &members, tb);
+        let members = set.tuples().iter().copied().filter(|&t| {
+            db.rel_of(t) != rel_b
+                && (!pair_connected(db, t, tb) || {
+                    stats.approx_evals += 1;
+                    self.sim.sim(db, t, tb) >= tau
+                })
+        });
+        let members = with_member(members.collect(), tb);
+        let kept = component_of(db, &members, rel_b);
         debug_assert!(self.score(db, &kept) >= tau);
         vec![crate::jcc::rebuild(db, kept)]
     }
@@ -275,21 +258,19 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
         stats: &mut Stats,
     ) -> Vec<TupleSet> {
         let rel_b = db.rel_of(tb);
-        let mut members: Vec<TupleId> = set
+        let others = set
             .tuples()
             .iter()
             .copied()
-            .filter(|&t| db.rel_of(t) != rel_b)
-            .collect();
-        let pos = members.partition_point(|&x| x < tb);
-        members.insert(pos, tb);
+            .filter(|&t| db.rel_of(t) != rel_b);
+        let members = with_member(others.collect(), tb);
 
         // Removal search: dropping a member can only raise the product
         // (similarities are ≤ 1), so sets that reach τ are frontier
         // candidates; recursion below them is pruned.
         let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
         let mut found: Vec<Vec<TupleId>> = Vec::new();
-        let mut stack: Vec<Vec<TupleId>> = vec![component_of(db, &members, tb)];
+        let mut stack: Vec<Vec<TupleId>> = vec![component_of(db, &members, rel_b)];
         while let Some(cand) = stack.pop() {
             if !seen.insert(cand.as_slice().into()) {
                 continue;
@@ -307,7 +288,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
                     continue;
                 }
                 let shrunk: Vec<TupleId> = cand.iter().copied().filter(|&x| x != t).collect();
-                stack.push(component_of(db, &shrunk, tb));
+                stack.push(component_of(db, &shrunk, rel_b));
             }
         }
         // Keep only the maximal candidates.
@@ -367,12 +348,11 @@ fn approx_union(db: &Database, a: &TupleSet, b: &TupleSet) -> Option<Vec<TupleId
     Some(members)
 }
 
-/// `members` plus `t`, kept sorted.
-fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
-    let mut out = members.to_vec();
-    let pos = out.partition_point(|&x| x < t);
-    out.insert(pos, t);
-    out
+/// Sorted `members` plus `t`, kept sorted.
+fn with_member(mut members: Vec<TupleId>, t: TupleId) -> Vec<TupleId> {
+    let pos = members.partition_point(|&x| x < t);
+    members.insert(pos, t);
+    members
 }
 
 /// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
@@ -440,7 +420,7 @@ impl<A: ApproxJoin> Policy for Approx<A> {
                 }
                 for tg in db.tuples_of(rel) {
                     stats.extension_scans += 1;
-                    let members = with_member(set.tuples(), tg);
+                    let members = with_member(set.tuples().to_vec(), tg);
                     if self.accepts(db, &members, stats) {
                         set = crate::jcc::rebuild(db, members);
                         grew = true;
@@ -495,7 +475,7 @@ impl<A: ApproxJoin> Policy for Approx<A> {
             {
                 continue;
             }
-            let members = with_member(set.tuples(), t);
+            let members = with_member(set.tuples().to_vec(), t);
             if self.accepts(db, &members, stats) {
                 f(crate::jcc::rebuild(db, members));
             }

@@ -29,7 +29,7 @@
 
 use crate::getnext::{Engine, Exact, Fifo};
 use crate::incremental::FdConfig;
-use crate::jcc::{extend_to_maximal, rebuild};
+use crate::jcc::{component_of, extend_to_maximal, rebuild};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -117,7 +117,8 @@ pub fn delta_insert_many(
         queue,
     };
     let complete = CompleteStore::new(cfg.engine);
-    let mut engine = Engine::new(db, Exact, fifo, complete, cfg.page_size, stats).with_seeds(seeds);
+    let mut engine = Engine::new(db, Exact, fifo, complete, cfg.page_size, stats);
+    engine.seeds = seeds.to_vec();
 
     let mut added: Vec<TupleSet> = Vec::new();
     let mut emitted: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
@@ -319,29 +320,14 @@ pub fn delta_batch(
 
 /// Splits a join-consistent member list into its connected components
 /// (connectivity over the members' relations, as in Theorem 4.8's
-/// auxiliary graph). Members arrive sorted; components come out sorted.
+/// auxiliary graph). Members arrive sorted; components come out sorted,
+/// in the order of their first member.
 fn connected_components(db: &Database, members: &[TupleId]) -> Vec<Vec<TupleId>> {
-    let n = members.len();
-    let mut assigned = vec![false; n];
-    let mut out = Vec::new();
-    for start in 0..n {
-        if assigned[start] {
-            continue;
+    let mut out: Vec<Vec<TupleId>> = Vec::new();
+    for &m in members {
+        if !out.iter().any(|c| c.contains(&m)) {
+            out.push(component_of(db, members, db.rel_of(m)));
         }
-        let mut component = vec![start];
-        assigned[start] = true;
-        let mut frontier = vec![start];
-        while let Some(i) = frontier.pop() {
-            for j in 0..n {
-                if !assigned[j] && db.rels_connected(db.rel_of(members[i]), db.rel_of(members[j])) {
-                    assigned[j] = true;
-                    component.push(j);
-                    frontier.push(j);
-                }
-            }
-        }
-        component.sort_unstable();
-        out.push(component.into_iter().map(|i| members[i]).collect());
     }
     out
 }

@@ -264,7 +264,7 @@ pub(crate) struct Engine<'db, P, Q> {
     /// First relation index of the extension and candidate scans (0 for
     /// the standalone algorithm; `i + 1` under Section 7's repeated-work
     /// optimization, which relies on a global `Complete`).
-    rel_min: usize,
+    pub(crate) rel_min: usize,
     /// Tightens line 10's root filter from "contains a tuple of `Ri`" to
     /// "contains one of these tuples". Used by the delta-maintenance run
     /// seeded at freshly inserted tuples: with a single seed `t` that run
@@ -276,7 +276,7 @@ pub(crate) struct Engine<'db, P, Q> {
     /// contains, and printed sets register under *every* contained seed
     /// so the line-11 suppression stays root-complete. Empty means no
     /// seed filter.
-    seeds: Vec<TupleId>,
+    pub(crate) seeds: Vec<TupleId>,
     /// Derivation memo for seeded runs: the canonical member lists of
     /// every `T′` already processed by lines 10–18. A re-derived exact
     /// duplicate is a no-op — it is either still in `Incomplete` (the
@@ -313,19 +313,6 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             memo: FxHashSet::default(),
             stats,
         }
-    }
-
-    /// Restricts the extension and candidate scans to relations
-    /// `≥ rel_min` (see the field docs).
-    pub(crate) fn with_rel_min(mut self, rel_min: usize) -> Self {
-        self.rel_min = rel_min;
-        self
-    }
-
-    /// Switches line 10 to the seed filter (see the field docs).
-    pub(crate) fn with_seeds(mut self, seeds: &[TupleId]) -> Self {
-        self.seeds = seeds.to_vec();
-        self
     }
 
     /// Pages fetched so far (block-based execution only).

@@ -112,9 +112,10 @@ impl<'db, P: Policy> RunIter<'db, P> {
         stats: Stats,
     ) -> Self {
         let fifo = Fifo { ri, queue };
-        let engine = Engine::new(db, policy, fifo, complete, cfg.page_size, stats);
+        let mut engine = Engine::new(db, policy, fifo, complete, cfg.page_size, stats);
+        engine.rel_min = rel_min;
         RunIter {
-            engine: engine.with_rel_min(rel_min),
+            engine,
             suppress_contained,
         }
     }
@@ -149,11 +150,6 @@ impl<'db, P: Policy> RunIter<'db, P> {
             .map(|s| s.label(db))
             .collect();
         (inc, comp)
-    }
-
-    /// Consumes the iterator, returning the final statistics.
-    pub fn into_stats(self) -> Stats {
-        self.engine.stats
     }
 }
 

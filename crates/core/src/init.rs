@@ -21,7 +21,7 @@
 
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, RunIter};
-use crate::jcc::rebuild;
+use crate::jcc::{component_of, rebuild};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -62,8 +62,16 @@ impl InitStrategy {
         let mut stats = Stats::new();
         let mut incomplete = IncompleteQueue::new(cfg.engine);
         let covered = seed_previous(db, ri, &policy, produced, &mut incomplete, &mut stats, trim);
-        seed_uncovered_singletons(db, ri, &covered, &mut incomplete, &mut stats);
-        let complete = seed_complete(cfg, produced);
+        // Fresh singletons for the `ri` tuples no previous result covers.
+        for t in db.tuples_of(ri).filter(|t| !covered.contains(t)) {
+            incomplete.push(t, TupleSet::singleton(db, t), &mut stats);
+        }
+        // The global `Complete` holds all previous results, indexed by
+        // every member tuple so any run's root lookups work.
+        let mut complete = CompleteStore::new(cfg.engine);
+        for prev in produced {
+            complete.insert(prev.clone(), prev.tuples());
+        }
         RunIter::from_parts(
             db,
             ri,
@@ -108,13 +116,7 @@ fn seed_previous<P: Policy>(
                 .filter(|&t| db.rel_of(t) >= ri)
                 .collect();
             // Keep the component of the root among the trimmed members.
-            let rels: Vec<RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
-            let comp = db.subset_component(&rels, ri);
-            let kept: Vec<TupleId> = members
-                .into_iter()
-                .filter(|&t| comp.binary_search(&db.rel_of(t)).is_ok())
-                .collect();
-            let trimmed = rebuild(db, kept);
+            let trimmed = rebuild(db, component_of(db, &members, ri));
             policy.extend(db, trimmed, ri.index() + 1, stats)
         } else {
             prev.clone()
@@ -143,31 +145,6 @@ fn seed_previous<P: Policy>(
         incomplete.push(root, seed, stats);
     }
     covered
-}
-
-/// Seeds `{t}` for every tuple of `ri` not covered by previous results.
-fn seed_uncovered_singletons(
-    db: &Database,
-    ri: RelId,
-    covered: &FxHashSet<TupleId>,
-    incomplete: &mut IncompleteQueue,
-    stats: &mut Stats,
-) {
-    for t in db.tuples_of(ri) {
-        if !covered.contains(&t) {
-            incomplete.push(t, TupleSet::singleton(db, t), &mut *stats);
-        }
-    }
-}
-
-/// Builds the global `Complete` store holding all previous results,
-/// indexed by every member tuple so any run's root lookups work.
-fn seed_complete(cfg: FdConfig, produced: &[TupleSet]) -> CompleteStore {
-    let mut complete = CompleteStore::new(cfg.engine);
-    for prev in produced {
-        complete.insert(prev.clone(), prev.tuples());
-    }
-    complete
 }
 
 #[cfg(test)]

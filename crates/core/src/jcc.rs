@@ -13,7 +13,7 @@
 
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
-use fd_relational::{AttrId, Database, RelId, TupleId, Value};
+use fd_relational::{Database, RelId, TupleId};
 
 /// Are two *tuples* join consistent — equal and non-null on every shared
 /// attribute of their relations' schemas? Tuples of the same relation are
@@ -287,15 +287,23 @@ pub fn maximal_subset_with(
         .copied()
         .filter(|&t| db.rel_of(t) != rel_b && tuples_join_consistent(db, t, tb))
         .collect();
-    let rels: Vec<RelId> = survivors.iter().map(|&t| db.rel_of(t)).collect();
-    let component = db.subset_component(&rels, rel_b);
-    let mut chosen: Vec<TupleId> = survivors
-        .into_iter()
-        .filter(|&t| component.binary_search(&db.rel_of(t)).is_ok())
-        .collect();
+    let mut chosen = component_of(db, &survivors, rel_b);
     let pos = chosen.partition_point(|&x| x < tb);
     chosen.insert(pos, tb);
     rebuild(db, chosen)
+}
+
+/// The members whose relations lie in `anchor`'s connected component of
+/// the members' relations (Theorem 4.8's auxiliary graph), in input
+/// order. Member relations must be distinct.
+pub(crate) fn component_of(db: &Database, members: &[TupleId], anchor: RelId) -> Vec<TupleId> {
+    let rels: Vec<RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
+    let component = db.subset_component(&rels, anchor);
+    members
+        .iter()
+        .copied()
+        .filter(|&t| component.binary_search(&db.rel_of(t)).is_ok())
+        .collect()
 }
 
 /// Builds a [`TupleSet`] from sorted, relation-distinct member tuples that
@@ -392,16 +400,10 @@ pub fn extend_to_maximal_from(
     }
 }
 
-/// Extracts the binding value of `attr` from tuple `t` if its schema has
-/// it (`t[A]`), mirroring the paper's notation for tests.
-pub fn tuple_attr(db: &Database, t: TupleId, attr: AttrId) -> Option<Value> {
-    db.tuple_value(t, attr).cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_relational::tourist_database;
+    use fd_relational::{tourist_database, Value};
 
     // Tourist tuple ids: c1..c3 = 0..2, a1..a3 = 3..5, s1..s4 = 6..9.
     const C1: TupleId = TupleId(0);

@@ -1,19 +1,27 @@
 //! # fd-core
 //!
 //! The algorithms of **Cohen & Sagiv, "An incremental algorithm for
-//! computing ranked full disjunctions"** (PODS 2005 / JCSS 2007):
+//! computing ranked full disjunctions"** (PODS 2005 / JCSS 2007).
+//!
+//! One `GETNEXTRESULT` engine (Fig. 2) runs all of them. It is generic
+//! over a consistency [`Policy`] — [`Exact`] join consistency or
+//! [`Approx`] `(A, τ)` acceptance — and over a frontier — the FIFO
+//! `Incomplete` list of Fig. 1 or one rank heap per relation (Fig. 3).
+//! The four combinations are the paper's algorithms:
 //!
 //! * [`FdiIter`] / [`FdIter`] — `INCREMENTALFD` (Fig. 1–2): the full
 //!   disjunction with incremental polynomial delay (Theorems 4.2–4.10);
-//! * [`RankedFdIter`] — `PRIORITYINCREMENTALFD` (Fig. 3): answers in
-//!   ranking order for monotonically c-determined ranking functions
-//!   (Theorem 5.5) and the threshold variant (Remark 5.6);
-//! * [`ApproxFdIter`] — `APPROXINCREMENTALFD` (Fig. 5–6): `(A, τ)`-
-//!   approximate full disjunctions for acceptable, efficiently computable
-//!   approximate join functions (Theorem 6.6);
-//! * Section 7's optimizations: hash-indexed stores, block-based
-//!   execution, alternative `Incomplete` initializations, plus a parallel
-//!   full-FD driver.
+//! * [`RankedFdIter`] — `PRIORITYINCREMENTALFD` (Fig. 3): answers by
+//!   rank for monotonically c-determined ranking functions (Theorem 5.5)
+//!   and the threshold variant (Remark 5.6);
+//! * [`ApproxFdIter`] / [`ApproxAllIter`] — `APPROXINCREMENTALFD`
+//!   (Fig. 5–6): `(A, τ)`-approximate full disjunctions for acceptable,
+//!   efficiently computable approximate join functions (Theorem 6.6);
+//! * [`RankedApproxFdIter`] — both at once, as Section 6 sketches.
+//!
+//! Section 7's optimizations (hash-indexed stores, block-based execution,
+//! alternative `Incomplete` initializations), the parallel drivers and
+//! delta maintenance run on the same engine.
 //!
 //! All of it is reachable through one typed entry point, [`FdQuery`]:
 //! batch, streaming, ranked top-k/threshold, approximate,
@@ -74,7 +82,7 @@ pub use error::FdError;
 pub use getnext::{Exact, Policy};
 pub use incremental::{canonicalize, fdi, FdConfig, FdIter, FdiIter, MultiRunIter, RunIter};
 pub use init::InitStrategy;
-pub use lists::{CompleteStore, IncompleteQueue, StoreEngine};
+pub use lists::StoreEngine;
 pub use obs::{Counter, EventLog, Gauge, Histogram, MetricsServer, QueryTimings, Registry, Span};
 pub use padded::{format_results, padded_relation, padded_tuple, padded_tuple_over};
 pub use priority::{RankedFdIter, RankedIter};

@@ -26,7 +26,7 @@ pub enum StoreEngine {
 
 /// The `Complete` list: results already printed.
 #[derive(Debug)]
-pub struct CompleteStore {
+pub(crate) struct CompleteStore {
     engine: StoreEngine,
     sets: Vec<TupleSet>,
     /// Indexed engine: root tuple → indices into `sets`.
@@ -38,7 +38,7 @@ pub struct CompleteStore {
 
 impl CompleteStore {
     /// An empty store.
-    pub fn new(engine: StoreEngine) -> Self {
+    pub(crate) fn new(engine: StoreEngine) -> Self {
         CompleteStore {
             engine,
             sets: Vec::new(),
@@ -47,18 +47,8 @@ impl CompleteStore {
         }
     }
 
-    /// Number of stored results.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
     /// The stored results, in print order.
-    pub fn sets(&self) -> &[TupleSet] {
+    pub(crate) fn sets(&self) -> &[TupleSet] {
         &self.sets
     }
 
@@ -66,7 +56,7 @@ impl CompleteStore {
     /// set should be discoverable — for `INCREMENTALFD(R, i)` that is the
     /// set's `Ri` tuple; the ranked variant registers every member (its
     /// `Complete` list is shared by all `n` queues).
-    pub fn insert(&mut self, set: TupleSet, roots: &[TupleId]) {
+    pub(crate) fn insert(&mut self, set: TupleSet, roots: &[TupleId]) {
         let idx = self.sets.len() as u32;
         self.canon.insert(set.tuples().into());
         if self.engine == StoreEngine::Indexed {
@@ -79,7 +69,7 @@ impl CompleteStore {
 
     /// Fig. 2 line 11: is `t` contained in some stored result? `root` is
     /// `t`'s tuple from `Ri`; any superset must also contain it.
-    pub fn contains_superset(&self, t: &TupleSet, root: TupleId, stats: &mut Stats) -> bool {
+    pub(crate) fn contains_superset(&self, t: &TupleSet, root: TupleId, stats: &mut Stats) -> bool {
         match self.engine {
             StoreEngine::Scan => self.sets.iter().any(|s| {
                 stats.complete_scans += 1;
@@ -96,7 +86,7 @@ impl CompleteStore {
     }
 
     /// Fig. 3 line 17: has exactly this set been printed already?
-    pub fn contains_exact(&self, tuples: &[TupleId]) -> bool {
+    pub(crate) fn contains_exact(&self, tuples: &[TupleId]) -> bool {
         self.canon.contains(tuples)
     }
 }
@@ -112,7 +102,7 @@ impl CompleteStore {
 /// when the next `pop` happens. Correctness does not depend on the order
 /// (Theorem 4.2 holds for any), but the trace and the delay profile do.
 #[derive(Debug)]
-pub struct IncompleteQueue {
+pub(crate) struct IncompleteQueue {
     engine: StoreEngine,
     /// Slot storage; `None` marks popped slots (stable indices keep the
     /// root index valid without rebuilds).
@@ -124,35 +114,23 @@ pub struct IncompleteQueue {
     batch: Vec<u32>,
     /// Indexed engine: root tuple → slots (live or dead; filtered on use).
     by_root: FxHashMap<TupleId, Vec<u32>>,
-    live: usize,
 }
 
 impl IncompleteQueue {
     /// An empty queue.
-    pub fn new(engine: StoreEngine) -> Self {
+    pub(crate) fn new(engine: StoreEngine) -> Self {
         IncompleteQueue {
             engine,
             slots: Vec::new(),
             order: VecDeque::new(),
             batch: Vec::new(),
             by_root: FxHashMap::default(),
-            live: 0,
         }
-    }
-
-    /// Number of pending tuple sets.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Adds a tuple set rooted at `root` (its tuple from `Ri`) to the
     /// current batch.
-    pub fn push(&mut self, root: TupleId, set: TupleSet, stats: &mut Stats) {
+    pub(crate) fn push(&mut self, root: TupleId, set: TupleSet, stats: &mut Stats) {
         stats.inserts += 1;
         let slot = self.slots.len() as u32;
         self.slots.push(Some((root, set)));
@@ -160,18 +138,16 @@ impl IncompleteQueue {
         if self.engine == StoreEngine::Indexed {
             self.by_root.entry(root).or_default().push(slot);
         }
-        self.live += 1;
     }
 
     /// Fig. 2 line 1: removes the first tuple set (splicing the pending
     /// batch to the front first).
-    pub fn pop(&mut self) -> Option<(TupleId, TupleSet)> {
+    pub(crate) fn pop(&mut self) -> Option<(TupleId, TupleSet)> {
         for slot in self.batch.drain(..).rev() {
             self.order.push_front(slot);
         }
         while let Some(slot) = self.order.pop_front() {
             if let Some(entry) = self.slots[slot as usize].take() {
-                self.live -= 1;
                 return Some(entry);
             }
         }
@@ -187,7 +163,7 @@ impl IncompleteQueue {
     /// matter: the indexed engine probes the root's entries, the scan
     /// engine every entry in pop order. Otherwise (approximate joins) the
     /// same-root entries are scanned in pop order.
-    pub fn try_merge(
+    pub(crate) fn try_merge(
         &mut self,
         root: TupleId,
         unique: bool,
@@ -235,7 +211,7 @@ impl IncompleteQueue {
     /// Iterates live entries in logical (pop) order — pending batch first,
     /// then older entries. Used by trace snapshots and the initialization
     /// strategies.
-    pub fn iter(&self) -> impl Iterator<Item = &TupleSet> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TupleSet> {
         self.batch
             .iter()
             .chain(self.order.iter())
@@ -305,11 +281,11 @@ mod tests {
             let mut q = IncompleteQueue::new(engine);
             q.push(C1, TupleSet::singleton(&db, C1), &mut stats);
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
-            assert_eq!(q.len(), 2);
+            assert_eq!(q.iter().count(), 2);
             assert_eq!(q.pop().unwrap().0, C1);
             assert_eq!(q.pop().unwrap().0, C2);
             assert!(q.pop().is_none());
-            assert!(q.is_empty());
+            assert_eq!(q.iter().count(), 0);
         }
     }
 

@@ -67,26 +67,36 @@ fn shard_relations(n: usize, threads: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs `work` over every shard, on scoped threads when there is more
-/// than one shard. Results come back in shard order.
+/// than one shard. Outputs come back in shard order, with the workers'
+/// counters and page counts summed.
 fn run_sharded<T: Send>(
     shards: &[(usize, usize)],
-    work: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<T> {
-    if shards.len() <= 1 {
-        return shards.iter().map(|&(lo, hi)| work(lo, hi)).collect();
+    work: impl Fn(usize, usize) -> (T, Stats, u64) + Sync,
+) -> (Vec<T>, Stats, u64) {
+    let collected: Vec<(T, Stats, u64)> = if shards.len() <= 1 {
+        shards.iter().map(|&(lo, hi)| work(lo, hi)).collect()
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|&(lo, hi)| scope.spawn(move || work(lo, hi)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let mut outs = Vec::with_capacity(collected.len());
+    let mut stats = Stats::new();
+    let mut pages = 0;
+    for (out, s, p) in collected {
+        outs.push(out);
+        stats.merge(&s);
+        pages += p;
     }
-    let mut out = Vec::with_capacity(shards.len());
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&(lo, hi)| scope.spawn(move || work(lo, hi)))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("worker panicked"));
-        }
-    });
-    out
+    (outs, stats, pages)
 }
 
 /// Computes `FD(R)` — or `AFD(R, A, τ)` under the approximate policy —
@@ -104,7 +114,7 @@ pub(crate) fn parallel_runs<P: Policy + Sync>(
     if n == 0 {
         return (Vec::new(), Stats::new(), 0);
     }
-    let collected = run_sharded(&shard_relations(n, threads), |lo, hi| {
+    let (outs, stats, pages) = run_sharded(&shard_relations(n, threads), |lo, hi| {
         let mut out = Vec::new();
         let mut stats = Stats::new();
         let mut pages = 0;
@@ -123,14 +133,7 @@ pub(crate) fn parallel_runs<P: Policy + Sync>(
         }
         (out, stats, pages)
     });
-    let mut results = Vec::new();
-    let mut stats = Stats::new();
-    let mut pages = 0;
-    for (out, s, p) in collected {
-        results.extend(out);
-        stats.merge(&s);
-        pages += p;
-    }
+    let mut results: Vec<TupleSet> = outs.into_iter().flatten().collect();
     results.sort();
     (results, stats, pages)
 }
@@ -192,21 +195,13 @@ where
     F: MonotoneCDetermined + Sync,
 {
     let n = db.num_relations();
-    let collected = run_sharded(&shard_relations(n, threads), |lo, hi| {
+    let (streams, stats, pages) = run_sharded(&shard_relations(n, threads), |lo, hi| {
         let mut it = RankedIter::for_policy(db, policy.by_ref(), f, cfg, lo..hi);
         let mut out: Vec<(TupleSet, f64)> = (&mut it).collect();
         sort_canonical(&mut out);
         apply_cut_sorted(&mut out, cut);
         (out, *it.stats(), it.pages_read())
     });
-    let mut streams = Vec::with_capacity(collected.len());
-    let mut stats = Stats::new();
-    let mut pages = 0;
-    for (out, s, p) in collected {
-        streams.push(out);
-        stats.merge(&s);
-        pages += p;
-    }
     RankedMerge::new(streams, stats, pages)
 }
 

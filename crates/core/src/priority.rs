@@ -8,7 +8,7 @@
 //!
 //! * the frontier is `n` lists `Incomplete_i` — priority queues keyed by
 //!   the rank of the (partial) tuple set — instead of one FIFO list
-//!   ([`RankHeaps`]);
+//!   (`RankHeaps`);
 //! * `Incomplete_i` is initialized with **every** consistent tuple set of
 //!   size at most `c` containing a tuple from `Ri`, after which mergeable
 //!   pairs are unioned to a fixpoint (Fig. 3 lines 3–8); that seeds each
@@ -199,6 +199,12 @@ impl LazyQueue {
     }
 }
 
+/// `f(set)`, counted.
+fn rank<F: MonotoneCDetermined>(f: &F, db: &Database, set: &TupleSet, stats: &mut Stats) -> f64 {
+    stats.rank_evals += 1;
+    f.rank(db, set)
+}
+
 /// The ranked frontier of Fig. 3: one [`LazyQueue`] per seed relation of
 /// the run (`rel_lo..`), ranked by `f`.
 pub(crate) struct RankHeaps<F> {
@@ -226,11 +232,6 @@ impl<F: MonotoneCDetermined> RankHeaps<F> {
         }
         best
     }
-
-    fn rank(&self, db: &Database, set: &TupleSet, stats: &mut Stats) -> f64 {
-        stats.rank_evals += 1;
-        self.f.rank(db, set)
-    }
 }
 
 impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
@@ -257,16 +258,13 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
             indexed,
             stats,
             |s, stats| policy.union(db, s, t_prime, stats),
-            |u, stats| {
-                stats.rank_evals += 1;
-                f.rank(db, u)
-            },
+            |u, stats| rank(f, db, u, stats),
         )
     }
 
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats) {
-        let rank = self.rank(db, &set, stats);
-        self.queues[ri.index() - self.rel_lo].push(root, set, rank, stats);
+        let r = rank(&self.f, db, &set, stats);
+        self.queues[ri.index() - self.rel_lo].push(root, set, r, stats);
     }
 }
 
@@ -293,18 +291,6 @@ impl<'db, F: MonotoneCDetermined> RankedFdIter<'db, F> {
     /// borrowed one (references implement the ranking traits).
     pub fn new(db: &'db Database, f: F) -> Self {
         Self::with_config(db, f, FdConfig::default())
-    }
-
-    /// Builds with an explicit store engine (ablation experiments).
-    pub fn with_engine(db: &'db Database, f: F, engine: StoreEngine) -> Self {
-        Self::with_config(
-            db,
-            f,
-            FdConfig {
-                engine,
-                ..FdConfig::default()
-            },
-        )
     }
 
     /// Builds with the full execution configuration: `engine` selects the
@@ -388,7 +374,7 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
             if engine.complete.contains_exact(set.tuples()) {
                 continue;
             }
-            let rank = engine.frontier.rank(engine.db, &set, &mut engine.stats);
+            let rank = rank(&engine.frontier.f, engine.db, &set, &mut engine.stats);
             engine.complete.insert(set.clone(), set.tuples());
             engine.stats.results += 1;
             return Some((set, rank));
@@ -619,10 +605,14 @@ mod tests {
         let db = tourist_database();
         let imp = climate_imp(&db);
         let f = FMax::new(&imp);
-        let a: Vec<_> = RankedFdIter::with_engine(&db, &f, StoreEngine::Scan)
+        let with_engine = |engine| FdConfig {
+            engine,
+            ..FdConfig::default()
+        };
+        let a: Vec<_> = RankedFdIter::with_config(&db, &f, with_engine(StoreEngine::Scan))
             .map(|(s, r)| (s.tuples().to_vec(), r))
             .collect();
-        let b: Vec<_> = RankedFdIter::with_engine(&db, &f, StoreEngine::Indexed)
+        let b: Vec<_> = RankedFdIter::with_config(&db, &f, with_engine(StoreEngine::Indexed))
             .map(|(s, r)| (s.tuples().to_vec(), r))
             .collect();
         // Rank sequences must match; tie order may differ between engines.

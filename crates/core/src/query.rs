@@ -310,7 +310,9 @@ impl<'q> FdQuery<'q> {
         // Re-borrow the boxed functions: `Box<&dyn Trait>` implements the
         // trait through the reference/box blanket impls, so `run` does not
         // consume the builder.
-        let ing = Ingredients {
+        let parts = QueryParts {
+            db: self.db,
+            config: self.cfg,
             ranking: self
                 .ranking
                 .as_ref()
@@ -323,11 +325,7 @@ impl<'q> FdQuery<'q> {
             min_rank: self.min_rank,
             threads: self.threads,
         };
-        // The clock starts *before* plan construction: the parallel
-        // plans materialize inside `build_inner`, and that work belongs
-        // in the wall / time-to-first measurements.
-        let started = std::time::Instant::now();
-        let mut stream = FdStream::new(started, build_inner(self.db, self.cfg, ing), self.top_k);
+        let mut stream = FdStream::start(parts);
         let ranked_mode = matches!(mode, Mode::Ranked | Mode::RankedApprox);
         let mut sets = Vec::new();
         let mut ranks = Vec::new();
@@ -359,20 +357,7 @@ impl<'q> FdQuery<'q> {
     /// sequential plan when k is small and the database is large.
     pub fn stream(self) -> Result<FdStream<'q>, FdError> {
         self.mode()?;
-        let top_k = self.top_k;
-        let ing = Ingredients {
-            ranking: self.ranking,
-            approx: self.approx,
-            top_k,
-            min_rank: self.min_rank,
-            threads: self.threads,
-        };
-        let started = std::time::Instant::now();
-        Ok(FdStream::new(
-            started,
-            build_inner(self.db, self.cfg, ing),
-            top_k,
-        ))
+        Ok(FdStream::start(self.into_parts()))
     }
 
     /// Opens a transactional [`FdSession`](crate::session::FdSession)
@@ -561,23 +546,20 @@ impl FdResult {
     }
 }
 
-/// Option payload threaded from the builder into [`build_inner`].
-struct Ingredients<'q> {
-    ranking: Option<BoxedRanking<'q>>,
-    approx: Option<(BoxedApprox<'q>, f64)>,
-    top_k: Option<usize>,
-    min_rank: Option<f64>,
-    threads: Option<usize>,
-}
-
-fn build_inner<'q>(db: &'q Database, cfg: FdConfig, ing: Ingredients<'q>) -> StreamInner<'q> {
-    let cut = RankedCut {
-        top_k: ing.top_k,
-        min_rank: ing.min_rank,
-    };
-    match ing.approx {
-        None => plan(db, Exact, cfg, ing.ranking, cut, ing.threads),
-        Some((a, tau)) => plan(db, Approx::new(a, tau), cfg, ing.ranking, cut, ing.threads),
+fn build_inner(parts: QueryParts<'_>) -> Box<dyn Plan + '_> {
+    let QueryParts {
+        db,
+        config,
+        ranking,
+        approx,
+        top_k,
+        min_rank,
+        threads,
+    } = parts;
+    let cut = RankedCut { top_k, min_rank };
+    match approx {
+        None => plan(db, Exact, config, ranking, cut, threads),
+        Some((a, tau)) => plan(db, Approx::new(a, tau), config, ranking, cut, threads),
     }
 }
 
@@ -590,88 +572,57 @@ fn plan<'q, P: Policy + Sync + 'q>(
     ranking: Option<BoxedRanking<'q>>,
     cut: RankedCut,
     threads: Option<usize>,
-) -> StreamInner<'q> {
-    let ranked: Box<dyn RankedSource + 'q> = match (ranking, threads) {
-        (None, None) => {
-            return StreamInner::Unranked(Box::new(MultiRunIter::with_policy(db, policy, cfg)))
-        }
+) -> Box<dyn Plan + 'q> {
+    match (ranking, threads) {
+        (None, None) => Box::new(MultiRunIter::with_policy(db, policy, cfg)),
         (None, Some(threads)) => {
             let (sets, stats, pages) = parallel_runs(db, &policy, cfg, threads);
-            return StreamInner::Unranked(Box::new(Materialized {
+            Box::new(Materialized {
                 sets: sets.into_iter(),
                 stats,
                 pages,
-            }));
+            })
         }
         (Some(f), None) => {
             let n = db.num_relations();
-            Box::new(CanonicalTies::new(RankedIter::for_policy(
-                db,
-                policy,
-                f,
-                cfg,
-                0..n,
-            )))
+            let it = RankedIter::for_policy(db, policy, f, cfg, 0..n);
+            Box::new(CanonicalTies::new(it))
         }
         (Some(f), Some(threads)) => Box::new(parallel_ranked(db, &policy, &f, cfg, threads, cut)),
-    };
-    StreamInner::Ranked(Bounded {
-        it: ranked,
-        remaining: cut.top_k,
-        min_rank: cut.min_rank,
-    })
+    }
 }
 
-/// The unified lazy answer stream of [`FdQuery::stream`]: one enum-backed
-/// iterator in place of the mode-specific iterator types.
-///
-/// Yields `Result<TupleSet, FdError>` — with the current validation all
-/// errors surface at [`FdQuery::stream`] time, so every yielded item is
-/// `Ok`; the `Result` item keeps room for execution-time failures (e.g.
-/// remote backends) without breaking the interface.
-pub struct FdStream<'q> {
-    inner: StreamInner<'q>,
-    started: std::time::Instant,
-    emitted: usize,
-    top_k: Option<usize>,
-    first: Option<std::time::Duration>,
-    kth: Option<std::time::Duration>,
+/// One executing plan behind an [`FdStream`].
+trait Plan {
+    /// The next answer, with its rank in the ranked plans.
+    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)>;
+
+    /// An upper bound on the rank of every answer not yet delivered
+    /// (ranked plans only); `None` once the plan is exhausted.
+    fn peek_rank(&mut self) -> Option<f64> {
+        None
+    }
+
+    /// Work counters so far (for the parallel plans: the merged counters
+    /// of all workers of the already-finished computation).
+    fn stats(&self) -> Stats;
+
+    /// Pages fetched so far (block-based execution only), summed over
+    /// every run and worker.
+    fn pages_read(&self) -> u64;
 }
 
-/// A plan's answers: unranked (sequential runs or a parallel plan's
-/// materialized result) or ranked (sequential or k-way merged) with the
-/// `.top_k` / `.threshold` bounds.
-enum StreamInner<'q> {
-    Unranked(Box<dyn UnrankedSource + 'q>),
-    Ranked(Bounded<Box<dyn RankedSource + 'q>>),
-}
+impl<P: Policy> Plan for MultiRunIter<'_, P> {
+    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
+        self.next().map(|s| (s, None))
+    }
 
-/// The work a plan has done so far.
-trait Counted {
-    /// Work counters (for the parallel plans: the merged counters of all
-    /// workers of the already-finished computation).
-    fn total_stats(&self) -> Stats;
-    /// Pages fetched (block-based execution only), summed over all runs
-    /// and workers.
-    fn total_pages(&self) -> u64;
-}
-
-trait UnrankedSource: Iterator<Item = TupleSet> + Counted {}
-
-impl<I: Iterator<Item = TupleSet> + Counted> UnrankedSource for I {}
-
-trait RankedSource: Counted {
-    fn peek_rank(&mut self) -> Option<f64>;
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)>;
-}
-
-impl<P: Policy> Counted for MultiRunIter<'_, P> {
-    fn total_stats(&self) -> Stats {
+    fn stats(&self) -> Stats {
         self.stats_total()
     }
 
-    fn total_pages(&self) -> u64 {
-        self.pages_read()
+    fn pages_read(&self) -> u64 {
+        MultiRunIter::pages_read(self)
     }
 }
 
@@ -682,91 +633,36 @@ struct Materialized {
     pages: u64,
 }
 
-impl Iterator for Materialized {
-    type Item = TupleSet;
-
-    fn next(&mut self) -> Option<TupleSet> {
-        self.sets.next()
+impl Plan for Materialized {
+    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
+        self.sets.next().map(|s| (s, None))
     }
-}
 
-impl Counted for Materialized {
-    fn total_stats(&self) -> Stats {
+    fn stats(&self) -> Stats {
         self.stats
     }
 
-    fn total_pages(&self) -> u64 {
+    fn pages_read(&self) -> u64 {
         self.pages
     }
 }
 
-impl<P: Policy, F: MonotoneCDetermined> Counted for RankedIter<'_, P, F> {
-    fn total_stats(&self) -> Stats {
-        *self.stats()
+impl Plan for RankedMerge {
+    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
+        self.next_pair().map(|(s, r)| (s, Some(r)))
     }
 
-    fn total_pages(&self) -> u64 {
-        self.pages_read()
-    }
-}
-
-impl<P: Policy, F: MonotoneCDetermined> RankedSource for RankedIter<'_, P, F> {
-    fn peek_rank(&mut self) -> Option<f64> {
-        RankedIter::peek_rank(self)
-    }
-
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
-        self.next()
-    }
-}
-
-impl Counted for RankedMerge {
-    fn total_stats(&self) -> Stats {
-        self.stats
-    }
-
-    fn total_pages(&self) -> u64 {
-        self.pages
-    }
-}
-
-impl RankedSource for RankedMerge {
     fn peek_rank(&mut self) -> Option<f64> {
         RankedMerge::peek_rank(self)
     }
 
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
-        RankedMerge::next_pair(self)
-    }
-}
-
-impl<I: RankedSource + ?Sized> Counted for Box<I> {
-    fn total_stats(&self) -> Stats {
-        (**self).total_stats()
+    fn stats(&self) -> Stats {
+        self.stats
     }
 
-    fn total_pages(&self) -> u64 {
-        (**self).total_pages()
+    fn pages_read(&self) -> u64 {
+        self.pages
     }
-}
-
-impl<I: RankedSource + ?Sized> RankedSource for Box<I> {
-    fn peek_rank(&mut self) -> Option<f64> {
-        (**self).peek_rank()
-    }
-
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
-        (**self).next_pair()
-    }
-}
-
-/// A ranked iterator with the `.top_k` / `.threshold` bounds applied.
-/// Queue ranks bound every unseen answer's rank from above, so the first
-/// queue-top below τ ends the stream without further work.
-struct Bounded<I> {
-    it: I,
-    remaining: Option<usize>,
-    min_rank: Option<f64>,
 }
 
 /// Deterministic tie order for the sequential ranked plans: the
@@ -778,15 +674,15 @@ struct Bounded<I> {
 /// emits the same sequence. The look-ahead is one tie group plus one
 /// answer, so the incremental polynomial delay bound survives (scaled by
 /// the tie group size).
-struct CanonicalTies<I> {
-    it: I,
+struct CanonicalTies<'q, P, F> {
+    it: RankedIter<'q, P, F>,
     group: VecDeque<(TupleSet, f64)>,
     pending: Option<(TupleSet, f64)>,
     done: bool,
 }
 
-impl<I: RankedSource> CanonicalTies<I> {
-    fn new(it: I) -> Self {
+impl<'q, P: Policy, F: MonotoneCDetermined> CanonicalTies<'q, P, F> {
+    fn new(it: RankedIter<'q, P, F>) -> Self {
         CanonicalTies {
             it,
             group: VecDeque::new(),
@@ -804,7 +700,7 @@ impl<I: RankedSource> CanonicalTies<I> {
         let first = match self.pending.take() {
             Some(first) => first,
             None if self.done => return,
-            None => match self.it.next_pair() {
+            None => match self.it.next() {
                 Some(first) => first,
                 None => {
                     self.done = true;
@@ -815,7 +711,7 @@ impl<I: RankedSource> CanonicalTies<I> {
         let rank = first.1;
         let mut group = vec![first];
         loop {
-            match self.it.next_pair() {
+            match self.it.next() {
                 Some(item) if item.1.total_cmp(&rank).is_eq() => group.push(item),
                 Some(item) => {
                     self.pending = Some(item);
@@ -832,17 +728,12 @@ impl<I: RankedSource> CanonicalTies<I> {
     }
 }
 
-impl<I: RankedSource> Counted for CanonicalTies<I> {
-    fn total_stats(&self) -> Stats {
-        self.it.total_stats()
+impl<P: Policy, F: MonotoneCDetermined> Plan for CanonicalTies<'_, P, F> {
+    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
+        self.refill();
+        self.group.pop_front().map(|(s, r)| (s, Some(r)))
     }
 
-    fn total_pages(&self) -> u64 {
-        self.it.total_pages()
-    }
-}
-
-impl<I: RankedSource> RankedSource for CanonicalTies<I> {
     fn peek_rank(&mut self) -> Option<f64> {
         if let Some((_, r)) = self.group.front() {
             return Some(*r);
@@ -856,45 +747,45 @@ impl<I: RankedSource> RankedSource for CanonicalTies<I> {
         self.it.peek_rank()
     }
 
-    fn next_pair(&mut self) -> Option<(TupleSet, f64)> {
-        self.refill();
-        self.group.pop_front()
+    fn stats(&self) -> Stats {
+        *self.it.stats()
+    }
+
+    fn pages_read(&self) -> u64 {
+        self.it.pages_read()
     }
 }
 
-impl<I: RankedSource> Bounded<I> {
-    fn next(&mut self) -> Option<(TupleSet, f64)> {
-        if self.remaining == Some(0) {
-            return None;
-        }
-        if let Some(tau) = self.min_rank {
-            // Queue ranks never exceed the final ranks (monotonicity), so
-            // once every queue top falls below τ no unseen answer can
-            // reach it.
-            if self.it.peek_rank()? < tau {
-                return None;
-            }
-        }
-        let (set, rank) = self.it.next_pair()?;
-        if let Some(tau) = self.min_rank {
-            if rank < tau {
-                return None;
-            }
-        }
-        if let Some(r) = &mut self.remaining {
-            *r -= 1;
-        }
-        Some((set, rank))
-    }
+/// The unified lazy answer stream of [`FdQuery::stream`]: one iterator
+/// over every plan, with the `.top_k` / `.threshold` bounds applied.
+///
+/// Yields `Result<TupleSet, FdError>` — with the current validation all
+/// errors surface at [`FdQuery::stream`] time, so every yielded item is
+/// `Ok`; the `Result` item keeps room for execution-time failures (e.g.
+/// remote backends) without breaking the interface.
+pub struct FdStream<'q> {
+    plan: Box<dyn Plan + 'q>,
+    started: std::time::Instant,
+    emitted: usize,
+    top_k: Option<usize>,
+    min_rank: Option<f64>,
+    first: Option<std::time::Duration>,
+    kth: Option<std::time::Duration>,
 }
 
 impl<'q> FdStream<'q> {
-    fn new(started: std::time::Instant, inner: StreamInner<'q>, top_k: Option<usize>) -> Self {
+    fn start(parts: QueryParts<'q>) -> Self {
+        // The clock starts *before* plan construction: the parallel
+        // plans materialize inside `build_inner`, and that work belongs
+        // in the wall / time-to-first measurements.
+        let started = std::time::Instant::now();
+        let (top_k, min_rank) = (parts.top_k, parts.min_rank);
         FdStream {
-            inner,
+            plan: build_inner(parts),
             started,
             emitted: 0,
             top_k,
+            min_rank,
             first: None,
             kth: None,
         }
@@ -903,20 +794,32 @@ impl<'q> FdStream<'q> {
     /// The next answer together with its rank (`None` rank outside the
     /// ranked modes).
     pub fn next_ranked(&mut self) -> Option<(TupleSet, Option<f64>)> {
-        let item = match &mut self.inner {
-            StreamInner::Unranked(it) => it.next().map(|s| (s, None)),
-            StreamInner::Ranked(b) => b.next().map(|(s, r)| (s, Some(r))),
-        };
-        if item.is_some() {
-            self.emitted += 1;
-            if self.emitted == 1 {
-                self.first = Some(self.started.elapsed());
-            }
-            if self.top_k == Some(self.emitted) {
-                self.kth = Some(self.started.elapsed());
+        if self.top_k.is_some_and(|k| self.emitted >= k) {
+            return None;
+        }
+        if let Some(tau) = self.min_rank {
+            // Queue ranks never exceed the final ranks (monotonicity), so
+            // once every queue top falls below τ no unseen answer can
+            // reach it.
+            if self.plan.peek_rank()? < tau {
+                return None;
             }
         }
-        item
+        let item = self.plan.next_answer()?;
+        if self
+            .min_rank
+            .is_some_and(|tau| item.1.is_some_and(|r| r < tau))
+        {
+            return None;
+        }
+        self.emitted += 1;
+        if self.emitted == 1 {
+            self.first = Some(self.started.elapsed());
+        }
+        if self.top_k == Some(self.emitted) {
+            self.kth = Some(self.started.elapsed());
+        }
+        Some(item)
     }
 
     /// Wall-clock milestones so far: elapsed time since the stream was
@@ -934,19 +837,13 @@ impl<'q> FdStream<'q> {
     /// merged counters of all workers of the already-finished
     /// computation).
     pub fn stats(&self) -> Stats {
-        match &self.inner {
-            StreamInner::Unranked(it) => it.total_stats(),
-            StreamInner::Ranked(b) => b.it.total_stats(),
-        }
+        self.plan.stats()
     }
 
     /// Pages fetched so far (block-based execution only), summed over
     /// every run and, for the parallel plans, every worker.
     pub fn pages_read(&self) -> u64 {
-        match &self.inner {
-            StreamInner::Unranked(it) => it.total_pages(),
-            StreamInner::Ranked(b) => b.it.total_pages(),
-        }
+        self.plan.pages_read()
     }
 }
 
