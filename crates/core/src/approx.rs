@@ -211,7 +211,7 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
                 })
         });
         let members = with_member(members.collect(), tb);
-        let kept = component_of(db, &members, rel_b);
+        let kept = component_of(db, members, rel_b);
         debug_assert!(self.score(db, &kept) >= tau);
         vec![crate::jcc::rebuild(db, kept)]
     }
@@ -270,7 +270,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
         // candidates; recursion below them is pruned.
         let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
         let mut found: Vec<Vec<TupleId>> = Vec::new();
-        let mut stack: Vec<Vec<TupleId>> = vec![component_of(db, &members, rel_b)];
+        let mut stack: Vec<Vec<TupleId>> = vec![component_of(db, members, rel_b)];
         while let Some(cand) = stack.pop() {
             if !seen.insert(cand.as_slice().into()) {
                 continue;
@@ -288,7 +288,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
                     continue;
                 }
                 let shrunk: Vec<TupleId> = cand.iter().copied().filter(|&x| x != t).collect();
-                stack.push(component_of(db, &shrunk, rel_b));
+                stack.push(component_of(db, shrunk, rel_b));
             }
         }
         // Keep only the maximal candidates.

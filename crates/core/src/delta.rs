@@ -326,7 +326,7 @@ fn connected_components(db: &Database, members: &[TupleId]) -> Vec<Vec<TupleId>>
     let mut out: Vec<Vec<TupleId>> = Vec::new();
     for &m in members {
         if !out.iter().any(|c| c.contains(&m)) {
-            out.push(component_of(db, members, db.rel_of(m)));
+            out.push(component_of(db, members.to_vec(), db.rel_of(m)));
         }
     }
     out

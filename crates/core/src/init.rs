@@ -116,7 +116,7 @@ fn seed_previous<P: Policy>(
                 .filter(|&t| db.rel_of(t) >= ri)
                 .collect();
             // Keep the component of the root among the trimmed members.
-            let trimmed = rebuild(db, component_of(db, &members, ri));
+            let trimmed = rebuild(db, component_of(db, members, ri));
             policy.extend(db, trimmed, ri.index() + 1, stats)
         } else {
             prev.clone()

@@ -287,7 +287,7 @@ pub fn maximal_subset_with(
         .copied()
         .filter(|&t| db.rel_of(t) != rel_b && tuples_join_consistent(db, t, tb))
         .collect();
-    let mut chosen = component_of(db, &survivors, rel_b);
+    let mut chosen = component_of(db, survivors, rel_b);
     let pos = chosen.partition_point(|&x| x < tb);
     chosen.insert(pos, tb);
     rebuild(db, chosen)
@@ -296,14 +296,15 @@ pub fn maximal_subset_with(
 /// The members whose relations lie in `anchor`'s connected component of
 /// the members' relations (Theorem 4.8's auxiliary graph), in input
 /// order. Member relations must be distinct.
-pub(crate) fn component_of(db: &Database, members: &[TupleId], anchor: RelId) -> Vec<TupleId> {
+pub(crate) fn component_of(
+    db: &Database,
+    mut members: Vec<TupleId>,
+    anchor: RelId,
+) -> Vec<TupleId> {
     let rels: Vec<RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
     let component = db.subset_component(&rels, anchor);
+    members.retain(|&t| component.binary_search(&db.rel_of(t)).is_ok());
     members
-        .iter()
-        .copied()
-        .filter(|&t| component.binary_search(&db.rel_of(t)).is_ok())
-        .collect()
 }
 
 /// Builds a [`TupleSet`] from sorted, relation-distinct member tuples that
