@@ -360,7 +360,7 @@ fn with_member(mut members: Vec<TupleId>, t: TupleId) -> Vec<TupleId> {
 /// such a set may disagree on shared attributes, so nothing here relies
 /// on bindings or the join-column indexes: the extension and the seed
 /// growth scan whole relations by design.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Approx<A> {
     a: A,
     tau: f64,
@@ -397,41 +397,21 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         self.accepts(db, &[t], stats)
     }
 
-    /// Fig. 6 lines 2–6: greedily extend while the score stays above τ.
-    fn extend(
-        &self,
-        db: &Database,
-        mut set: TupleSet,
-        rel_min: usize,
-        stats: &mut Stats,
-    ) -> TupleSet {
-        loop {
-            stats.extension_passes += 1;
-            let mut grew = false;
-            for rel_idx in rel_min..db.num_relations() {
-                let rel = RelId(rel_idx as u16);
-                if set.tuple_from(db, rel).is_some()
-                    || !set
-                        .tuples()
-                        .iter()
-                        .any(|&m| db.rels_connected(db.rel_of(m), rel))
-                {
-                    continue;
-                }
-                for tg in db.tuples_of(rel) {
-                    stats.extension_scans += 1;
-                    let members = with_member(set.tuples().to_vec(), tg);
-                    if self.accepts(db, &members, stats) {
-                        set = crate::jcc::rebuild(db, members);
-                        grew = true;
-                        break;
-                    }
-                }
-            }
-            if !grew {
-                return set;
-            }
-        }
+    /// Fig. 6 lines 2–6: greedily extend while the score stays above τ,
+    /// scanning whole relations.
+    fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet {
+        crate::jcc::extend_greedy(
+            db,
+            set,
+            rel_min,
+            stats,
+            |_, rel| db.tuples_of(rel),
+            |set, tg, stats| {
+                let members = with_member(set.tuples().to_vec(), tg);
+                self.accepts(db, &members, stats)
+                    .then(|| crate::jcc::rebuild(db, members))
+            },
+        )
     }
 
     /// Fig. 6 line 8: possibly several maximal subsets.

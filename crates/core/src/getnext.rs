@@ -97,7 +97,7 @@ pub trait Policy {
 
 /// The exact policy: join consistency and connectivity (`JCC`), with the
 /// extension probing the join-column indexes.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Exact;
 
 impl Policy for Exact {

@@ -365,9 +365,31 @@ pub fn extend_to_maximal(db: &Database, set: TupleSet, stats: &mut Stats) -> Tup
 /// candidate (it also keeps the operation counts meaningful).
 pub fn extend_to_maximal_from(
     db: &Database,
+    set: TupleSet,
+    rel_min: usize,
+    stats: &mut Stats,
+) -> TupleSet {
+    extend_greedy(
+        db,
+        set,
+        rel_min,
+        stats,
+        |set, rel| db.probe(rel, set.bindings()),
+        |set, t, stats| can_add(db, set, t, stats).then(|| add_tuple(db, set, t)),
+    )
+}
+
+/// The greedy fixpoint behind both policies' extensions: for each
+/// relation `≥ rel_min` not yet represented but connected to the set,
+/// add the first of its `candidates` that `grow` accepts (one tuple per
+/// relation), and repeat passes until one adds nothing.
+pub(crate) fn extend_greedy<I: IntoIterator<Item = TupleId>>(
+    db: &Database,
     mut set: TupleSet,
     rel_min: usize,
     stats: &mut Stats,
+    mut candidates: impl FnMut(&TupleSet, RelId) -> I,
+    mut grow: impl FnMut(&TupleSet, TupleId, &mut Stats) -> Option<TupleSet>,
 ) -> TupleSet {
     loop {
         stats.extension_passes += 1;
@@ -376,20 +398,18 @@ pub fn extend_to_maximal_from(
             let rel = RelId(rel_idx as u16);
             // Skip relations already represented or unreachable from the
             // current set (footnote 5's refinement).
-            if set.tuple_from(db, rel).is_some() {
-                continue;
-            }
-            if !set
-                .tuples()
-                .iter()
-                .any(|&m| db.rels_connected(db.rel_of(m), rel))
+            if set.tuple_from(db, rel).is_some()
+                || !set
+                    .tuples()
+                    .iter()
+                    .any(|&m| db.rels_connected(db.rel_of(m), rel))
             {
                 continue;
             }
-            for t in db.probe(rel, set.bindings()) {
+            for t in candidates(&set, rel) {
                 stats.extension_scans += 1;
-                if can_add(db, &set, t, stats) {
-                    set = add_tuple(db, &set, t);
+                if let Some(grown) = grow(&set, t, stats) {
+                    set = grown;
                     grew = true;
                     break; // one tuple per relation; move on.
                 }

@@ -209,8 +209,7 @@ impl IncompleteQueue {
     }
 
     /// Iterates live entries in logical (pop) order — pending batch first,
-    /// then older entries. Used by trace snapshots and the initialization
-    /// strategies.
+    /// then older entries. Used by the Table 3 trace snapshots.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &TupleSet> {
         self.batch
             .iter()

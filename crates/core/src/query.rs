@@ -160,6 +160,8 @@ impl<'q> FdQuery<'q> {
     ///
     /// Emission is deterministic: answers of equal rank arrive in
     /// canonical (member-id) order, for every engine and thread count.
+    /// The sequential plan shares the known ordering defect documented
+    /// in [`crate::priority`].
     pub fn ranked(mut self, f: impl MonotoneCDetermined + Send + Sync + 'q) -> Self {
         self.ranking = Some(Box::new(f));
         self
