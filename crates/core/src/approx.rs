@@ -381,6 +381,7 @@ impl<A: ApproxJoin> Approx<A> {
 impl<A: ApproxJoin> Policy for Approx<A> {
     const UNIQUE_PARTNER: bool = false;
     const PREORDER_SEEDS: bool = false;
+    const ADJACENT_CANDIDATES: bool = false;
     type Ref<'a>
         = Approx<&'a A>
     where

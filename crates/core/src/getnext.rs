@@ -29,9 +29,17 @@
 //! The four algorithms are the four combinations; the exactly-once
 //! drivers, the parallel drivers and delta maintenance all run this one
 //! candidate loop.
+//!
+//! Line 7 is written as a scan of every tuple, but a candidate that joins
+//! no schema-adjacent member of `T` has `T′ = {tb}`, which line 10 drops
+//! unless `tb` is a root. Where every root singleton is a no-op for lines
+//! 11–18 (exact joins, no pager, and a frontier that says so) the loop
+//! visits only the [`adjacent_candidates`], found through the posting
+//! lists, in the scan's order. Every other run scans
+//! ([`scan_tuples_from`]).
 
 use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
-use crate::lists::{CompleteStore, IncompleteQueue};
+use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
@@ -54,6 +62,13 @@ pub trait Policy {
     /// found set first. The fixpoint merge after the enumeration depends
     /// on that order when merge partners are not unique.
     const PREORDER_SEEDS: bool;
+
+    /// Does line 8 give `T′ = {tb}` for every candidate `tb` that agrees
+    /// with no schema-adjacent member of `T`? Then line 7 may visit only
+    /// the tuples the posting lists match to such a member, when the
+    /// frontier also makes root singletons no-ops. True for exact joins;
+    /// `≈`-joins admit unequal values, so the approximate policy scans.
+    const ADJACENT_CANDIDATES: bool;
 
     /// The policy borrowed, for parallel workers sharing one policy.
     type Ref<'a>: Policy
@@ -103,6 +118,7 @@ pub struct Exact;
 impl Policy for Exact {
     const UNIQUE_PARTNER: bool = true;
     const PREORDER_SEEDS: bool = true;
+    const ADJACENT_CANDIDATES: bool = true;
     type Ref<'a> = Exact;
 
     fn by_ref(&self) -> Exact {
@@ -178,6 +194,13 @@ pub(crate) trait Frontier {
 
     /// Line 18: appends a new pending set to `Ri`'s list.
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats);
+
+    /// Are lines 10–18 a no-op for every singleton `T′ = {tb}`? Line 10
+    /// drops it unless `tb` is a root; a root is printed (line 11 skips)
+    /// or still pending, and then the only merge partners of `{tb}` must
+    /// already contain `tb`. When this holds the engine may skip every
+    /// candidate whose `T′` is `{tb}`. `seeds` is the run's seed filter.
+    fn singletons_are_noops(&self, db: &Database, seeds: &[TupleId]) -> bool;
 }
 
 /// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
@@ -219,13 +242,25 @@ impl Frontier for Fifo {
     ) {
         self.queue.push(root, set, stats);
     }
+
+    /// Each pending entry holds its root and at most one tuple per
+    /// relation. When all roots share one relation (a plain run's lie in
+    /// `Ri`), the scan store's first merge partner of `{tb}` therefore
+    /// contains `tb`; the indexed store only offers `{tb}` to entries
+    /// rooted at `tb`. Either way the merge leaves the entry unchanged.
+    /// Seeds spread over several relations let the scan store merge
+    /// `{tb}` into an entry rooted at another seed, so those runs scan.
+    fn singletons_are_noops(&self, db: &Database, seeds: &[TupleId]) -> bool {
+        self.queue.engine() == StoreEngine::Indexed
+            || seeds.windows(2).all(|w| db.rel_of(w[0]) == db.rel_of(w[1]))
+    }
 }
 
 /// Block-based or tuple-at-a-time scan (Section 7): applies `f` to every
 /// live tuple of relations `rel_min..n`, each relation in ascending id
 /// order — base band then that relation's dynamic inserts. With a pager,
-/// every page is fetched and counted, which is what makes the line-7
-/// candidate scan inherently unindexable in block mode.
+/// every page is fetched and counted, so block mode always scans; so do
+/// the runs for which [`adjacent_candidates`] is not exact.
 pub(crate) fn scan_tuples_from(
     db: &Database,
     rel_min: usize,
@@ -247,6 +282,49 @@ pub(crate) fn scan_tuples_from(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Line 7 restricted to the candidates that can give `T′ ≠ {tb}`: applies
+/// `f` to every live tuple of relations `rel_min..n` that is join
+/// consistent with at least one schema-adjacent member of `set` (another
+/// relation sharing an attribute), in [`scan_tuples_from`]'s order —
+/// relation by relation, ascending id within each. Any other `tb` keeps
+/// no member in the component of footnote 3, so `T′ = {tb}`. The tuples
+/// come from the union of one posting-list probe per (member, relation)
+/// pair on the pair's shared attributes.
+fn adjacent_candidates(
+    db: &Database,
+    set: &TupleSet,
+    rel_min: usize,
+    mut f: impl FnMut(TupleId),
+) {
+    let members: Vec<(TupleId, RelId)> = set.tuples().iter().map(|&m| (m, db.rel_of(m))).collect();
+    let mut bindings = Vec::new();
+    let mut ids: Vec<TupleId> = Vec::new();
+    for rel_idx in rel_min..db.num_relations() {
+        let rel = RelId(rel_idx as u16);
+        ids.clear();
+        for &(m, rel_m) in &members {
+            if rel_m == rel {
+                continue;
+            }
+            bindings.clear();
+            bindings.extend(db.shared_attrs(rel_m, rel).iter().map(|&a| {
+                let v = db.tuple_value(m, a).expect("shared attr in schema");
+                (a, v.clone(), m)
+            }));
+            if !bindings.is_empty() {
+                ids.extend(db.probe(rel, &bindings));
+            }
+        }
+        // Ascending id is `tuples_of` order: a relation's dynamic inserts
+        // get ids above its base band, in insert order.
+        ids.sort_unstable();
+        ids.dedup();
+        for &t in &ids {
+            f(t);
         }
     }
 }
@@ -283,10 +361,9 @@ pub(crate) struct Engine<'db, P, Q> {
     /// line-14 merge with its own growth succeeds trivially), was merged
     /// into an entry that still covers it, or is covered by a printed
     /// superset (`Complete` only grows) — so it can skip the store scans
-    /// entirely. Seeded runs re-derive heavily (every pop scans every
-    /// candidate, and cross-seed derivations repeat per pop), which is
-    /// why they carry the memo; the plain runs keep the paper's exact
-    /// trace.
+    /// entirely. Seeded runs re-derive heavily (cross-seed derivations
+    /// repeat per pop), which is why they carry the memo; the plain runs
+    /// keep the paper's exact trace.
     memo: FxHashSet<Box<[TupleId]>>,
     pub(crate) stats: Stats,
 }
@@ -352,8 +429,14 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             return Some((root, set));
         }
 
+        // Line 7 visits only the adjacent candidates when every other
+        // candidate's `T′ = {tb}` is a no-op: exact joins, an unpaged
+        // store, and a frontier on which singleton merges change nothing.
+        // Reuse runs (`rel_min > i`) never see a tuple of `Ri` at all.
+        let adjacent =
+            P::ADJACENT_CANDIDATES && pager.is_none() && frontier.singletons_are_noops(db, seeds);
         // Lines 7–18: derive successor tuple sets.
-        scan_tuples_from(db, *rel_min, pager.as_ref(), |tb| {
+        let visit = |tb| {
             stats.candidate_scans += 1;
             if set.contains(tb) {
                 return;
@@ -391,7 +474,12 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
                 // Line 18: genuinely new — append.
                 frontier.push(db, ri, new_root, t_prime, stats);
             });
-        });
+        };
+        if adjacent {
+            adjacent_candidates(db, &set, *rel_min, visit);
+        } else {
+            scan_tuples_from(db, *rel_min, pager.as_ref(), visit);
+        }
         Some((root, set))
     }
 }
@@ -399,7 +487,6 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lists::StoreEngine;
     use fd_relational::tourist_database;
 
     const C1: TupleId = TupleId(0);

@@ -128,6 +128,11 @@ impl IncompleteQueue {
         }
     }
 
+    /// The store engine of this queue.
+    pub(crate) fn engine(&self) -> StoreEngine {
+        self.engine
+    }
+
     /// Adds a tuple set rooted at `root` (its tuple from `Ri`) to the
     /// current batch.
     pub(crate) fn push(&mut self, root: TupleId, set: TupleSet, stats: &mut Stats) {

@@ -17,7 +17,11 @@
 //!   the shared `GETNEXTRESULT` body against the *shared* `Complete`, and
 //!   prints the extension unless it was printed before (line 17) — a set
 //!   is generated once per member tuple, so exact duplicates must be
-//!   filtered.
+//!   filtered;
+//! * line 7 scans every candidate, where the FIFO runs visit only the
+//!   tuples that join a schema-adjacent member: a no-op merge still bumps
+//!   an entry's generation, which breaks rank ties, so skipping it could
+//!   reorder equal-rank answers (a follow-up).
 //!
 //! Theorem 5.5: the top-k answers arrive in polynomial time in the input
 //! and `k`. **Known defect:** entries are popped by the rank of their
@@ -265,6 +269,16 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats) {
         let r = rank(&self.f, db, &set, stats);
         self.queues[ri.index() - self.rel_lo].push(root, set, r, stats);
+    }
+
+    /// Never, so the ranked runs keep the full line-7 scan. A root's
+    /// `{tb}` does merge into its pending entry without changing the set,
+    /// but the merge bumps the entry's `gen`, and `HeapItem` breaks rank
+    /// ties by `gen`: skipping it could reorder answers of equal rank.
+    /// Adjacency candidates here need a tie-break that ignores no-op
+    /// merges first.
+    fn singletons_are_noops(&self, _db: &Database, _seeds: &[TupleId]) -> bool {
+        false
     }
 }
 

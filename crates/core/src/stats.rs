@@ -15,7 +15,9 @@ pub struct Stats {
     pub extension_scans: u64,
     /// Full passes of the extension fixpoint loop.
     pub extension_passes: u64,
-    /// Tuples examined by the `foreach tb` loop (Fig. 2 line 7).
+    /// Candidates visited by the `foreach tb` loop (Fig. 2 line 7): every
+    /// tuple of the scanned relations, or only the tuples joining a
+    /// schema-adjacent member in the runs that take adjacency candidates.
     pub candidate_scans: u64,
     /// Maximal-subset computations (Fig. 2 line 8 / footnote 3).
     pub subset_computations: u64,

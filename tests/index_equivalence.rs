@@ -7,8 +7,15 @@
 //! inserts, deletes and crash recovery through a durable session and
 //! checks the posting lists against a from-scratch rebuild
 //! ([`Database::verify_indexes`]) after every commit.
+//!
+//! The posting lists also choose Fig. 2's line-7 candidates (the tuples
+//! joining a schema-adjacent member) in unpaged exact FIFO runs, while
+//! paged runs scan every tuple: on a churned database both must emit the
+//! same sets in the same order, and seeded delta runs must agree with a
+//! from-scratch recomputation.
 
-use full_disjunction::core::FdQuery;
+use full_disjunction::core::delta::delta_insert_many;
+use full_disjunction::core::{canonicalize, FdQuery};
 use full_disjunction::prelude::*;
 use full_disjunction::workloads::{chain, snowflake, star, DataSpec};
 use proptest::prelude::*;
@@ -142,6 +149,147 @@ fn ranked_emission_is_identical_with_indexes_off() {
                     "{name} {cfg:?} threads={threads}: parallel ranked diverges"
                 );
             }
+        }
+    }
+}
+
+/// Inserts into chain relation `rel` the row `(a, b, payload)`.
+fn insert_row(db: &mut Database, rel: u16, a: Value, b: Value, payload: i64) -> TupleId {
+    db.insert_tuple(RelId(rel), vec![a, b, Value::Int(payload)])
+        .expect("chain rows are (join, join, payload)")
+}
+
+/// `chain(3)` churned in every relation: each gets two overflow tuples
+/// that recombine the join values of its base rows (so they join), and
+/// relations 0 and 2 lose a base tuple. Overflow ids lie above every base
+/// band, so ascending global id no longer groups tuples by relation.
+fn churned_chain() -> Database {
+    let mut db = chain(3, &DataSpec::new(8, 4).seed(71));
+    let mut payload = 9_000;
+    for rel in 0..3u16 {
+        let base: Vec<TupleId> = db.tuples_of(RelId(rel)).collect();
+        for (left, right) in [(0, 1), (2, 5)] {
+            let a = db.tuple_values(base[left])[0].clone();
+            let b = db.tuple_values(base[right])[1].clone();
+            insert_row(&mut db, rel, a, b, payload);
+            payload += 1;
+        }
+    }
+    for rel in [0u16, 2] {
+        let victim = db.tuples_of(RelId(rel)).nth(3).expect("8 base rows");
+        db.remove_tuple(victim).expect("victim is live");
+    }
+    db
+}
+
+/// Three seeds that join each other and the base rows: copies of one
+/// `C1` tuple's join values spread over relations 0, 1 and 2.
+fn cross_relation_seeds(db: &mut Database) -> Vec<TupleId> {
+    let t = db.tuples_of(RelId(1)).next().expect("C1 is non-empty");
+    let (j1, j2) = (db.tuple_values(t)[0].clone(), db.tuple_values(t)[1].clone());
+    let fresh = Value::Int(77);
+    vec![
+        insert_row(db, 0, fresh.clone(), j1.clone(), 9_100),
+        insert_row(db, 1, j1, j2.clone(), 9_101),
+        insert_row(db, 2, j2, fresh, 9_102),
+    ]
+}
+
+/// Line 7's adjacency candidates must arrive in the scan's order:
+/// relation by relation, each base band before its overflow. A global id
+/// order would put every relation's inserts after all base tuples and
+/// reorder the pushes. The unpaged runs use adjacency candidates and
+/// `page_size(3)` scans, so both must emit the same sets in the same
+/// order, for batch runs under every init strategy and for delta runs.
+#[test]
+fn adjacency_candidates_follow_scan_order_under_churn() {
+    let mut db = churned_chain();
+    for init in [
+        InitStrategy::Singletons,
+        InitStrategy::ReuseResults,
+        InitStrategy::TrimExtend,
+    ] {
+        for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
+            let query = FdQuery::over(&db).engine(engine).init(init);
+            let adjacent = query.run().unwrap();
+            let scanned = FdQuery::over(&db)
+                .engine(engine)
+                .init(init)
+                .page_size(3)
+                .run()
+                .unwrap();
+            assert_eq!(
+                ordered(adjacent.sets()),
+                ordered(scanned.sets()),
+                "{init:?} {engine:?}: emission order diverges from the scan"
+            );
+        }
+    }
+
+    // Seeds in one relation take adjacency candidates under both stores.
+    let previous = FdQuery::over(&db).run().unwrap().into_sets();
+    let t = db.tuples_of(RelId(1)).nth(2).expect("C1 is non-empty");
+    let (j1, j2) = (db.tuple_values(t)[0].clone(), db.tuple_values(t)[1].clone());
+    let seeds = vec![
+        insert_row(&mut db, 1, j1.clone(), j2.clone(), 9_200),
+        insert_row(&mut db, 1, j2, j1, 9_201),
+    ];
+    for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
+        let cfg = FdConfig {
+            engine,
+            ..FdConfig::default()
+        };
+        let paged = FdConfig {
+            page_size: Some(3),
+            ..cfg
+        };
+        let adjacent = delta_insert_many(&db, &seeds, &previous, cfg);
+        let scanned = delta_insert_many(&db, &seeds, &previous, paged);
+        assert!(
+            !adjacent.added.is_empty(),
+            "{engine:?}: the seeds join nothing"
+        );
+        assert_eq!(
+            ordered(&adjacent.added),
+            ordered(&scanned.added),
+            "{engine:?}: delta emission order diverges from the scan"
+        );
+    }
+}
+
+/// Seeds spread over several relations are where the scan store's merge
+/// is not keyed by root: `{tb}` may merge into an entry rooted at another
+/// seed, so that run keeps the full scan, while the indexed store takes
+/// adjacency candidates. Under both, the maintained full disjunction must
+/// equal a from-scratch recomputation.
+#[test]
+fn multi_relation_delta_seeds_match_recomputation_under_both_stores() {
+    let dbs = [
+        ("churned-chain", churned_chain()),
+        ("chain", chain(3, &DataSpec::new(6, 3).seed(72))),
+    ];
+    for (name, mut db) in dbs {
+        let previous = FdQuery::over(&db).run().unwrap().into_sets();
+        let seeds = cross_relation_seeds(&mut db);
+        let expected = canonicalize(FdQuery::over(&db).run().unwrap().into_sets());
+        for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
+            let cfg = FdConfig {
+                engine,
+                ..FdConfig::default()
+            };
+            let delta = delta_insert_many(&db, &seeds, &previous, cfg);
+            assert!(!delta.added.is_empty(), "{name}: the seeds join nothing");
+            let maintained: Vec<TupleSet> = previous
+                .iter()
+                .filter(|s| !delta.subsumed.iter().any(|x| x.tuples() == s.tuples()))
+                .cloned()
+                .chain(delta.added)
+                .collect();
+            assert_eq!(
+                canonicalize(maintained),
+                expected,
+                "{name} {engine:?}: maintained FD diverges from recomputation"
+            );
         }
     }
 }
