@@ -8,11 +8,11 @@
 //! deterministic-tie guarantee — the builder buffers one full tie group
 //! ahead of the cursor, so on tie-heavy rankings a tiny k pays for the
 //! first tie group where `direct_iter` (arbitrary tie order) stops at
-//! exactly k. The `parallel_ranked` series is the sharded merge plan
-//! (`.parallel(4)`): per-worker shard enumeration plus a k-way rank
-//! merge, output-identical to the sequential builder plan; expect it to
-//! trail for tiny k (no early exit inside a worker) and to approach the
-//! naive full-enumeration cost divided by the useful core count as k
+//! exactly k. The `parallel_ranked` series is the sharded plan
+//! (`.parallel(4)`): per-worker shard enumeration, then one canonical
+//! sort of the collected answers; expect it to trail for tiny k (no
+//! early exit inside a worker) and to approach the naive
+//! full-enumeration cost divided by the useful core count as k
 //! approaches |FD|.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

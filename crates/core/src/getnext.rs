@@ -294,12 +294,7 @@ pub(crate) fn scan_tuples_from(
 /// no member in the component of footnote 3, so `T′ = {tb}`. The tuples
 /// come from the union of one posting-list probe per (member, relation)
 /// pair on the pair's shared attributes.
-fn adjacent_candidates(
-    db: &Database,
-    set: &TupleSet,
-    rel_min: usize,
-    mut f: impl FnMut(TupleId),
-) {
+fn adjacent_candidates(db: &Database, set: &TupleSet, rel_min: usize, mut f: impl FnMut(TupleId)) {
     let members: Vec<(TupleId, RelId)> = set.tuples().iter().map(|&m| (m, db.rel_of(m))).collect();
     let mut bindings = Vec::new();
     let mut ids: Vec<TupleId> = Vec::new();

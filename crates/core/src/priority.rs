@@ -27,8 +27,15 @@
 //! and `k`. **Known defect:** entries are popped by the rank of their
 //! *partial* set but printed with the rank of their maximal extension, so
 //! [`RankedFdIter`] can print an answer after a lower-ranked one — the
-//! non-increasing order of Lemma 5.4 is not guaranteed. The repository
-//! benchmark reports such runs as `known defect`. [`RankedFdIter`]
+//! non-increasing order of Lemma 5.4 is not guaranteed. The same holds
+//! for [`RankedApproxFdIter`](crate::RankedApproxFdIter) and for the
+//! builder's sequential ranked plan (`FdQuery::ranked` without
+//! `.parallel`). A small repro:
+//! `chain(4, DataSpec::new(10, 4).seed(3))` with `imp = t % 5`, exact or
+//! `AMin(EditDistanceSim, uniform 1.0)` at τ 0.6 or 0.8: the emitted
+//! ranks are not non-increasing. The parallel ranked plan sorts its
+//! answers and always emits the exact ranking. The repository benchmark
+//! reports such runs as `known defect`. [`RankedFdIter`]
 //! exposes the stream unboundedly; the `.top_k` / `.threshold`
 //! (Remark 5.6) bounds are applied by the [`FdQuery`](crate::FdQuery)
 //! builder.
@@ -36,8 +43,8 @@
 //! The iterator can also be restricted to a contiguous *shard* of the
 //! seed relations (`RankedIter::for_policy`): it then emits exactly the
 //! answers containing a tuple of one of those relations — the per-worker
-//! unit of the crate's parallel ranked driver, whose k-way merge
-//! reassembles the full ranking.
+//! unit of the crate's parallel ranked driver, which sorts the workers'
+//! answers once into the full ranking.
 
 use crate::getnext::{Engine, Exact, Frontier, Policy};
 use crate::incremental::FdConfig;
@@ -53,7 +60,7 @@ use std::collections::BinaryHeap;
 /// Total-ordered f64 wrapper for heap priorities (ranks are finite;
 /// `total_cmp` makes the order total regardless).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Rank(pub(crate) f64);
+struct Rank(f64);
 
 impl Eq for Rank {}
 

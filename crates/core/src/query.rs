@@ -57,7 +57,7 @@ use crate::incremental::{FdConfig, MultiRunIter};
 use crate::init::InitStrategy;
 use crate::lists::StoreEngine;
 use crate::obs::QueryTimings;
-use crate::parallel::{parallel_ranked, parallel_runs, RankedCut, RankedMerge};
+use crate::parallel::{parallel_ranked, parallel_runs};
 use crate::priority::RankedIter;
 use crate::ranking::{canonical_rank_order, MonotoneCDetermined};
 use crate::stats::Stats;
@@ -195,10 +195,12 @@ impl<'q> FdQuery<'q> {
     /// Executes with up to `threads` workers. Composes with every
     /// enumeration family: the batch and approximate plans partition the
     /// per-relation runs (a result is owned by its smallest member
-    /// relation), the ranked plans shard the priority queues and k-way
-    /// heap-merge the per-worker rank-ordered streams back into one
-    /// globally ordered stream. Output is identical to the sequential
-    /// plan — sets *and* order — for every `threads`.
+    /// relation), the ranked plans shard the priority queues and sort the
+    /// collected answers once into the canonical ranked order. The
+    /// unranked output is identical to the sequential plan's sets for
+    /// every `threads`. The ranked output is always the exact canonical
+    /// ranking; it equals the sequential stream wherever that stream is
+    /// in rank order (see the known defect in [`crate::priority`]).
     pub fn parallel(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -353,7 +355,7 @@ impl<'q> FdQuery<'q> {
     ///
     /// Exception: a `.parallel(n)` query has no lazy form — its workers
     /// materialize their shards inside this call and the stream drains
-    /// the merged result. In particular, a parallel `.top_k` query
+    /// the answers, sorted once. In particular, a parallel `.top_k` query
     /// enumerates the whole shard per worker (split across cores) where
     /// the sequential plan would stop after ~k answers; prefer the
     /// sequential plan when k is small and the database is large.
@@ -554,14 +556,12 @@ fn build_inner(parts: QueryParts<'_>) -> Box<dyn Plan + '_> {
         config,
         ranking,
         approx,
-        top_k,
-        min_rank,
         threads,
+        ..
     } = parts;
-    let cut = RankedCut { top_k, min_rank };
     match approx {
-        None => plan(db, Exact, config, ranking, cut, threads),
-        Some((a, tau)) => plan(db, Approx::new(a, tau), config, ranking, cut, threads),
+        None => plan(db, Exact, config, ranking, threads),
+        Some((a, tau)) => plan(db, Approx::new(a, tau), config, ranking, threads),
     }
 }
 
@@ -572,25 +572,25 @@ fn plan<'q, P: Policy + Sync + 'q>(
     policy: P,
     cfg: FdConfig,
     ranking: Option<BoxedRanking<'q>>,
-    cut: RankedCut,
     threads: Option<usize>,
 ) -> Box<dyn Plan + 'q> {
     match (ranking, threads) {
         (None, None) => Box::new(MultiRunIter::with_policy(db, policy, cfg)),
         (None, Some(threads)) => {
             let (sets, stats, pages) = parallel_runs(db, &policy, cfg, threads);
-            Box::new(Materialized {
-                sets: sets.into_iter(),
-                stats,
-                pages,
-            })
+            let answers = sets.into_iter().map(|s| (s, None)).collect();
+            Box::new(Materialized::new(answers, stats, pages))
         }
         (Some(f), None) => {
             let n = db.num_relations();
             let it = RankedIter::for_policy(db, policy, f, cfg, 0..n);
             Box::new(CanonicalTies::new(it))
         }
-        (Some(f), Some(threads)) => Box::new(parallel_ranked(db, &policy, &f, cfg, threads, cut)),
+        (Some(f), Some(threads)) => {
+            let (ranked, stats, pages) = parallel_ranked(db, &policy, &f, cfg, threads);
+            let answers = ranked.into_iter().map(|(s, r)| (s, Some(r))).collect();
+            Box::new(Materialized::new(answers, stats, pages))
+        }
     }
 }
 
@@ -628,34 +628,31 @@ impl<P: Policy> Plan for MultiRunIter<'_, P> {
     }
 }
 
-/// A parallel unranked plan's answers, computed when the plan was built.
+/// A parallel plan's answers, computed when the plan was built: in
+/// canonical set order (unranked) or canonical ranked order (ranked).
 struct Materialized {
-    sets: std::vec::IntoIter<TupleSet>,
+    answers: std::vec::IntoIter<(TupleSet, Option<f64>)>,
     stats: Stats,
     pages: u64,
 }
 
-impl Plan for Materialized {
-    fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
-        self.sets.next().map(|s| (s, None))
-    }
-
-    fn stats(&self) -> Stats {
-        self.stats
-    }
-
-    fn pages_read(&self) -> u64 {
-        self.pages
+impl Materialized {
+    fn new(answers: Vec<(TupleSet, Option<f64>)>, stats: Stats, pages: u64) -> Self {
+        Materialized {
+            answers: answers.into_iter(),
+            stats,
+            pages,
+        }
     }
 }
 
-impl Plan for RankedMerge {
+impl Plan for Materialized {
     fn next_answer(&mut self) -> Option<(TupleSet, Option<f64>)> {
-        self.next_pair().map(|(s, r)| (s, Some(r)))
+        self.answers.next()
     }
 
     fn peek_rank(&mut self) -> Option<f64> {
-        RankedMerge::peek_rank(self)
+        self.answers.as_slice().first().and_then(|(_, r)| *r)
     }
 
     fn stats(&self) -> Stats {
@@ -671,9 +668,10 @@ impl Plan for RankedMerge {
 /// underlying iterator breaks ties in an arbitrary, engine-dependent
 /// order. This adapter buffers each maximal run of equal-rank answers and
 /// releases it sorted by member ids — the same canonical order the
-/// parallel k-way merge produces — so the sequential and parallel ranked
-/// plans are output-identical and every engine/page-size configuration
-/// emits the same sequence. The look-ahead is one tie group plus one
+/// parallel ranked plan sorts its answers into once — so every
+/// engine/page-size configuration emits the same sequence, and the
+/// sequential and parallel ranked plans agree wherever the underlying
+/// stream is in rank order. The look-ahead is one tie group plus one
 /// answer, so the incremental polynomial delay bound survives (scaled by
 /// the tie group size).
 struct CanonicalTies<'q, P, F> {

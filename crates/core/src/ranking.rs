@@ -79,8 +79,8 @@ impl ImpScores {
 }
 
 /// The canonical ranked emission order shared by every ranked plan —
-/// the sequential stream, the parallel k-way merge, and the live top-k
-/// window: rank descending, member ids ascending within equal ranks.
+/// the sequential stream, the parallel plan's one sort of its collected
+/// answers, and the live top-k window: rank descending, member ids ascending within equal ranks.
 /// All cross-plan "output-identical" guarantees are stated against this
 /// one comparator.
 pub fn canonical_rank_order(

@@ -67,8 +67,8 @@ use crate::ranking::RankingFunction;
 use crate::session::{Commit, CommitTimings, EventSink, FdSession, SinkId};
 use crate::tupleset::TupleSet;
 use fd_relational::{textio, AttrId, Database, DeltaBatch, TupleId, Value};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, PoisonError};
@@ -79,6 +79,11 @@ use std::time::{Duration, Instant};
 /// shutdown flag. Bounds both shutdown latency and the cost of idle
 /// connections (one wakeup per interval).
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line a connection may send, newline included.
+/// A longer line gets `error line too long` and the connection closes,
+/// so one client cannot grow the daemon's memory without limit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -653,6 +658,7 @@ impl Shared {
                 ("mutations", mutations.to_string()),
                 ("events", events.to_string()),
                 ("validate_us", t.validate.as_micros().to_string()),
+                ("wal_us", t.wal.as_micros().to_string()),
                 ("maintain_us", t.maintain.as_micros().to_string()),
                 ("window_us", t.window.as_micros().to_string()),
                 ("fanout_us", t.fanout.as_micros().to_string()),
@@ -1015,14 +1021,30 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeError
 
     // The line reader: bytes accumulate in `buf` across read timeouts
     // (a timeout mid-line must not drop the partial line), and every
-    // timeout re-checks the shutdown flag.
+    // timeout re-checks the shutdown flag. No line grows past
+    // `MAX_LINE_BYTES`.
     let mut buf: Vec<u8> = Vec::new();
     let outcome = loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             break Ok(());
         }
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (MAX_LINE_BYTES - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break Ok(()), // EOF
+            Ok(_) if buf.len() >= MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                conn.protocol_error(&format!("<{} bytes without a newline>", buf.len()));
+                let _ = conn.reply("error line too long");
+                // Send FIN after the reply, then discard what the client
+                // already sent (bounded, up to the first read timeout),
+                // so closing does not reset the connection before the
+                // client has read the reply.
+                let _ = reader.get_ref().shutdown(Shutdown::Write);
+                let _ = std::io::copy(
+                    &mut (&mut reader).take(MAX_LINE_BYTES as u64),
+                    &mut std::io::sink(),
+                );
+                break Ok(());
+            }
             Ok(_) => {
                 let at_eof = buf.last() != Some(&b'\n');
                 let line = String::from_utf8_lossy(&buf).trim().to_string();

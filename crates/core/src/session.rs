@@ -287,8 +287,12 @@ impl EventSink for ChannelSink {
 /// subscribers ran, so sinks themselves observe it as zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitTimings {
-    /// Validating and applying the batch to the database atomically.
+    /// Validating and applying the batch to the database atomically,
+    /// without the WAL append.
     pub validate: Duration,
+    /// Appending the batch to the write-ahead log, fsync included
+    /// (durable sessions only; zero in memory).
+    pub wal: Duration,
     /// The single delta-maintenance pass ([`crate::delta::delta_batch`]).
     pub maintain: Duration,
     /// Folding retractions/additions into the materialized result and
@@ -296,8 +300,8 @@ pub struct CommitTimings {
     pub window: Duration,
     /// Delivering events to the subscribed sinks.
     pub fanout: Duration,
-    /// End-to-end commit time (validate + maintain + window + fanout,
-    /// plus bookkeeping).
+    /// End-to-end commit time (validate + wal + maintain + window +
+    /// fanout, plus bookkeeping).
     pub total: Duration,
 }
 
@@ -894,6 +898,7 @@ impl<'q> FdSession<'q> {
             });
         }
         let commit_start = Instant::now();
+        let mut wal = Duration::ZERO;
         // WAL-before-apply: a durable session logs the *pending* batch
         // (tuple-id allocation is deterministic, so replaying it through
         // this same path reproduces identical ids) before touching any
@@ -913,7 +918,8 @@ impl<'q> FdSession<'q> {
             let append_start = Instant::now();
             match d.wal.append(seq, &batch, d.policy) {
                 Ok(bytes) => {
-                    self.metrics.wal_fsync.record(append_start.elapsed());
+                    wal = append_start.elapsed();
+                    self.metrics.wal_fsync.record(wal);
                     self.metrics.wal_appends.inc();
                     self.metrics.wal_bytes.add(bytes);
                 }
@@ -927,7 +933,7 @@ impl<'q> FdSession<'q> {
                 return Err(e.into());
             }
         };
-        let validate = commit_start.elapsed();
+        let validate = commit_start.elapsed().saturating_sub(wal);
         self.log.record_batch(changes.iter().copied());
 
         let mut inserted: Vec<TupleId> = Vec::new();
@@ -995,6 +1001,7 @@ impl<'q> FdSession<'q> {
             stats: delta.stats,
             timings: CommitTimings {
                 validate,
+                wal,
                 maintain,
                 window,
                 ..CommitTimings::default()

@@ -60,9 +60,9 @@ fn main() -> Result<(), FdError> {
     );
 
     // 6. Parallel execution — batch across the independent FDi runs,
-    //    and *ranked*: sharded priority queues k-way merged into one
-    //    globally ordered stream, output-identical to the sequential
-    //    plan (sets and order) for any worker count.
+    //    and *ranked*: sharded priority queues whose answers are sorted
+    //    once into the exact canonical ranking for any worker count
+    //    (here equal to the sequential plan, whose stream is in order).
     let par = FdQuery::over(&db).parallel(4).run()?;
     assert_eq!(par.len(), fd.len());
     println!("parallel: {} tuple sets across 4 workers", par.len());

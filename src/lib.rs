@@ -51,8 +51,9 @@
 //!     .run()?;
 //! assert_eq!(top.len(), 2);
 //!
-//! // Parallel ranked enumeration: identical output — sets and order —
-//! // across any worker count.
+//! // Parallel ranked enumeration: the exact canonical ranking for any
+//! // worker count. It equals the sequential plan's output wherever that
+//! // stream is in rank order, as it is here.
 //! let par = FdQuery::over(&db)
 //!     .ranked(FMax::new(&imp))
 //!     .top_k(2)

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// A fresh per-test data directory under the system temp dir.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -150,6 +151,37 @@ fn checkpoint_folds_the_wal_into_the_snapshot() {
     // Everything came from the snapshot; nothing was replayed.
     assert_eq!(recovered.replayed_batches(), 0);
     assert_equivalent(&recovered, &live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn commit_timings_bill_the_wal_apart_from_validate() {
+    let dir = fresh_dir("timings");
+    let batches = tourist_batches(17, 4);
+    let mut durable = FdSession::new(tourist_database());
+    durable
+        .persist_to(&dir, FsyncPolicy::Always)
+        .expect("persist");
+    let mut memory = FdSession::new(tourist_database());
+    for batch in &batches {
+        let t = durable
+            .commit(batch.clone())
+            .expect("durable commit")
+            .timings;
+        assert!(
+            t.wal > Duration::ZERO,
+            "a durable commit appends to the WAL"
+        );
+        assert!(
+            t.validate + t.wal + t.maintain + t.window + t.fanout <= t.total,
+            "phases overlap: {t:?}"
+        );
+        let t = memory
+            .commit(batch.clone())
+            .expect("in-memory commit")
+            .timings;
+        assert_eq!(t.wal, Duration::ZERO, "an in-memory session has no WAL");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -385,3 +385,51 @@ fn metrics_aggregate_across_concurrent_connections() {
 
     server.stop().unwrap();
 }
+
+/// A client that sends a line longer than the daemon's 64 KiB cap gets
+/// one `error` line and then EOF; the rejection is counted as a
+/// protocol error, and other clients keep being served.
+#[test]
+fn an_over_long_line_is_rejected_and_the_connection_closed() {
+    use std::io::BufRead as _;
+
+    let server = Server::start_with(
+        FdSession::new(tourist_database()),
+        "127.0.0.1:0",
+        ServeOptions {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            log: false,
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let maddr = server.metrics_addr().expect("metrics endpoint bound");
+
+    let sock = std::net::TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(sock.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("greeting");
+    assert!(line.starts_with("ok fd serve ("), "{line}");
+
+    (&sock).write_all(&vec![b'x'; 100 * 1024]).expect("send");
+    line.clear();
+    reader.read_line(&mut line).expect("reply");
+    assert_eq!(line, "error line too long\n");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("EOF"), 0, "{line:?}");
+
+    let mut other = connect(addr);
+    let show = other.request("show").unwrap();
+    assert_eq!(show.len(), 7, "{show:?}");
+    assert_eq!(show.last().unwrap(), "ok 6 result(s)");
+
+    let (_, body) = http_get(maddr, "/metrics");
+    assert_eq!(
+        sample_value(&body, "fd_serve_protocol_errors_total"),
+        Some(1.0)
+    );
+    assert_eq!(other.request("shutdown").unwrap(), vec!["ok shutting down"]);
+    server.wait().unwrap();
+}
