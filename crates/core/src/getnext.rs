@@ -32,14 +32,15 @@
 //!
 //! Line 7 is written as a scan of every tuple, but a candidate that joins
 //! no schema-adjacent member of `T` has `T′ = {tb}`, which line 10 drops
-//! unless `tb` is a root. Where every root singleton is a no-op for lines
-//! 11–18 (exact joins, no pager, and a frontier that says so) the loop
-//! visits only the [`adjacent_candidates`], found through the posting
-//! lists, in the scan's order. Every other run scans
-//! ([`scan_tuples_from`]).
+//! unless `tb` is a root, and for a root lines 11–18 are then a no-op.
+//! The candidate source therefore depends on the policy and the pager
+//! alone: exact, unpaged runs — FIFO or ranked, plain, Section-7 or
+//! seeded — visit only the [`adjacent_candidates`], found through the
+//! posting lists, in the scan's order; approximate and block-based runs
+//! scan ([`scan_tuples_from`]).
 
 use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
-use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
+use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
@@ -64,10 +65,10 @@ pub trait Policy {
     const PREORDER_SEEDS: bool;
 
     /// Does line 8 give `T′ = {tb}` for every candidate `tb` that agrees
-    /// with no schema-adjacent member of `T`? Then line 7 may visit only
-    /// the tuples the posting lists match to such a member, when the
-    /// frontier also makes root singletons no-ops. True for exact joins;
-    /// `≈`-joins admit unequal values, so the approximate policy scans.
+    /// with no schema-adjacent member of `T`? Then line 7 of an unpaged
+    /// run visits only the tuples the posting lists match to such a
+    /// member. True for exact joins; `≈`-joins admit unequal values, so
+    /// the approximate policy scans.
     const ADJACENT_CANDIDATES: bool;
 
     /// The policy borrowed, for parallel workers sharing one policy.
@@ -175,6 +176,13 @@ impl Policy for Exact {
 }
 
 /// Where pending tuple sets wait: the `Incomplete` list(s).
+///
+/// Both frontiers merge `T′` only into an entry sharing its root (the
+/// ranked queues by Lemma 4.4: each holds roots of one relation), and a
+/// merge that leaves the entry's set unchanged changes nothing else
+/// either (no re-queue, no re-rank). That is what lets line 7 skip every
+/// singleton `T′` whatever the frontier: its source depends on the
+/// policy and the pager alone.
 pub(crate) trait Frontier {
     /// Line 1: removes the next pending set, with the relation `Ri` of
     /// the list it came from and its root (its tuple of `Ri`).
@@ -194,13 +202,6 @@ pub(crate) trait Frontier {
 
     /// Line 18: appends a new pending set to `Ri`'s list.
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats);
-
-    /// Are lines 10–18 a no-op for every singleton `T′ = {tb}`? Line 10
-    /// drops it unless `tb` is a root; a root is printed (line 11 skips)
-    /// or still pending, and then the only merge partners of `{tb}` must
-    /// already contain `tb`. When this holds the engine may skip every
-    /// candidate whose `T′` is `{tb}`. `seeds` is the run's seed filter.
-    fn singletons_are_noops(&self, db: &Database, seeds: &[TupleId]) -> bool;
 }
 
 /// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
@@ -242,25 +243,14 @@ impl Frontier for Fifo {
     ) {
         self.queue.push(root, set, stats);
     }
-
-    /// Each pending entry holds its root and at most one tuple per
-    /// relation. When all roots share one relation (a plain run's lie in
-    /// `Ri`), the scan store's first merge partner of `{tb}` therefore
-    /// contains `tb`; the indexed store only offers `{tb}` to entries
-    /// rooted at `tb`. Either way the merge leaves the entry unchanged.
-    /// Seeds spread over several relations let the scan store merge
-    /// `{tb}` into an entry rooted at another seed, so those runs scan.
-    fn singletons_are_noops(&self, db: &Database, seeds: &[TupleId]) -> bool {
-        self.queue.engine() == StoreEngine::Indexed
-            || seeds.windows(2).all(|w| db.rel_of(w[0]) == db.rel_of(w[1]))
-    }
 }
 
 /// Block-based or tuple-at-a-time scan (Section 7): applies `f` to every
 /// live tuple of relations `rel_min..n`, each relation in ascending id
 /// order — base band then that relation's dynamic inserts. With a pager,
-/// every page is fetched and counted, so block mode always scans; so do
-/// the runs for which [`adjacent_candidates`] is not exact.
+/// every page is fetched and counted, so block mode always scans; so does
+/// the approximate policy, for which [`adjacent_candidates`] is not exact.
+/// Line 7's source depends on nothing else.
 pub(crate) fn scan_tuples_from(
     db: &Database,
     rel_min: usize,
@@ -424,12 +414,14 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             return Some((root, set));
         }
 
-        // Line 7 visits only the adjacent candidates when every other
-        // candidate's `T′ = {tb}` is a no-op: exact joins, an unpaged
-        // store, and a frontier on which singleton merges change nothing.
-        // Reuse runs (`rel_min > i`) never see a tuple of `Ri` at all.
-        let adjacent =
-            P::ADJACENT_CANDIDATES && pager.is_none() && frontier.singletons_are_noops(db, seeds);
+        // Line 7 visits only the adjacent candidates of an exact, unpaged
+        // run. Any other candidate has `T′ = {tb}`. Line 10 keeps it only
+        // if `tb` is a root; line 11 drops it if a printed set contains
+        // `tb`. Otherwise `tb`'s own pending entry is its only merge
+        // partner (both frontiers merge by root), and that entry already
+        // contains `tb`: the merge changes nothing, so skipping `tb` is
+        // exact. Reuse runs (`rel_min > i`) never see a tuple of `Ri`.
+        let adjacent = P::ADJACENT_CANDIDATES && pager.is_none();
         // Lines 7–18: derive successor tuple sets.
         let visit = |tb| {
             stats.candidate_scans += 1;
@@ -482,6 +474,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lists::StoreEngine;
     use fd_relational::tourist_database;
 
     const C1: TupleId = TupleId(0);

@@ -128,11 +128,6 @@ impl IncompleteQueue {
         }
     }
 
-    /// The store engine of this queue.
-    pub(crate) fn engine(&self) -> StoreEngine {
-        self.engine
-    }
-
     /// Adds a tuple set rooted at `root` (its tuple from `Ri`) to the
     /// current batch.
     pub(crate) fn push(&mut self, root: TupleId, set: TupleSet, stats: &mut Stats) {
@@ -159,15 +154,22 @@ impl IncompleteQueue {
         None
     }
 
-    /// Fig. 2 lines 14–15: offers `T′` to the stored sets sharing its
-    /// root and replaces the first `S` for which `union(S)` succeeds by
+    /// Fig. 2 lines 14–15: offers `T′` to the stored sets and replaces the
+    /// first `S` rooted at `T′`'s `root` for which `union(S)` succeeds by
     /// that union, preserving its queue position. Returns true when a
     /// merge happened.
     ///
+    /// Only an entry sharing the root may take the union, under both
+    /// engines. In a plain or Section-7 run every root lies in `Ri`, and
+    /// two tuples of one relation never join (Lemma 4.4), so the rule
+    /// changes nothing there; in a seeded run whose seeds span relations
+    /// it keeps `T′` out of entries rooted at another seed.
+    ///
     /// With a `unique` partner (exact joins, Lemma 4.4) the order does not
     /// matter: the indexed engine probes the root's entries, the scan
-    /// engine every entry in pop order. Otherwise (approximate joins) the
-    /// same-root entries are scanned in pop order.
+    /// engine offers `T′` to every entry in pop order, as Fig. 2 does, and
+    /// keeps the first same-root union. Otherwise (approximate joins) only
+    /// the same-root entries are scanned, in pop order.
     pub(crate) fn try_merge(
         &mut self,
         root: TupleId,
@@ -192,12 +194,12 @@ impl IncompleteQueue {
             }
             stats.incomplete_scans += 1;
             match union(s, stats) {
-                Some(u) => {
+                Some(u) if *r == root => {
                     stats.merges += 1;
                     *s = u;
                     true
                 }
-                None => false,
+                _ => false,
             }
         };
         if unique && *engine == StoreEngine::Indexed {
@@ -324,6 +326,33 @@ mod tests {
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
             let t_prime = rebuild(&db, vec![C1, S1]);
             assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
+        }
+    }
+
+    /// Seeds in two relations (a seeded delta run): `T′ = {c1, s1}` joins
+    /// the entry `{a2}`, but that entry is rooted at another seed, so the
+    /// merge must go to `c1`'s own entry under both engines.
+    #[test]
+    fn merge_never_crosses_roots() {
+        let db = tourist_database();
+        for engine in both_engines() {
+            let mut stats = Stats::new();
+            let mut q = IncompleteQueue::new(engine);
+            q.push(A2, TupleSet::singleton(&db, A2), &mut stats);
+            q.push(C1, TupleSet::singleton(&db, C1), &mut stats);
+            let t_prime = rebuild(&db, vec![C1, S1]);
+            assert!(merge(&db, &mut q, C1, &t_prime, &mut stats));
+            assert_eq!(stats.merges, 1);
+            let (root, other) = q.pop().unwrap();
+            assert_eq!((root, other.tuples()), (A2, &[A2][..]), "{engine:?}");
+            let (root, own) = q.pop().unwrap();
+            assert_eq!((root, own.tuples()), (C1, &[C1, S1][..]), "{engine:?}");
+
+            // Without an entry of its own root, `T′` is not merged at all.
+            let mut q = IncompleteQueue::new(engine);
+            q.push(A2, TupleSet::singleton(&db, A2), &mut stats);
+            assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
+            assert_eq!(q.pop().unwrap().1.tuples(), &[A2], "{engine:?}");
         }
     }
 

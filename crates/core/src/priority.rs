@@ -17,11 +17,7 @@
 //!   the shared `GETNEXTRESULT` body against the *shared* `Complete`, and
 //!   prints the extension unless it was printed before (line 17) — a set
 //!   is generated once per member tuple, so exact duplicates must be
-//!   filtered;
-//! * line 7 scans every candidate, where the FIFO runs visit only the
-//!   tuples that join a schema-adjacent member: a no-op merge still bumps
-//!   an entry's generation, which breaks rank ties, so skipping it could
-//!   reorder equal-rank answers (a follow-up).
+//!   filtered.
 //!
 //! Theorem 5.5: the top-k answers arrive in polynomial time in the input
 //! and `k`. **Known defect:** entries are popped by the rank of their
@@ -171,9 +167,12 @@ impl LazyQueue {
 
     /// Fig. 2 lines 14–15 in queue form: replaces the first entry `S` for
     /// which `union(S)` succeeds by that union, re-ranking it (lazy
-    /// increase-key). `indexed` restricts the scan to the entries of
-    /// `root`; otherwise every slot is examined. Returns the merge
-    /// success.
+    /// increase-key). A union equal to `S` is a no-op: the entry keeps
+    /// its set, rank, generation and heap item, so a merge that adds
+    /// nothing cannot reorder equal-rank entries, and the engine may skip
+    /// it (line 7's adjacency candidates). `indexed` restricts the scan to
+    /// the entries of `root`; otherwise every slot is examined. Returns
+    /// the merge success.
     fn try_merge(
         &mut self,
         root: TupleId,
@@ -194,6 +193,9 @@ impl LazyQueue {
             stats.incomplete_scans += 1;
             if let Some(u) = union(&entry.set, stats) {
                 stats.merges += 1;
+                if u.tuples() == entry.set.tuples() {
+                    return true;
+                }
                 let gen = entry.gen + 1;
                 let rank = rank_of(&u, stats);
                 self.slots[slot as usize] = Some(Entry { root, set: u, gen });
@@ -276,16 +278,6 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats) {
         let r = rank(&self.f, db, &set, stats);
         self.queues[ri.index() - self.rel_lo].push(root, set, r, stats);
-    }
-
-    /// Never, so the ranked runs keep the full line-7 scan. A root's
-    /// `{tb}` does merge into its pending entry without changing the set,
-    /// but the merge bumps the entry's `gen`, and `HeapItem` breaks rank
-    /// ties by `gen`: skipping it could reorder answers of equal rank.
-    /// Adjacency candidates here need a tie-break that ignores no-op
-    /// merges first.
-    fn singletons_are_noops(&self, _db: &Database, _seeds: &[TupleId]) -> bool {
-        false
     }
 }
 
@@ -373,9 +365,10 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
         self.engine.pages_read()
     }
 
-    /// Rank of the next queue top, without consuming it — an upper bound
-    /// on the rank of every answer not yet printed. `None` when the
-    /// stream is exhausted.
+    /// Rank of the next queue top, without consuming it. `None` when the
+    /// stream is exhausted. By Lemma 5.4 no answer not yet printed would
+    /// rank higher, but a queue rank is the rank of a partial set, and
+    /// the known ranked-order defect (module docs) breaks exactly that.
     pub fn peek_rank(&mut self) -> Option<f64> {
         let engine = &mut self.engine;
         engine.frontier.best(&mut engine.stats).map(|(_, r)| r)
@@ -485,6 +478,7 @@ fn merge_to_fixpoint<P: Policy>(
 mod tests {
     use super::*;
     use crate::approx::{AMin, ApproxAllIter, ProbScores};
+    use crate::jcc::{rebuild, try_union};
     use crate::query::FdQuery;
     use crate::ranking::{FMax, FTriple, ImpScores};
     use crate::sim::{EditDistanceSim, ExactSim};
@@ -644,6 +638,47 @@ mod tests {
         let mut sb = b.clone();
         sb.sort_by(|x, y| x.0.cmp(&y.0));
         assert_eq!(sa, sb);
+    }
+
+    /// A merge that adds nothing leaves the heap alone: no push, no rank
+    /// evaluation, the same generation, and so the same pop order among
+    /// equal ranks as a twin queue that never saw it.
+    #[test]
+    fn noop_merge_keeps_the_heap_untouched() {
+        let db = tourist_database();
+        let (c1, c2, a2) = (TupleId(0), TupleId(1), TupleId(4));
+        let queue = |stats: &mut Stats| {
+            let mut q = LazyQueue::new();
+            q.push(c1, rebuild(&db, vec![c1, a2]), 1.0, stats);
+            q.push(c2, TupleSet::singleton(&db, c2), 1.0, stats);
+            q
+        };
+        let drain = |q: &mut LazyQueue, stats: &mut Stats| {
+            std::iter::from_fn(|| q.pop(stats).map(|(_, s)| s.tuples().to_vec()))
+                .collect::<Vec<_>>()
+        };
+        for indexed in [true, false] {
+            let mut stats = Stats::new();
+            let mut q = queue(&mut stats);
+            let before = stats;
+            let noop = TupleSet::singleton(&db, c2);
+            let merged = q.try_merge(
+                c2,
+                indexed,
+                &mut stats,
+                |s, stats| try_union(&db, s, &noop, stats),
+                |_, stats| {
+                    stats.rank_evals += 1;
+                    1.0
+                },
+            );
+            assert!(merged);
+            assert_eq!(stats.heap_pushes, before.heap_pushes);
+            assert_eq!(stats.rank_evals, before.rank_evals);
+            assert_eq!(q.slots[1].as_ref().map(|e| e.gen), Some(0));
+            let mut twin = queue(&mut stats);
+            assert_eq!(drain(&mut q, &mut stats), drain(&mut twin, &mut stats));
+        }
     }
 
     #[test]

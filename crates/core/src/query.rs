@@ -798,9 +798,12 @@ impl<'q> FdStream<'q> {
             return None;
         }
         if let Some(tau) = self.min_rank {
-            // Queue ranks never exceed the final ranks (monotonicity), so
-            // once every queue top falls below τ no unseen answer can
-            // reach it.
+            // Stop once every queue top ranks below τ. That relies on
+            // Lemma 5.4's non-increasing emission order: monotonicity
+            // only makes a queue rank a lower bound on its own entry's
+            // final rank, and under the known ranked-order defect (see
+            // the `priority` module docs) an answer ranked ≥ τ may still
+            // be pending here.
             if self.plan.peek_rank()? < tau {
                 return None;
             }

@@ -32,7 +32,8 @@
 //! ```text
 //! insert REL | V1 | V2 ...   apply (or queue) an insert
 //! delete tN                  apply (or queue) a delete
-//! begin / commit / abort     transaction control, as in fd watch
+//! begin / commit / abort     transaction control, as in fd watch; at
+//!                            most MAX_PENDING_MUTATIONS queued mutations
 //! show                       every current result, canonical order
 //! top                        the ranked top-k window (ranked daemons)
 //! stats                      result/pass/subscriber counters + work totals
@@ -84,6 +85,12 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// A longer line gets `error line too long` and the connection closes,
 /// so one client cannot grow the daemon's memory without limit.
 const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The most mutations one `begin` block may queue. A further `insert` or
+/// `delete` gets `error transaction too large …` and is counted in
+/// `fd_serve_batch_rejections_total`; the transaction stays open, so the
+/// client can still `commit` or `abort` what it queued.
+pub const MAX_PENDING_MUTATIONS: usize = 4096;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -577,6 +584,7 @@ struct ServeMetrics {
     requests: [Arc<Counter>; COMMAND_NAMES.len()],
     reply: Arc<Histogram>,
     protocol_errors: Arc<Counter>,
+    batch_rejections: Arc<Counter>,
     reaps: Arc<Counter>,
     pushed: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -607,6 +615,10 @@ impl ServeMetrics {
             protocol_errors: registry.counter(
                 "fd_serve_protocol_errors_total",
                 "Lines that failed to parse as a wire command.",
+            ),
+            batch_rejections: registry.counter(
+                "fd_serve_batch_rejections_total",
+                "Mutations refused because the open transaction was full.",
             ),
             reaps: registry.counter(
                 "fd_serve_reaps_total",
@@ -1264,11 +1276,9 @@ impl Conn<'_> {
                 return Ok(Flow::Continue);
             }
         };
-        if let Some(batch) = &mut self.pending {
-            batch.insert(rel, values);
-            let n = batch.len();
-            self.reply(&format!("ok queued insert into {rel_name} ({n} pending)"))?;
-            return Ok(Flow::Continue);
+        if self.pending.is_some() {
+            let delta = fd_relational::Delta::Insert { rel, values };
+            return self.queue(delta, &format!("insert into {rel_name}"));
         }
         let applied = self.session(|s| {
             s.apply(fd_relational::Delta::Insert { rel, values })
@@ -1290,11 +1300,9 @@ impl Conn<'_> {
     }
 
     fn delete(&mut self, tuple: TupleId) -> Result<Flow, ServeError> {
-        if let Some(batch) = &mut self.pending {
-            batch.delete(tuple);
-            let n = batch.len();
-            self.reply(&format!("ok queued delete t{} ({n} pending)", tuple.0))?;
-            return Ok(Flow::Continue);
+        if self.pending.is_some() {
+            let delta = fd_relational::Delta::Delete { tuple };
+            return self.queue(delta, &format!("delete t{}", tuple.0));
         }
         let applied = self.session(|s| {
             s.apply(fd_relational::Delta::Delete { tuple })
@@ -1313,6 +1321,23 @@ impl Conn<'_> {
                 self.reply(&format!("ok deleted {label}; {events} event(s)"))?;
             }
             Err(e) => self.reply(&format!("error {e}"))?,
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// Adds `delta` to the open transaction, unless it already holds
+    /// [`MAX_PENDING_MUTATIONS`].
+    fn queue(&mut self, delta: fd_relational::Delta, what: &str) -> Result<Flow, ServeError> {
+        let batch = self.pending.as_mut().expect("an open transaction");
+        let n = batch.len();
+        if n >= MAX_PENDING_MUTATIONS {
+            self.shared.metrics.batch_rejections.inc();
+            self.reply(&format!(
+                "error transaction too large ({n} pending; commit or abort)"
+            ))?;
+        } else {
+            batch.push(delta);
+            self.reply(&format!("ok queued {what} ({} pending)", n + 1))?;
         }
         Ok(Flow::Continue)
     }

@@ -9,10 +9,10 @@
 //! ([`Database::verify_indexes`]) after every commit.
 //!
 //! The posting lists also choose Fig. 2's line-7 candidates (the tuples
-//! joining a schema-adjacent member) in unpaged exact FIFO runs, while
-//! paged runs scan every tuple: on a churned database both must emit the
-//! same sets in the same order, and seeded delta runs must agree with a
-//! from-scratch recomputation.
+//! joining a schema-adjacent member) in unpaged exact runs — FIFO,
+//! ranked and seeded alike — while paged runs scan every tuple: on a
+//! churned database both must emit the same sets, ranks and order, and
+//! seeded delta runs must agree with a from-scratch recomputation.
 
 use full_disjunction::core::delta::delta_insert_many;
 use full_disjunction::core::{canonicalize, FdQuery};
@@ -200,9 +200,58 @@ fn cross_relation_seeds(db: &mut Database) -> Vec<TupleId> {
 /// order would put every relation's inserts after all base tuples and
 /// reorder the pushes. The unpaged runs use adjacency candidates and
 /// `page_size(3)` scans, so both must emit the same sets in the same
-/// order, for batch runs under every init strategy and for delta runs.
+/// order (and ranks), for batch runs under every init strategy, for
+/// ranked runs, where a skipped no-op merge must not reorder rank ties,
+/// and for delta runs with seeds in one relation or spread over several.
 #[test]
 fn adjacency_candidates_follow_scan_order_under_churn() {
+    let ranked_dbs = [
+        ("churned-chain", churned_chain()),
+        ("chain4", chain(4, &DataSpec::new(10, 4).seed(3))),
+        ("star3", star(3, &DataSpec::new(8, 4).typos(0.3).seed(5))),
+    ];
+    for (name, db) in &ranked_dbs {
+        for m in 1..=7u32 {
+            let imp = ImpScores::from_fn(db, |t| ((t.0 * m) % 5) as f64);
+            for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
+                let query = || FdQuery::over(db).engine(engine).ranked(FMax::new(&imp));
+                let adjacent = query().run().unwrap();
+                let scanned = query().page_size(3).run().unwrap();
+                assert_eq!(
+                    (ordered(adjacent.sets()), adjacent.ranks()),
+                    (ordered(scanned.sets()), scanned.ranks()),
+                    "{name} m={m} {engine:?}: ranked emission diverges from the scan"
+                );
+            }
+        }
+    }
+
+    // Seeds spread over relations 0, 1 and 2.
+    let mut db = churned_chain();
+    let previous = FdQuery::over(&db).run().unwrap().into_sets();
+    let seeds = cross_relation_seeds(&mut db);
+    for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
+        let cfg = FdConfig {
+            engine,
+            ..FdConfig::default()
+        };
+        let paged = FdConfig {
+            page_size: Some(3),
+            ..cfg
+        };
+        let adjacent = delta_insert_many(&db, &seeds, &previous, cfg);
+        let scanned = delta_insert_many(&db, &seeds, &previous, paged);
+        assert!(
+            !adjacent.added.is_empty(),
+            "{engine:?}: the seeds join nothing"
+        );
+        assert_eq!(
+            ordered(&adjacent.added),
+            ordered(&scanned.added),
+            "{engine:?}: cross-relation delta order diverges from the scan"
+        );
+    }
+
     let mut db = churned_chain();
     for init in [
         InitStrategy::Singletons,
@@ -257,11 +306,12 @@ fn adjacency_candidates_follow_scan_order_under_churn() {
     }
 }
 
-/// Seeds spread over several relations are where the scan store's merge
-/// is not keyed by root: `{tb}` may merge into an entry rooted at another
-/// seed, so that run keeps the full scan, while the indexed store takes
-/// adjacency candidates. Under both, the maintained full disjunction must
-/// equal a from-scratch recomputation.
+/// Seeds spread over several relations are where the roots of the
+/// pending entries lie in different relations: both stores merge `T′`
+/// only into an entry sharing its root, so `{tb}` never lands in an entry
+/// rooted at another seed, and both take adjacency candidates. Under
+/// both, the maintained full disjunction must equal a from-scratch
+/// recomputation.
 #[test]
 fn multi_relation_delta_seeds_match_recomputation_under_both_stores() {
     let dbs = [

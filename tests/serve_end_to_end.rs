@@ -433,3 +433,64 @@ fn an_over_long_line_is_rejected_and_the_connection_closed() {
     assert_eq!(other.request("shutdown").unwrap(), vec!["ok shutting down"]);
     server.wait().unwrap();
 }
+
+/// A `begin` block holds at most `MAX_PENDING_MUTATIONS` mutations: the
+/// next one gets a typed error, is counted, and leaves the transaction
+/// open, so `commit` still lands exactly the queued ones.
+#[test]
+fn an_over_full_transaction_refuses_mutations_and_stays_open() {
+    use full_disjunction::core::serve::MAX_PENDING_MUTATIONS;
+
+    let server = Server::start_with(
+        FdSession::new(tourist_database()),
+        "127.0.0.1:0",
+        ServeOptions {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            log: false,
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let maddr = server.metrics_addr().expect("metrics endpoint bound");
+
+    let mut client = connect(addr);
+    assert_eq!(client.request("begin").unwrap().len(), 1);
+    for i in 1..=MAX_PENDING_MUTATIONS {
+        let reply = client
+            .request(&format!("insert Climates | Land-{i} | arid"))
+            .unwrap();
+        assert_eq!(
+            reply,
+            vec![format!("ok queued insert into Climates ({i} pending)")]
+        );
+    }
+    assert_eq!(
+        client.request("insert Climates | Atlantis | arid").unwrap(),
+        vec![format!(
+            "error transaction too large ({MAX_PENDING_MUTATIONS} pending; commit or abort)"
+        )]
+    );
+    let commit = client.request("commit").unwrap();
+    assert!(
+        commit[0].starts_with(&format!(
+            "ok committed {MAX_PENDING_MUTATIONS} mutation(s) in 1 maintenance pass"
+        )),
+        "{commit:?}"
+    );
+    let show = client.request("show").unwrap();
+    assert_eq!(
+        show.last().unwrap(),
+        &format!("ok {} result(s)", 6 + MAX_PENDING_MUTATIONS)
+    );
+
+    let (_, body) = http_get(maddr, "/metrics");
+    assert_eq!(
+        sample_value(&body, "fd_serve_batch_rejections_total"),
+        Some(1.0)
+    );
+    assert_eq!(
+        client.request("shutdown").unwrap(),
+        vec!["ok shutting down"]
+    );
+    server.wait().unwrap();
+}
