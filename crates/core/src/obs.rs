@@ -23,14 +23,13 @@
 //!   `fd serve --log`;
 //! * [`QueryTimings`] — wall-clock, time-to-first-result, and
 //!   time-to-k-th-result for one query run, the axes any-k papers plot;
-//! * [`lockcheck`] — named `Mutex`/`RwLock` wrappers (re-exported from
+//! * [`lockcheck`] — a named `Mutex` wrapper (re-exported from
 //!   [`fd_relational::lockcheck`]) that record per-thread acquisition
 //!   order into a global graph and panic, with both back-traces, on a
 //!   detected lock-order inversion. Active under `debug_assertions` or
 //!   the `lockcheck` cargo feature; transparent in release. The serve
-//!   session lock, the interner table, and the per-connection writer
-//!   locks all go through it — see `LOCK_ORDER.md` for the declared
-//!   order.
+//!   session lock, the per-connection writer locks and the signal slot
+//!   all go through it — see `LOCK_ORDER.md` for the declared order.
 //!
 //! Everything is thread-safe behind `Arc`; recording is a handful of
 //! relaxed atomic ops, cheap enough for the commit hot path. Registries

@@ -92,6 +92,11 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 /// client can still `commit` or `abort` what it queued.
 pub const MAX_PENDING_MUTATIONS: usize = 4096;
 
+/// The most connections the daemon serves at once (one thread each). A
+/// connection over the cap gets `error too many connections`, is closed,
+/// and is counted in `fd_serve_connections_rejected_total`.
+pub const MAX_CONNECTIONS: usize = 128;
+
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
@@ -323,12 +328,11 @@ pub struct SessionHandle {
 }
 
 /// Lock-order role of the shared session mutex (rank 1 in
-/// `LOCK_ORDER.md`: commits intern strings and checkpoints read the
-/// intern catalog, so the session is always taken *before* the
-/// interner table).
+/// `LOCK_ORDER.md`: held for a whole commit, query or checkpoint, so it
+/// is always taken *before* any leaf lock).
 const SESSION_LOCK: &str = "serve.session";
 
-/// Lock-order role of each connection's writer mutex (rank 3: a leaf —
+/// Lock-order role of each connection's writer mutex (rank 2: a leaf —
 /// nothing is acquired while holding it).
 const WRITER_LOCK: &str = "serve.conn_writer";
 
@@ -580,6 +584,7 @@ fn command_index(cmd: &Command) -> usize {
 /// never takes the registry lock.
 struct ServeMetrics {
     connections: Arc<Counter>,
+    rejected: Arc<Counter>,
     active: Arc<Gauge>,
     requests: [Arc<Counter>; COMMAND_NAMES.len()],
     reply: Arc<Histogram>,
@@ -597,6 +602,10 @@ impl ServeMetrics {
             connections: registry.counter(
                 "fd_serve_connections_total",
                 "Connections accepted over the daemon's lifetime.",
+            ),
+            rejected: registry.counter(
+                "fd_serve_connections_rejected_total",
+                "Connections refused because the daemon already held its maximum of open connections.",
             ),
             active: registry.gauge("fd_serve_connections_active", "Currently open connections."),
             requests: std::array::from_fn(|i| {
@@ -671,6 +680,7 @@ impl Shared {
                 ("events", events.to_string()),
                 ("validate_us", t.validate.as_micros().to_string()),
                 ("wal_us", t.wal.as_micros().to_string()),
+                ("apply_us", t.apply.as_micros().to_string()),
                 ("maintain_us", t.maintain.as_micros().to_string()),
                 ("window_us", t.window.as_micros().to_string()),
                 ("fanout_us", t.fanout.as_micros().to_string()),
@@ -943,15 +953,25 @@ mod signals {
 }
 
 /// The accept loop: non-blocking accept + shutdown polling, one spawned
-/// thread per connection; joins the live ones on exit so shutdown
-/// flushes every connection.
+/// thread per connection up to [`MAX_CONNECTIONS`]; joins the live ones
+/// on exit so shutdown flushes every connection.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
+        // Detach finished threads so a long-lived daemon doesn't hoard
+        // handles and the cap counts live connections only; live ones
+        // are joined below on shutdown.
+        conns.retain(|h| !h.is_finished());
         match listener.accept() {
+            Ok((mut stream, _)) if conns.len() >= MAX_CONNECTIONS => {
+                shared.metrics.rejected.inc();
+                // Best effort: the refused client may already be gone.
+                let _ = stream.write_all(b"error too many connections\n");
+                let _ = stream.shutdown(Shutdown::Write);
+            }
             Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
                 conns.push(std::thread::spawn(move || {
@@ -964,9 +984,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
-        // Detach finished threads so a long-lived daemon doesn't hoard
-        // handles; live ones are joined below on shutdown.
-        conns.retain(|h| !h.is_finished());
     }
     for h in conns {
         let _ = h.join();

@@ -46,7 +46,7 @@ use crate::stats::Stats;
 use crate::store::{FsyncPolicy, Store, StoreError, Wal};
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashMap;
-use fd_relational::{apply_batch, validate_batch, Change, ChangeLog, Database, Delta, TupleId};
+use fd_relational::{apply_delta, validate_batch, Change, ChangeLog, Database, Delta, TupleId};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -287,12 +287,14 @@ impl EventSink for ChannelSink {
 /// subscribers ran, so sinks themselves observe it as zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitTimings {
-    /// Validating and applying the batch to the database atomically,
-    /// without the WAL append.
+    /// Validating the batch against the database (nothing is changed
+    /// yet).
     pub validate: Duration,
     /// Appending the batch to the write-ahead log, fsync included
     /// (durable sessions only; zero in memory).
     pub wal: Duration,
+    /// Applying the validated batch to the database.
+    pub apply: Duration,
     /// The single delta-maintenance pass ([`crate::delta::delta_batch`]).
     pub maintain: Duration,
     /// Folding retractions/additions into the materialized result and
@@ -300,8 +302,8 @@ pub struct CommitTimings {
     pub window: Duration,
     /// Delivering events to the subscribed sinks.
     pub fanout: Duration,
-    /// End-to-end commit time (validate + wal + maintain + window +
-    /// fanout, plus bookkeeping).
+    /// End-to-end commit time (validate + wal + apply + maintain +
+    /// window + fanout, plus bookkeeping).
     pub total: Duration,
 }
 
@@ -449,6 +451,7 @@ struct SessionMetrics {
     subscribers: Arc<Gauge>,
     materialize: Arc<Histogram>,
     validate: Arc<Histogram>,
+    apply: Arc<Histogram>,
     maintain: Arc<Histogram>,
     window: Arc<Histogram>,
     fanout: Arc<Histogram>,
@@ -461,7 +464,6 @@ struct SessionMetrics {
     recovery_replayed: Arc<Counter>,
     index_probes: Arc<Counter>,
     index_hits: Arc<Counter>,
-    intern_symbols: Arc<Gauge>,
     /// Last-seen cumulative [`Database`] probe counters, so each fold
     /// adds only the delta to the monotone registry families.
     seen_probes: AtomicU64,
@@ -505,6 +507,10 @@ impl SessionMetrics {
             validate: registry.histogram(
                 "fd_commit_validate_seconds",
                 "Commit phase: batch validation and atomic apply.",
+            ),
+            apply: registry.histogram(
+                "fd_commit_apply_seconds",
+                "Commit phase: applying the validated batch to the database.",
             ),
             maintain: registry.histogram(
                 "fd_commit_maintain_seconds",
@@ -553,10 +559,6 @@ impl SessionMetrics {
                 "fd_index_hits_total",
                 "Index probes answered from posting lists (the rest fell back to a scan).",
             ),
-            intern_symbols: registry.gauge(
-                "fd_intern_symbols",
-                "Distinct strings in the process-wide intern catalog.",
-            ),
             seen_probes: AtomicU64::new(0),
             seen_hits: AtomicU64::new(0),
             ops,
@@ -573,8 +575,7 @@ impl SessionMetrics {
     }
 
     /// Folds the database's cumulative join-index probe counters (as
-    /// deltas since the last fold) and the current intern-catalog size
-    /// into the registry.
+    /// deltas since the last fold) into the registry.
     fn record_index(&self, db: &Database) {
         let probes = db.index_probes();
         let hits = db.index_hits();
@@ -582,8 +583,6 @@ impl SessionMetrics {
         let prev_hits = self.seen_hits.swap(hits, Ordering::Relaxed);
         self.index_probes.add(probes.saturating_sub(prev_probes));
         self.index_hits.add(hits.saturating_sub(prev_hits));
-        self.intern_symbols
-            .set(fd_relational::interner::symbol_count() as i64);
     }
 }
 
@@ -898,18 +897,19 @@ impl<'q> FdSession<'q> {
             });
         }
         let commit_start = Instant::now();
+        // Validation runs first and changes nothing, so a rejected batch
+        // leaves the session untouched and never reaches the log.
+        if let Err(e) = validate_batch(&self.db, &batch) {
+            self.metrics.aborts.inc();
+            return Err(e.into());
+        }
+        let validate = commit_start.elapsed();
         let mut wal = Duration::ZERO;
         // WAL-before-apply: a durable session logs the *pending* batch
         // (tuple-id allocation is deterministic, so replaying it through
         // this same path reproduces identical ids) before touching any
         // in-memory state — a batch is acked only once it is on disk.
-        // Validation runs first so a batch the database would reject
-        // never reaches the log.
         if let Some(d) = self.durability.as_mut() {
-            if let Err(e) = validate_batch(&self.db, &batch) {
-                self.metrics.aborts.inc();
-                return Err(e.into());
-            }
             // This commit's global sequence number: the snapshot's
             // fold-in point plus every batch committed since. Recovery
             // replays only records past the snapshot's seq, so a stale
@@ -926,14 +926,15 @@ impl<'q> FdSession<'q> {
                 Err(e) => return Err(storage_err(e)),
             }
         }
-        let changes = match apply_batch(&mut self.db, batch) {
-            Ok(changes) => changes,
-            Err(e) => {
-                self.metrics.aborts.inc();
-                return Err(e.into());
-            }
-        };
-        let validate = commit_start.elapsed().saturating_sub(wal);
+        let apply_start = Instant::now();
+        let changes: Vec<Change> = batch
+            .into_deltas()
+            .into_iter()
+            .map(|delta| {
+                apply_delta(&mut self.db, delta).expect("validated batch mutations cannot fail")
+            })
+            .collect();
+        let apply = apply_start.elapsed();
         self.log.record_batch(changes.iter().copied());
 
         let mut inserted: Vec<TupleId> = Vec::new();
@@ -1002,6 +1003,7 @@ impl<'q> FdSession<'q> {
             timings: CommitTimings {
                 validate,
                 wal,
+                apply,
                 maintain,
                 window,
                 ..CommitTimings::default()
@@ -1025,6 +1027,7 @@ impl<'q> FdSession<'q> {
         m.events.add(commit.events.len() as u64);
         m.results.set(self.results.len() as i64);
         m.validate.record(commit.timings.validate);
+        m.apply.record(commit.timings.apply);
         m.maintain.record(commit.timings.maintain);
         m.window.record(commit.timings.window);
         m.fanout.record(commit.timings.fanout);
@@ -1207,7 +1210,10 @@ impl<'q> FdSession<'q> {
             }
             // Durability is attached only after replay, so these commits
             // do not re-append to the log they came from.
-            session.commit(record.batch)?;
+            let seq = record.seq;
+            session.commit(record.batch).map_err(|e| FdError::Storage {
+                reason: format!("wal record {seq} does not replay: {e}"),
+            })?;
             session.metrics.recovery_replayed.inc();
         }
         session.durability = Some(Durability {

@@ -36,7 +36,7 @@
 //! tokens, so a data directory is inspectable with `cat` and the value
 //! round-trip guarantees are inherited from the wire format.
 
-use fd_relational::textio::{format_row, format_value, parse_row, parse_value};
+use fd_relational::textio::{format_row, parse_row};
 use fd_relational::{Database, DatabaseBuilder, Delta, DeltaBatch, RelId, TupleId, Value};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -48,10 +48,12 @@ use std::str::FromStr;
 pub const SNAPSHOT_FILE: &str = "snapshot.fd";
 /// Write-ahead-log file name inside a data directory.
 pub const WAL_FILE: &str = "wal.fd";
-/// Snapshot format version this build writes and reads. `v2` added the
-/// intern-catalog (`syms`) section; `v1` files (no catalog) are rejected
-/// with [`StoreError::UnsupportedVersion`] rather than guessed at.
-pub const SNAPSHOT_VERSION: &str = "v2";
+/// Snapshot format version this build writes and reads. `v3` files hold
+/// values only: strings are written as text and rebuilt by value, with
+/// no process-wide catalog of them. Older files (`v1`, `v2`) are
+/// rejected with [`StoreError::UnsupportedVersion`] rather than guessed
+/// at.
+pub const SNAPSHOT_VERSION: &str = "v3";
 
 /// How eagerly WAL appends reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +110,7 @@ pub enum StoreError {
         what: String,
     },
     /// The snapshot is intact but carries a format version this build
-    /// does not read (e.g. a pre-interning `v1` file).
+    /// does not read (e.g. an older `v2` file).
     UnsupportedVersion {
         /// The version token found in the snapshot header.
         found: String,
@@ -328,20 +330,6 @@ impl Store {
 fn encode_snapshot(db: &Database, results: &[Vec<TupleId>], seq: u64) -> Vec<u8> {
     let mut out = String::new();
     out.push_str(&format!("seq {seq}\n"));
-    // The intern catalog, ascending by symbol id, before any data rows:
-    // a fresh process decoding the snapshot re-interns these texts in
-    // order and so allocates the writer's symbols — recovery is
-    // symbol-exact, not just value-exact. The body CRC covers it like
-    // every other section.
-    let syms = fd_relational::interner::catalog();
-    out.push_str(&format!("syms {}\n", syms.len()));
-    for s in &syms {
-        out.push_str(&format!(
-            "sym {} {}\n",
-            s.sym(),
-            format_value(&Value::Str(s.clone()))
-        ));
-    }
     out.push_str(&format!("relations {}\n", db.num_relations()));
     for rel in db.relations() {
         let mut header: Vec<Value> = vec![Value::str(rel.name())];
@@ -406,34 +394,6 @@ fn decode_snapshot(body: &str) -> Result<Snapshot, StoreError> {
     let seq: u64 = next("seq")?
         .parse()
         .map_err(|_| corrupt("snapshot: bad seq"))?;
-    let num_syms: usize = next("syms")?
-        .parse()
-        .map_err(|_| corrupt("snapshot: bad symbol count"))?;
-    for i in 0..num_syms {
-        let line = next("sym")?;
-        let (id, tok) = line
-            .split_once(' ')
-            .ok_or_else(|| corrupt(format!("snapshot: bad symbol line {line:?}")))?;
-        let id: usize = id
-            .parse()
-            .map_err(|_| corrupt(format!("snapshot: bad symbol id {id:?}")))?;
-        if id != i {
-            return Err(corrupt(format!(
-                "snapshot: symbol ids are not dense-ascending (got {id} at position {i})"
-            )));
-        }
-        // parse_value interns as a side effect — exactly the point: in a
-        // fresh process this allocates symbol `i`, reproducing the
-        // writer's id space before any data row is parsed.
-        match parse_value(tok) {
-            Value::Str(_) => {}
-            other => {
-                return Err(corrupt(format!(
-                    "snapshot: symbol {i} is not a string token: {other:?}"
-                )))
-            }
-        }
-    }
     let num_rels: usize = next("relations")?
         .parse()
         .map_err(|_| corrupt("snapshot: bad relation count"))?;
@@ -752,8 +712,9 @@ fn scan_record(raw: &[u8]) -> Result<(WalRecord, usize), String> {
         .and_then(|v| u32::from_str_radix(v, 16).ok())
         .ok_or_else(|| format!("bad record crc in {header:?}"))?;
     let start = nl + 1;
-    let payload = raw
-        .get(start..start + len)
+    let payload = start
+        .checked_add(len)
+        .and_then(|end| raw.get(start..end))
         .ok_or_else(|| format!("record payload short: {} of {len} bytes", raw.len() - start))?;
     if crc32(payload) != crc {
         return Err("record checksum mismatch".to_owned());
@@ -886,20 +847,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_the_intern_catalog() {
-        let dir = temp_dir("syms");
+    fn snapshot_bytes_ignore_strings_built_outside_the_database() {
+        let dir = temp_dir("strings");
         let db = tourist_database();
         let store = Store::create(&dir).unwrap();
         store.write_snapshot(&db, &[], 0).unwrap();
-        let raw = String::from_utf8(std::fs::read(store.snapshot_path()).unwrap()).unwrap();
-        assert!(raw.starts_with("fdsnap v2 "), "header: {raw:.40}");
-        assert!(raw.contains("\nsyms "), "missing catalog section");
-        assert!(raw.contains("\nsym 0 "), "catalog is not zero-based");
-        // Every string in the database appears in the persisted catalog.
-        let canada = format!(" {}\n", format_value(&Value::str("Canada")));
-        assert!(raw.contains(&canada), "catalog lacks a live db string");
-        let snap = store.read_snapshot().unwrap();
-        assert_eq!(snap.db.num_tuples(), db.num_tuples());
+        let before = std::fs::read(store.snapshot_path()).unwrap();
+        assert!(before.starts_with(b"fdsnap v3 "));
+        let unrelated: Vec<Value> = (0..10_000)
+            .map(|i| Value::str(format!("outside-the-database-{i}")))
+            .collect();
+        drop(unrelated);
+        store.write_snapshot(&db, &[], 0).unwrap();
+        let after = std::fs::read(store.snapshot_path()).unwrap();
+        assert_eq!(
+            before, after,
+            "snapshot depends on strings the db never held"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -909,13 +873,15 @@ mod tests {
         let db = tourist_database();
         let store = Store::create(&dir).unwrap();
         store.write_snapshot(&db, &[], 0).unwrap();
-        // Rewrite the header's version token only; body and CRC intact.
         let raw = String::from_utf8(std::fs::read(store.snapshot_path()).unwrap()).unwrap();
-        let downgraded = raw.replacen("fdsnap v2 ", "fdsnap v1 ", 1);
-        std::fs::write(store.snapshot_path(), downgraded).unwrap();
-        match store.read_snapshot() {
-            Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, "v1"),
-            other => panic!("expected a versioned rejection, got {other:?}"),
+        for old in ["v1", "v2"] {
+            // Rewrite the header's version token only; body and CRC intact.
+            let downgraded = raw.replacen("fdsnap v3 ", &format!("fdsnap {old} "), 1);
+            std::fs::write(store.snapshot_path(), downgraded).unwrap();
+            match store.read_snapshot() {
+                Err(StoreError::UnsupportedVersion { found }) => assert_eq!(found, old),
+                other => panic!("expected a versioned rejection of {old}, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

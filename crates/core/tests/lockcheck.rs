@@ -1,5 +1,5 @@
-//! The runtime lock-order detector, exercised against the real
-//! subsystems it guards.
+//! The runtime lock-order detector, exercised through the wrapper that
+//! `fd_core` re-exports.
 //!
 //! Tracking is compiled in under `debug_assertions` (any default test
 //! run) or `--features lockcheck` (CI pins it on explicitly so the
@@ -7,36 +7,8 @@
 //! feature these tests compile to nothing.
 #![cfg(any(debug_assertions, feature = "lockcheck"))]
 
-use fd_core::obs::lockcheck::{self, TrackedMutex};
-use fd_core::serve::SessionHandle;
-use fd_core::FdSession;
-use fd_relational::{interner, tourist_database};
+use fd_core::obs::lockcheck::TrackedMutex;
 use std::sync::Arc;
-
-/// The declared order (`LOCK_ORDER.md`): the serve session lock ranks
-/// above the interner table. Interning under the session lock — what
-/// every commit with string values and every durable checkpoint does —
-/// must record exactly that edge and nothing reversed.
-#[test]
-fn session_then_interner_matches_the_declared_order() {
-    let handle = SessionHandle::new(FdSession::new(tourist_database()));
-    handle
-        .with(|_s| {
-            // A commit's WAL encode / event rendering interns under the
-            // session lock; do the same, explicitly.
-            interner::intern("lockcheck-session-then-interner");
-        })
-        .unwrap();
-    let edges = lockcheck::recorded_edges();
-    assert!(
-        edges.contains(&("serve.session", "relational.interner")),
-        "expected the session->interner edge, got {edges:?}"
-    );
-    assert!(
-        !edges.contains(&("relational.interner", "serve.session")),
-        "the reverse edge must never exist: {edges:?}"
-    );
-}
 
 /// A seeded AB/BA inversion must fire the detector even though the two
 /// acquisitions happen on different threads at different times and no

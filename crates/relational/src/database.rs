@@ -2,11 +2,11 @@
 //! id space `Tuples(R)`, and the relation connectivity graph.
 
 use crate::error::{RelationalError, Result};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{AttrId, RelId, TupleId};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{IStr, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,10 +81,30 @@ pub struct Database {
     /// [`insert_tuple`](Database::insert_tuple) /
     /// [`remove_tuple`](Database::remove_tuple).
     postings: Vec<Vec<FxHashMap<Value, Vec<u32>>>>,
+    /// One copy of each distinct string in the rows (tombstoned rows
+    /// included: they keep their data). Every stored `Value::Str` is the
+    /// copy from this set, so equal join values across relations share
+    /// one allocation and compare equal on the pointer.
+    strings: FxHashSet<IStr>,
     /// When false, [`probe`](Database::probe) always takes the fallback
     /// scan — the A/B lever the scaling bench uses to price the index.
     index_enabled: bool,
     probe_counters: ProbeCounters,
+}
+
+/// Replaces each string of `row` by its copy in `strings`, adding the
+/// strings not seen before.
+fn share_strings(strings: &mut FxHashSet<IStr>, row: &mut [Value]) {
+    for v in row {
+        if let Value::Str(s) = v {
+            match strings.get(s) {
+                Some(shared) => *s = shared.clone(),
+                None => {
+                    strings.insert(s.clone());
+                }
+            }
+        }
+    }
 }
 
 impl Database {
@@ -259,6 +279,10 @@ impl Database {
         let id = self.tuple_id_bound();
         let row = self.relations[rel.index()].len() as u32;
         self.relations[rel.index()].push_row(values)?;
+        share_strings(
+            &mut self.strings,
+            self.relations[rel.index()].row_mut(row as usize),
+        );
         self.overflow.push((rel, row));
         self.overflow_by_rel[rel.index()].push(id);
         self.alive.push(true);
@@ -704,6 +728,7 @@ impl DatabaseBuilder {
         let mut rel_ids = HashMap::new();
         let mut tuple_start = Vec::with_capacity(self.relations.len() + 1);
         let mut next_tuple: u64 = 0;
+        let mut strings = FxHashSet::default();
         for (i, pending) in self.relations.into_iter().enumerate() {
             let id = RelId(i as u16);
             rel_ids.insert(pending.name.clone(), id);
@@ -713,7 +738,8 @@ impl DatabaseBuilder {
                 return Err(RelationalError::CapacityExceeded { what: "tuples" });
             }
             let mut rel = Relation::new(pending.name, id, Schema::new(pending.attrs));
-            for row in pending.rows {
+            for mut row in pending.rows {
+                share_strings(&mut strings, &mut row);
                 rel.push_row(row)?;
             }
             relations.push(rel);
@@ -794,6 +820,7 @@ impl DatabaseBuilder {
             attr_rels,
             indexed_attrs,
             postings,
+            strings,
             index_enabled: true,
             probe_counters: ProbeCounters::default(),
         })
@@ -842,6 +869,7 @@ pub fn universal_positions(db: &Database) -> FxHashMap<AttrId, usize> {
 mod tests {
     use super::*;
     use crate::value::NULL;
+    use std::sync::Arc;
 
     /// Table 1 of the paper.
     pub(crate) fn tourist_db() -> Database {
@@ -1178,6 +1206,40 @@ mod tests {
         );
         assert_eq!(db.index_hits(), 0);
         assert_eq!(db.index_probes(), 1);
+    }
+
+    #[test]
+    fn equal_strings_share_one_allocation_across_relations() {
+        fn text(db: &Database, t: TupleId, attr: &str) -> Arc<str> {
+            match db.tuple_value(t, db.attr_id(attr).unwrap()) {
+                Some(Value::Str(s)) => Arc::clone(s.arc()),
+                other => panic!("t{} {attr}: expected a string, got {other:?}", t.0),
+            }
+        }
+        let mut db = tourist_db();
+        // c1 (Climates) and a1 (Accommodations) were built from separate
+        // `Value::str("Canada")` calls.
+        let canada = text(&db, TupleId(0), "Country");
+        assert!(Arc::ptr_eq(&canada, &text(&db, TupleId(3), "Country")));
+        assert!(Arc::ptr_eq(&canada, &text(&db, TupleId(7), "Country")));
+        assert!(!Arc::ptr_eq(&canada, &text(&db, TupleId(1), "Country")));
+        // An insert into a third relation joins the same allocation,
+        // and a string new to the database is kept for later rows.
+        let s = db
+            .insert_tuple(RelId(2), vec!["Canada".into(), "Banff".into(), NULL])
+            .unwrap();
+        assert!(Arc::ptr_eq(&canada, &text(&db, s, "Country")));
+        let a = db
+            .insert_tuple(
+                RelId(1),
+                vec!["UK".into(), "Banff".into(), "Fairmont".into(), NULL],
+            )
+            .unwrap();
+        assert!(Arc::ptr_eq(&text(&db, s, "City"), &text(&db, a, "City")));
+        assert!(Arc::ptr_eq(
+            &text(&db, TupleId(1), "Country"),
+            &text(&db, a, "Country")
+        ));
     }
 
     #[test]

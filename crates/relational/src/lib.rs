@@ -5,10 +5,12 @@
 //!
 //! * [`Value`] — atomic values with the null `⊥` and the paper's
 //!   join-consistency semantics (shared attributes must be equal **and**
-//!   non-null); strings are interned ([`interner`]) so the check is a
-//!   word-sized symbol comparison;
+//!   non-null); a string ([`IStr`]) carries its own hash, so the check
+//!   rejects unequal strings on one word;
 //! * [`Database`] / [`DatabaseBuilder`] — interned catalogs with a global
-//!   tuple id space and the relation connectivity graph;
+//!   tuple id space and the relation connectivity graph; each database
+//!   keeps one copy of each distinct string of its rows, so equal join
+//!   values share an allocation;
 //! * [`join`] / [`outerjoin`] — null-aware natural joins, binary full
 //!   outerjoins, and subsumption removal (the Rajaraman–Ullman baseline's
 //!   operators);
@@ -17,7 +19,7 @@
 //! * [`storage`] — simulated paged access with I/O accounting for the
 //!   paper's Section 7 block-based execution;
 //! * [`textio`] — a tiny textual table format for examples and docs;
-//! * [`lockcheck`] — named `Mutex`/`RwLock` wrappers that detect
+//! * [`lockcheck`] — a named `Mutex` wrapper that detects
 //!   lock-order inversions at runtime (on under `debug_assertions` or
 //!   the `lockcheck` feature; transparent in release);
 //! * [`changelog`] — [`Delta`]/[`Change`]/[`ChangeLog`]: the mutation
@@ -41,7 +43,6 @@ mod value;
 pub mod changelog;
 pub mod fxhash;
 pub mod hypergraph;
-pub mod interner;
 pub mod join;
 pub mod lockcheck;
 pub mod outerjoin;
@@ -57,10 +58,9 @@ pub use database::{
 };
 pub use error::{RelationalError, Result};
 pub use ids::{AttrId, RelId, TupleId};
-pub use interner::IStr;
 pub use relation::Relation;
 pub use schema::Schema;
-pub use value::{Value, NULL};
+pub use value::{IStr, Value, NULL};
 
 /// Builds the paper's running example: Table 1 (Climates, Accommodations,
 /// Sites), including its null values. Exposed here because nearly every

@@ -1,20 +1,19 @@
-//! Runtime lock-order checking: named wrappers over [`std::sync::Mutex`]
-//! and [`std::sync::RwLock`] that learn the process's inter-lock
-//! acquisition order and panic — naming both locks, with both
-//! back-traces — the moment any thread acquires in the reverse order.
+//! Runtime lock-order checking: a named wrapper over [`std::sync::Mutex`]
+//! that learns the process's inter-lock acquisition order and panics —
+//! naming both locks, with both back-traces — the moment any thread
+//! acquires in the reverse order.
 //!
-//! The workspace has four concurrency-heavy subsystems (the serve
-//! daemon, the session, the WAL/store, and the global interner) whose
-//! deadlock freedom rests on a *convention*: locks are always taken in
-//! the order declared in the repo-root `LOCK_ORDER.md`. Conventions rot;
-//! this module mechanizes the check. Every [`TrackedMutex`]/
-//! [`TrackedRwLock`] acquisition pushes its lock name onto a per-thread
-//! stack and, for each lock already held, records the ordered pair
-//! *held → acquiring* in a process-global order graph. Recording a pair
-//! whose reverse is already in the graph means two code paths disagree
-//! about the order — the classic recipe for an AB/BA deadlock — and the
-//! checker panics immediately with the back-trace of **both**
-//! acquisition orders, even if the interleaving never actually
+//! The workspace's concurrency-heavy subsystems (the serve daemon, the
+//! session and the WAL/store) rest their deadlock freedom on a
+//! *convention*: locks are always taken in the order declared in the
+//! repo-root `LOCK_ORDER.md`. Conventions rot; this module mechanizes
+//! the check. Every [`TrackedMutex`] acquisition pushes its lock name
+//! onto a per-thread stack and, for each lock already held, records the
+//! ordered pair *held → acquiring* in a process-global order graph.
+//! Recording a pair whose reverse is already in the graph means two code
+//! paths disagree about the order — the classic recipe for an AB/BA
+//! deadlock — and the checker panics immediately with the back-trace of
+//! **both** acquisition orders, even if the interleaving never actually
 //! deadlocked in this run. Every existing concurrency test therefore
 //! doubles as a deadlock detector.
 //!
@@ -23,7 +22,7 @@
 //! Tracking is compiled in only under `debug_assertions` (so plain
 //! `cargo test` checks by default) or the `lockcheck` cargo feature (so
 //! CI can run the suite in any profile with the detector pinned on). In
-//! release builds without the feature the wrappers are transparent:
+//! release builds without the feature the wrapper is transparent:
 //! [`TrackedMutex::lock`] is an `#[inline]` delegation to the inner
 //! `std` primitive and the per-lock cost is one `&'static str` field.
 //! With tracking on, the fast path for an already-known pair is a
@@ -39,9 +38,7 @@
 //! by instance.
 
 use std::fmt;
-use std::sync::{
-    LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
 
 /// Is order tracking compiled into this build?
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "lockcheck"));
@@ -134,126 +131,6 @@ impl<T> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
 }
 
 impl<T: fmt::Debug> fmt::Debug for TrackedMutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.inner, f)
-    }
-}
-
-/// An [`RwLock`] with a stable role name, participating in lock-order
-/// detection when [`ENABLED`]. Read and write acquisitions are tracked
-/// identically — a read-after-write inversion deadlocks just as hard
-/// once a writer queues between the two readers.
-pub struct TrackedRwLock<T> {
-    name: &'static str,
-    inner: RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Wraps `value` under the role `name` (see [`TrackedMutex::new`]).
-    pub const fn new(name: &'static str, value: T) -> Self {
-        TrackedRwLock {
-            name,
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> LockResult<T> {
-        self.inner.into_inner()
-    }
-}
-
-impl<T> TrackedRwLock<T> {
-    /// The role name this lock was created with.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquires shared access, with order tracking as
-    /// [`TrackedMutex::lock`].
-    #[inline]
-    pub fn read(&self) -> LockResult<TrackedReadGuard<'_, T>> {
-        let held = order::acquire(self.name);
-        match self.inner.read() {
-            Ok(inner) => Ok(TrackedReadGuard { inner, _held: held }),
-            Err(poisoned) => Err(PoisonError::new(TrackedReadGuard {
-                inner: poisoned.into_inner(),
-                _held: held,
-            })),
-        }
-    }
-
-    /// Acquires exclusive access, with order tracking as
-    /// [`TrackedMutex::lock`].
-    #[inline]
-    pub fn write(&self) -> LockResult<TrackedWriteGuard<'_, T>> {
-        let held = order::acquire(self.name);
-        match self.inner.write() {
-            Ok(inner) => Ok(TrackedWriteGuard { inner, _held: held }),
-            Err(poisoned) => Err(PoisonError::new(TrackedWriteGuard {
-                inner: poisoned.into_inner(),
-                _held: held,
-            })),
-        }
-    }
-
-    /// Mutable access without locking, as [`RwLock::get_mut`].
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        self.inner.get_mut()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TrackedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrackedRwLock")
-            .field("name", &self.name)
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// Shared-access guard from [`TrackedRwLock::read`].
-pub struct TrackedReadGuard<'a, T: ?Sized> {
-    inner: RwLockReadGuard<'a, T>,
-    _held: order::Held,
-}
-
-impl<T> std::ops::Deref for TrackedReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TrackedReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.inner, f)
-    }
-}
-
-/// Exclusive-access guard from [`TrackedRwLock::write`].
-pub struct TrackedWriteGuard<'a, T: ?Sized> {
-    inner: RwLockWriteGuard<'a, T>,
-    _held: order::Held,
-}
-
-impl<T> std::ops::Deref for TrackedWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TrackedWriteGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&*self.inner, f)
     }
@@ -378,17 +255,6 @@ mod tests {
         assert_eq!(*m.lock().unwrap(), 42);
         assert_eq!(m.name(), "test.lockcheck.plain");
         assert_eq!(m.into_inner().unwrap(), 42);
-    }
-
-    #[test]
-    fn tracked_rwlock_behaves_like_a_rwlock() {
-        let l = TrackedRwLock::new("test.lockcheck.rw", String::from("a"));
-        l.write().unwrap().push('b');
-        assert_eq!(&*l.read().unwrap(), "ab");
-        // Shared access really is shared.
-        let g1 = l.read().unwrap();
-        let g2 = l.read().unwrap();
-        assert_eq!(&*g1, &*g2);
     }
 
     #[test]

@@ -80,6 +80,13 @@ impl Relation {
         &self.rows[row]
     }
 
+    /// The `row`-th tuple's values, mutably (the database swaps each
+    /// string for its shared copy).
+    #[inline]
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut [Value] {
+        &mut self.rows[row]
+    }
+
     /// All rows.
     #[inline]
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> {

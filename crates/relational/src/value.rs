@@ -6,24 +6,138 @@
 //! `Value` needs total equality, ordering and hashing — including for
 //! floating-point values, which we canonicalize at construction time.
 //!
-//! Strings are interned ([`interner`](crate::interner)): `Value::Str`
-//! carries an [`IStr`] whose equality and hash are a single word-sized
-//! symbol comparison, which is what makes `join_consistent_with` cheap in
-//! the maximal-extension inner loops.
+//! `Value::Str` carries an [`IStr`]: a shared string that stores its own
+//! hash, so hashing is one word and unequal strings are (almost always)
+//! told apart by one word compare. A [`Database`](crate::Database) keeps
+//! one copy of each distinct string of its rows, so equal join values
+//! share an allocation and equality accepts on the pointer. Together
+//! these keep `join_consistent_with` cheap in the maximal-extension inner
+//! loops without any process-global state.
 
 use crate::error::RelationalError;
-use crate::interner::{self, IStr};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An immutable shared string that carries its own hash.
+///
+/// The hash is computed once, at construction. Equality compares the
+/// hashes, then the pointers, then the bytes; hashing writes the stored
+/// word, so every map keyed by a `Value` buckets strings by it. Strings
+/// arrive from outside the program (wire inserts, text tables), so the
+/// hash is std's SipHash, which resists crafted collisions, rather than
+/// [`FxHasher`](crate::fxhash::FxHasher), whose collisions are easy to
+/// construct. Its keys are fixed, so hashes — and with them every
+/// hash-map iteration order — repeat from run to run. Ordering is
+/// lexicographic on the text, so `Value`'s total order does not depend
+/// on how a string was built or shared.
+#[derive(Clone)]
+pub struct IStr {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl IStr {
+    fn new(text: &str) -> Self {
+        let mut h = DefaultHasher::new();
+        h.write(text.as_bytes());
+        IStr {
+            hash: h.finish(),
+            text: Arc::from(text),
+        }
+    }
+
+    /// The text.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// The shared text allocation (cheap to clone).
+    #[inline]
+    pub fn arc(&self) -> &Arc<str> {
+        &self.text
+    }
+}
+
+impl PartialEq for IStr {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for IStr {}
+
+impl Hash for IStr {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl Ord for IStr {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.text, &other.text) {
+            Ordering::Equal
+        } else {
+            self.text.cmp(&other.text)
+        }
+    }
+}
+
+impl PartialOrd for IStr {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Deref for IStr {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl AsRef<str> for IStr {
+    #[inline]
+    fn as_ref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl Borrow<str> for IStr {
+    #[inline]
+    fn borrow(&self) -> &str {
+        &self.text
+    }
+}
+
+impl fmt::Debug for IStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.text, f)
+    }
+}
+
+impl fmt::Display for IStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
 
 /// An atomic attribute value.
 ///
-/// `Null` is the paper's `⊥`. Strings are interned so that equality,
-/// hashing and join-consistency checks are word-sized integer operations,
-/// and tuples, tuple sets and padded output rows share one text
-/// allocation per distinct string.
+/// `Null` is the paper's `⊥`. Strings carry their own hash, so hashing
+/// is one word and unequal strings almost always differ on it; a
+/// database shares one text allocation per distinct string among its
+/// rows, tuple sets and padded output rows.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// The null value `⊥`: missing or unknown information.
@@ -33,16 +147,16 @@ pub enum Value {
     /// A finite 64-bit float. NaN is rejected at construction; `-0.0` is
     /// canonicalized to `0.0` so `Eq`/`Hash` are consistent.
     Float(f64),
-    /// An interned UTF-8 string.
+    /// A UTF-8 string with its hash.
     Str(IStr),
     /// A boolean.
     Bool(bool),
 }
 
 impl Value {
-    /// Builds a string value, interning the text.
+    /// Builds a string value, hashing the text once.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(interner::intern(s.as_ref()))
+        Value::Str(IStr::new(s.as_ref()))
     }
 
     /// Builds a float value, canonicalizing `-0.0` and rejecting NaN.
@@ -75,7 +189,8 @@ impl Value {
 
     /// The paper's join-consistency test on a single shared attribute:
     /// both values must be equal **and** non-null (`t1[A] = t2[A] ≠ ⊥`).
-    /// With interned strings this is a tag plus one word comparison.
+    /// For strings this is a tag plus one word comparison, then a
+    /// pointer compare when the two share an allocation.
     #[inline]
     pub fn join_consistent_with(&self, other: &Value) -> bool {
         !self.is_null() && !other.is_null() && self == other
@@ -110,7 +225,7 @@ impl PartialEq for Value {
             (Value::Null, Value::Null) => true,
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-            // Interned: one symbol comparison, no byte walk.
+            // Hash word first; shared allocations accept on the pointer.
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             _ => false,
@@ -139,7 +254,7 @@ impl Ord for Value {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             // Floats are finite by construction, so partial_cmp never fails.
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b).expect("finite floats"),
-            // Equal symbols short-circuit; otherwise lexicographic.
+            // Shared allocations short-circuit; otherwise lexicographic.
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             _ => self.tag().cmp(&other.tag()),
@@ -226,15 +341,22 @@ mod tests {
 
     #[test]
     fn interned_strings_compare_by_symbol() {
+        // Two independent allocations of the same text are equal and
+        // hash equal, without sharing a pointer.
         let (a, b) = (Value::str("Toronto"), Value::str("Toronto"));
         match (&a, &b) {
-            (Value::Str(x), Value::Str(y)) => assert_eq!(x.sym(), y.sym()),
+            (Value::Str(x), Value::Str(y)) => assert!(!Arc::ptr_eq(x.arc(), y.arc())),
             _ => unreachable!(),
         }
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert_ne!(Value::str("Toronto"), Value::str("Toronto "));
+        assert_ne!(Value::str(""), Value::str("\0"));
         // Independently constructed values still order lexicographically.
         assert!(Value::str("Nassau") < Value::str("Toronto"));
+        assert!(Value::str("Toronto") < Value::str("Toronto "));
+        assert!(Value::str("") < Value::str("a"));
     }
 
     #[test]

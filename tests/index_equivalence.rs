@@ -370,7 +370,7 @@ fn apply_op(session: &mut FdSession<'static>, op: (u8, u8, u8)) {
         session.commit(batch).expect("delete commits");
     } else {
         // Insert a row of small strings/ints/nulls, exercising the
-        // interner on the WAL path.
+        // database's shared strings on the WAL path.
         let rel = RelId((sel as usize % db.num_relations()) as u16);
         let arity = db.relation(rel).schema().attrs().len();
         let values: Vec<Value> = (0..arity)
@@ -409,7 +409,7 @@ proptest! {
                     session.db().verify_indexes());
             }
             // Dropped here without a checkpoint: recovery must replay
-            // the WAL tail through the same interner and index paths.
+            // the WAL tail through the same string-sharing and index paths.
         }
         let recovered = FdSession::open(&dir).expect("recovery");
         prop_assert!(recovered.db().verify_indexes().is_ok(),

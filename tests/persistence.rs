@@ -7,7 +7,7 @@
 
 use full_disjunction::baselines::brute::oracle_fd;
 use full_disjunction::core::store::{Wal, SNAPSHOT_FILE, WAL_FILE};
-use full_disjunction::core::{canonicalize, AttrMax, FdConfig, FdSession, FsyncPolicy};
+use full_disjunction::core::{canonicalize, AttrMax, FdConfig, FdError, FdSession, FsyncPolicy};
 use full_disjunction::relational::{tourist_database, Database, DeltaBatch, RelId, TupleId, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -172,8 +172,9 @@ fn commit_timings_bill_the_wal_apart_from_validate() {
             t.wal > Duration::ZERO,
             "a durable commit appends to the WAL"
         );
+        assert!(t.apply > Duration::ZERO, "every batch is applied: {t:?}");
         assert!(
-            t.validate + t.wal + t.maintain + t.window + t.fanout <= t.total,
+            t.validate + t.wal + t.apply + t.maintain + t.window + t.fanout <= t.total,
             "phases overlap: {t:?}"
         );
         let t = memory
@@ -181,6 +182,7 @@ fn commit_timings_bill_the_wal_apart_from_validate() {
             .expect("in-memory commit")
             .timings;
         assert_eq!(t.wal, Duration::ZERO, "an in-memory session has no WAL");
+        assert!(t.apply > Duration::ZERO, "every batch is applied: {t:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -442,6 +444,79 @@ fn serve_shutdown_checkpoints_the_durable_session() {
     );
     assert_eq!(recovered.db().num_tuples(), 11, "committed insert lost");
     assert!(recovered.verify_snapshot());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One random byte-level mutation of `bytes`: flip, insert, delete or
+/// truncate.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    let pos = rng.gen_range(0..=bytes.len());
+    match rng.gen_range(0..4u8) {
+        0 if pos < bytes.len() => bytes[pos] ^= rng.gen_range(1..=255u8),
+        1 => bytes.insert(pos, rng.gen_range(0..=255u8)),
+        2 if pos < bytes.len() => {
+            bytes.remove(pos);
+        }
+        _ => bytes.truncate(pos),
+    }
+}
+
+/// Byte-mutation regression test of the snapshot and WAL decoders: no
+/// damaged data directory may panic recovery. Each case damages either
+/// the snapshot or the WAL of a durable tourist session (the other file
+/// stays intact) and must open as `Ok` or fail as `FdError::Storage`.
+#[test]
+fn byte_mutations_of_snapshot_or_wal_never_panic_recovery() {
+    let source = fresh_dir("mutate-src");
+    {
+        let mut durable = FdSession::new(tourist_database());
+        durable
+            .persist_to(&source, FsyncPolicy::Off)
+            .expect("persist");
+        let batches = tourist_batches(23, 5);
+        for (i, batch) in batches.into_iter().enumerate() {
+            durable.commit(batch).expect("durable commit");
+            if i == 1 {
+                // A v3 snapshot with dynamic inserts and tombstones,
+                // then a WAL tail of three records on top of it.
+                assert!(durable.checkpoint().expect("checkpoint"));
+            }
+        }
+    }
+    let snapshot = std::fs::read(source.join(SNAPSHOT_FILE)).expect("snapshot");
+    let wal = std::fs::read(source.join(WAL_FILE)).expect("wal");
+    assert!(snapshot.starts_with(b"fdsnap v3 "));
+    assert!(!wal.is_empty());
+
+    let dir = fresh_dir("mutate-case");
+    std::fs::create_dir_all(&dir).expect("case dir");
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let (mut opened, mut refused) = (0usize, 0usize);
+    for case in 0..2_000 {
+        let (mut snap, mut log) = (snapshot.clone(), wal.clone());
+        let target = if case % 2 == 0 { &mut snap } else { &mut log };
+        for _ in 0..rng.gen_range(1..=3usize) {
+            mutate(target, &mut rng);
+        }
+        std::fs::write(dir.join(SNAPSHOT_FILE), &snap).expect("write snapshot");
+        std::fs::write(dir.join(WAL_FILE), &log).expect("write wal");
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| FdSession::open(&dir)));
+        match outcome {
+            Ok(Ok(session)) => {
+                assert!(session.verify_snapshot(), "case {case}: inconsistent state");
+                opened += 1;
+            }
+            Ok(Err(FdError::Storage { .. })) => refused += 1,
+            Ok(Err(other)) => panic!("case {case}: non-storage error {other:?}"),
+            Err(_) => panic!("case {case}: recovery panicked"),
+        }
+    }
+    assert!(
+        opened > 0 && refused > 0,
+        "opened {opened}, refused {refused}"
+    );
+    std::fs::remove_dir_all(&source).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -494,3 +494,72 @@ fn an_over_full_transaction_refuses_mutations_and_stays_open() {
     );
     server.wait().unwrap();
 }
+
+/// The daemon serves at most `MAX_CONNECTIONS` connections at once: one
+/// more gets `error too many connections` and is closed, the held ones
+/// keep working, and closing one frees its slot.
+#[test]
+fn connections_over_the_cap_are_refused_and_counted() {
+    use full_disjunction::core::serve::MAX_CONNECTIONS;
+    use std::io::BufRead as _;
+
+    let server = Server::start_with(
+        FdSession::new(tourist_database()),
+        "127.0.0.1:0",
+        ServeOptions {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            log: false,
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let maddr = server.metrics_addr().expect("metrics endpoint bound");
+
+    // Each greeting proves its connection thread is running.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS).map(|_| connect(addr)).collect();
+
+    let reader = |sock: &std::net::TcpStream| {
+        sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        std::io::BufReader::new(sock.try_clone().unwrap())
+    };
+    let over = std::net::TcpStream::connect(addr).expect("connect over the cap");
+    let mut over = reader(&over);
+    let mut line = String::new();
+    over.read_line(&mut line).expect("refusal");
+    assert_eq!(line, "error too many connections\n");
+    line.clear();
+    assert_eq!(over.read_line(&mut line).expect("EOF"), 0, "{line:?}");
+
+    let show = held[0].request("show").unwrap();
+    assert_eq!(show.last().unwrap(), "ok 6 result(s)");
+    let (_, body) = http_get(maddr, "/metrics");
+    assert_eq!(
+        sample_value(&body, "fd_serve_connections_rejected_total"),
+        Some(1.0)
+    );
+
+    // A closed connection frees its slot once its thread has finished.
+    held.pop();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let sock = std::net::TcpStream::connect(addr).expect("connect");
+        let mut line = String::new();
+        reader(&sock).read_line(&mut line).expect("first line");
+        if line.starts_with("ok fd serve (") {
+            break;
+        }
+        assert_eq!(line, "error too many connections\n");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the freed slot was never reused"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    assert_eq!(
+        held[0].request("shutdown").unwrap(),
+        vec!["ok shutting down"]
+    );
+    server.wait().unwrap();
+}
