@@ -9,13 +9,14 @@
 
 use fd_baselines::{exhaustive_top1_fsum, naive_top_k, outerjoin_fd, pio_fd};
 use fd_bench::{bench_chain, bench_noisy_chain, bench_star, fmt_duration, time_median};
+use fd_core::delta::{delta_batch, delta_insert};
 use fd_core::sim::TableSim;
 use fd_core::{
-    canonicalize, format_results, AMin, AProd, ApproxJoin, ExactSim, FMax, FdConfig, FdIter,
-    FdQuery, FdiIter, ImpScores, InitStrategy, ProbScores, StoreEngine, TupleSet,
+    canonicalize, format_results, AMin, AProd, ApproxJoin, EditDistanceSim, ExactSim, FMax,
+    FdConfig, FdIter, FdQuery, FdiIter, ImpScores, InitStrategy, ProbScores, StoreEngine, TupleSet,
 };
 use fd_relational::textio::{format_relation, format_table};
-use fd_relational::{tourist_database, Database, RelId, TupleId};
+use fd_relational::{tourist_database, Database, RelId, TupleId, Value};
 use fd_workloads::{chain, random_importance, DataSpec};
 
 fn main() {
@@ -35,6 +36,7 @@ fn main() {
     e11_init_ablation(scale);
     e12_block_ablation(scale);
     e13_parallel(scale);
+    e14_delta_maintenance(scale);
 }
 
 fn header(title: &str) {
@@ -266,7 +268,9 @@ fn e5_scaling(scale: usize) {
     );
 }
 
-/// E6: ranked top-k vs full-then-sort (Thm 5.5).
+/// E6: ranked top-k vs full-then-sort (Thm 5.5). The parallel column is
+/// the sharded plan (`.parallel(4)`): per-worker enumeration, then one
+/// sort of the collected answers, so it has no early exit for small k.
 fn e6_ranked_topk(scale: usize) {
     header("E6 — top-k in ranking order vs materialize-and-sort");
     let db = bench_chain(4, 40 * scale);
@@ -283,14 +287,24 @@ fn e6_ranked_topk(scale: usize) {
                 .into_ranked()
                 .unwrap()
         });
+        let (parallel, t_parallel) = time_median(3, || {
+            FdQuery::over(&db)
+                .ranked(&f)
+                .top_k(k)
+                .parallel(4)
+                .run()
+                .unwrap()
+                .into_ranked()
+                .unwrap()
+        });
         let (naive, t_naive) = time_median(3, || naive_top_k(&db, &f, k));
-        assert_eq!(
-            ranked.iter().map(|x| x.1).collect::<Vec<_>>(),
-            naive.iter().map(|x| x.1).collect::<Vec<_>>()
-        );
+        let ranks = |answers: &[(TupleSet, f64)]| answers.iter().map(|x| x.1).collect::<Vec<_>>();
+        assert_eq!(ranks(&ranked), ranks(&naive));
+        assert_eq!(ranks(&parallel), ranks(&naive));
         rows_out.push(vec![
             k.to_string(),
             fmt_duration(t_ranked),
+            fmt_duration(t_parallel),
             fmt_duration(t_naive),
             format!(
                 "{:.1}x",
@@ -302,7 +316,13 @@ fn e6_ranked_topk(scale: usize) {
         "{}",
         format_table(
             "top-k with f_max (monotonically 1-determined)",
-            &["k", "PriorityIncrementalFD", "full + sort", "speedup"],
+            &[
+                "k",
+                "PriorityIncrementalFD",
+                "parallel(4)",
+                "full + sort",
+                "speedup"
+            ],
             &rows_out
         )
     );
@@ -347,26 +367,33 @@ fn e7_nphard(fast: bool) {
 
 /// E8/E9: approximate full disjunctions across thresholds.
 fn e8_e9_approx(scale: usize) {
-    header("E9 — APPROXINCREMENTALFD across thresholds (A_min, edit distance)");
+    header("E9 — APPROXINCREMENTALFD across thresholds (A_min and A_prod, edit distance)");
     let db = bench_noisy_chain(3, 20 * scale, 0.3);
     let exact = FdQuery::over(&db).run().unwrap().into_sets();
-    let a = AMin::new(fd_core::EditDistanceSim, ProbScores::uniform(&db, 1.0));
+    let a = AMin::new(EditDistanceSim, ProbScores::uniform(&db, 1.0));
     let mut rows_out = vec![vec![
         "exact FD".to_string(),
         exact.len().to_string(),
         exact.iter().filter(|s| s.len() >= 2).count().to_string(),
         "-".into(),
     ]];
-    for tau in [0.95, 0.85, 0.75] {
+    let aprod = AProd::new(EditDistanceSim);
+    let variants: [(&str, &(dyn ApproxJoin + Sync), f64); 4] = [
+        ("A_min", &a, 0.95),
+        ("A_min", &a, 0.85),
+        ("A_min", &a, 0.75),
+        ("A_prod", &aprod, 0.8),
+    ];
+    for (name, join, tau) in variants {
         let (afd, t) = time_median(3, || {
             FdQuery::over(&db)
-                .approx(&a, tau)
+                .approx(join, tau)
                 .run()
                 .unwrap()
                 .into_sets()
         });
         rows_out.push(vec![
-            format!("AFD τ={tau}"),
+            format!("{name} τ={tau}"),
             afd.len().to_string(),
             afd.iter().filter(|s| s.len() >= 2).count().to_string(),
             fmt_duration(t),
@@ -540,7 +567,150 @@ fn e13_parallel(scale: usize) {
     );
 }
 
-/// Keeps `Database` in scope for doc purposes (the helpers above return
-/// it); silences the unused-import lint if sections get reordered.
-#[allow(dead_code)]
-fn _type_anchor(_db: &Database) {}
+/// E14: live maintenance vs recomputing the full disjunction. Both
+/// sides see the same post-insert database; the maintained side also
+/// gets the pre-insert results, which is what a session has on hand.
+fn e14_delta_maintenance(scale: usize) {
+    header("E14 — delta maintenance vs full recomputation (chain n=4)");
+    let cfg = FdConfig::default();
+    let recompute = |db: &Database| canonicalize(FdIter::with_config(db, cfg).collect());
+
+    let mut rows_out = Vec::new();
+    for rows in [8 * scale, 16 * scale, 32 * scale] {
+        let mut db = bench_chain(4, rows);
+        let previous: Vec<TupleSet> = FdIter::with_config(&db, cfg).collect();
+        // A well-connected row: join values inside the generated domain.
+        let inserted = db
+            .insert_tuple(
+                RelId(1),
+                vec![Value::Int(0), Value::Int(1), Value::Int(9_999_999)],
+            )
+            .expect("insert");
+        let (delta, t_delta) = time_median(3, || delta_insert(&db, inserted, &previous, cfg));
+        let (fd, t_full) = time_median(3, || recompute(&db));
+        let mut maintained = previous.clone();
+        apply_result_delta(&mut maintained, &delta.subsumed, delta.added);
+        assert_eq!(canonicalize(maintained), fd);
+        rows_out.push(vec![
+            rows.to_string(),
+            fd.len().to_string(),
+            fmt_duration(t_delta),
+            fmt_duration(t_full),
+            format!(
+                "{:.1}x",
+                t_full.as_secs_f64() / t_delta.as_secs_f64().max(1e-9)
+            ),
+        ]);
+    }
+    println!(
+        "{}",
+        format_table(
+            "one insert: delta_insert vs recompute (median of 3)",
+            &[
+                "rows/rel",
+                "|FD| after",
+                "delta_insert",
+                "recompute",
+                "speedup"
+            ],
+            &rows_out
+        )
+    );
+
+    let mut rows_out = Vec::new();
+    for rows in [16 * scale, 32 * scale, 64 * scale] {
+        let db = bench_chain(4, rows);
+        let previous: Vec<TupleSet> = FdIter::with_config(&db, cfg).collect();
+        let batch = overlapping_inserts(rows);
+        let insert_all = || {
+            let mut db = db.clone();
+            let ids: Vec<TupleId> = batch
+                .iter()
+                .map(|(rel, row)| db.insert_tuple(*rel, row.clone()).expect("insert"))
+                .collect();
+            (db, ids)
+        };
+        let (batched, t_batch) = time_median(3, || {
+            let (db, ids) = insert_all();
+            delta_batch(&db, &ids, &[], &previous, cfg)
+        });
+        let (singletons, t_singletons) = time_median(3, || {
+            let mut db = db.clone();
+            let mut results = previous.clone();
+            for (rel, row) in &batch {
+                let t = db.insert_tuple(*rel, row.clone()).expect("insert");
+                let d = delta_insert(&db, t, &results, cfg);
+                apply_result_delta(&mut results, &d.subsumed, d.added);
+            }
+            results
+        });
+        let (fd, t_full) = time_median(3, || recompute(&insert_all().0));
+        let mut maintained = previous.clone();
+        apply_result_delta(&mut maintained, &batched.retracted, batched.added);
+        assert_eq!(canonicalize(maintained), fd);
+        assert_eq!(canonicalize(singletons), fd);
+        rows_out.push(vec![
+            rows.to_string(),
+            fd.len().to_string(),
+            fmt_duration(t_batch),
+            fmt_duration(t_singletons),
+            fmt_duration(t_full),
+        ]);
+    }
+    println!(
+        "{}",
+        format_table(
+            &format!(
+                "{BATCH_INSERTS} overlapping inserts: one delta_batch vs \
+                 {BATCH_INSERTS} delta_insert applies vs recompute (median of 3)"
+            ),
+            &[
+                "rows/rel",
+                "|FD| after",
+                "delta_batch",
+                "singleton applies",
+                "recompute"
+            ],
+            &rows_out
+        )
+    );
+}
+
+/// A session commit's bookkeeping for one delta, on a plain result list.
+fn apply_result_delta(results: &mut Vec<TupleSet>, retracted: &[TupleSet], added: Vec<TupleSet>) {
+    results.retain(|s| !retracted.contains(s));
+    results.extend(added);
+}
+
+/// Inserts per E14 batch.
+const BATCH_INSERTS: usize = 32;
+
+/// The overlapping-insert shape batched commits exist for: each group of
+/// 4 rows spans the whole chain and joins the *other rows of its group*
+/// through fresh values (1000 + g·10 + r, unseen in the base data),
+/// anchored to the existing rows through the group's first join column.
+/// A singleton replay derives every growing prefix of a group and then
+/// subsumes it one insert later; the batch's single multi-seed run
+/// derives only each group's final sets.
+fn overlapping_inserts(rows: usize) -> Vec<(RelId, Vec<Value>)> {
+    let domain = (rows / 4).max(2) as i64;
+    (0..BATCH_INSERTS)
+        .map(|i| {
+            let rel = (i % 4) as i64;
+            let group = (i / 4) as i64;
+            let left = if rel == 0 {
+                group % domain
+            } else {
+                1_000 + group * 10 + rel
+            };
+            (
+                RelId(rel as u16),
+                vec![
+                    Value::Int(left),
+                    Value::Int(1_000 + group * 10 + rel + 1),
+                    Value::Int(9_000_000 + i as i64),
+                ],
+            )
+        })
+        .collect()
+}

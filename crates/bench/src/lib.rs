@@ -1,44 +1,27 @@
 //! # fd-bench
 //!
-//! Benchmark harness regenerating every table, figure and complexity /
-//! ordering claim of the paper. The README's "Build, test, bench" section
-//! lists the targets; the committed `BENCH_*.json` files at the
-//! repository root record the measured trajectories. The crate offers:
+//! The experiment harness of the repository. The `paper_tables` binary
+//! regenerates every table and figure of the paper and times every
+//! experimental claim (E3–E14); E3, E6 and E14 assert that their
+//! contenders' answers agree before printing a time. Four plain
+//! `harness = false` bench writers (`commit_phases`, `persist`,
+//! `scaling_index`, `serve_fanout`) record the session-level
+//! trajectories in the committed `BENCH_*.json` files at the repository
+//! root. The crate offers:
 //!
-//! * shared workload constructors used by both the Criterion benches and
-//!   the `paper_tables` binary, so the two always measure the same
+//! * shared workload constructors, so every table measures the same
 //!   databases;
-//! * small measurement utilities (wall-clock one-shot timing) for the
-//!   table-printing binary — Criterion owns the statistically rigorous
-//!   numbers, the binary owns the human-readable experiment tables.
+//! * small wall-clock utilities (one-shot and median-of-`n` timing,
+//!   compact duration formatting) for the table printer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use fd_core::{ApproxAllIter, ApproxJoin, FdConfig, FdIter, TupleSet};
 use fd_relational::Database;
 use fd_workloads::{chain, star, DataSpec};
 use std::time::{Duration, Instant};
 
-/// Materializes the full disjunction with an explicit configuration —
-/// the benches' shared stand-in for the removed `full_disjunction_with`
-/// free function (kept once here instead of per bench target).
-pub fn full_fd_with(db: &Database, cfg: FdConfig) -> Vec<TupleSet> {
-    FdIter::with_config(db, cfg).collect()
-}
-
-/// [`full_fd_with`] at the default configuration.
-pub fn full_fd(db: &Database) -> Vec<TupleSet> {
-    full_fd_with(db, FdConfig::default())
-}
-
-/// Materializes the approximate full disjunction, shared by the approx
-/// bench targets.
-pub fn approx_fd<A: ApproxJoin>(db: &Database, a: &A, tau: f64) -> Vec<TupleSet> {
-    ApproxAllIter::new(db, a, tau).collect()
-}
-
-/// The chain family used by E3/E4/E5/E10/E11/E12: `n` relations,
+/// The chain family used by E3/E4/E6/E10/E11/E12/E14: `n` relations,
 /// `rows` rows each, join domain sized for a healthy but bounded output.
 pub fn bench_chain(n: usize, rows: usize) -> Database {
     chain(n, &DataSpec::new(rows, (rows / 4).max(2)).seed(0xFD))

@@ -46,7 +46,7 @@ use crate::stats::Stats;
 use crate::store::{FsyncPolicy, Store, StoreError, Wal};
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashMap;
-use fd_relational::{apply_delta, validate_batch, Change, ChangeLog, Database, Delta, TupleId};
+use fd_relational::{apply_delta, validate_batch, Change, Database, Delta, TupleId};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -506,7 +506,7 @@ impl SessionMetrics {
             ),
             validate: registry.histogram(
                 "fd_commit_validate_seconds",
-                "Commit phase: batch validation and atomic apply.",
+                "Commit phase: batch validation.",
             ),
             apply: registry.histogram(
                 "fd_commit_apply_seconds",
@@ -602,7 +602,7 @@ struct Durability {
     /// WAL bytes that trigger truncate-on-snapshot compaction.
     threshold: u64,
     /// Commits folded into the snapshot this session recovered from —
-    /// the session's own [`ChangeLog`] continues the count from here.
+    /// the session's maintenance passes continue the count from here.
     base_seq: u64,
 }
 
@@ -639,10 +639,11 @@ pub struct FdSession<'q> {
     results: Vec<TupleSet>,
     /// Canonical member list → position in `results`.
     index: FxHashMap<Box<[TupleId]>, usize>,
-    log: ChangeLog,
     ranked: Option<RankedView<'q>>,
     sinks: Vec<(SinkId, Box<dyn EventSink + 'q>)>,
     next_sink: u64,
+    /// Non-empty commits applied, recovery replays included. A durable
+    /// session's WAL sequence number counts on from `base_seq` by it.
     passes: u64,
     metrics: SessionMetrics,
     /// [`Stats`] summed over every maintenance pass — the monotone
@@ -734,7 +735,6 @@ impl<'q> FdSession<'q> {
             cfg,
             results,
             index,
-            log: ChangeLog::new(),
             ranked,
             sinks: Vec::new(),
             next_sink: 0,
@@ -780,11 +780,6 @@ impl<'q> FdSession<'q> {
     /// Is this exact tuple set currently a result?
     pub fn contains(&self, tuples: &[TupleId]) -> bool {
         self.index.contains_key(tuples)
-    }
-
-    /// The realized mutation history, grouped by commit, oldest first.
-    pub fn changelog(&self) -> &ChangeLog {
-        &self.log
     }
 
     /// Is this a ranked session (maintained top-k window)?
@@ -885,7 +880,7 @@ impl<'q> FdSession<'q> {
     /// On error (any mutation rejected by the relational layer) nothing
     /// changes: not the database, not the results, not the pass counter.
     /// An empty batch is a no-op commit: no maintenance pass, no events,
-    /// no changelog entry.
+    /// no WAL record.
     pub fn commit(&mut self, batch: DeltaBatch) -> Result<Commit, FdError> {
         if batch.is_empty() {
             return Ok(Commit {
@@ -914,7 +909,7 @@ impl<'q> FdSession<'q> {
             // fold-in point plus every batch committed since. Recovery
             // replays only records past the snapshot's seq, so a stale
             // log left by a crash mid-checkpoint is never double-applied.
-            let seq = d.base_seq + self.log.num_batches() as u64 + 1;
+            let seq = d.base_seq + self.passes + 1;
             let append_start = Instant::now();
             match d.wal.append(seq, &batch, d.policy) {
                 Ok(bytes) => {
@@ -935,7 +930,6 @@ impl<'q> FdSession<'q> {
             })
             .collect();
         let apply = apply_start.elapsed();
-        self.log.record_batch(changes.iter().copied());
 
         let mut inserted: Vec<TupleId> = Vec::new();
         let mut removed: Vec<TupleId> = Vec::new();
@@ -1238,7 +1232,7 @@ impl<'q> FdSession<'q> {
     /// is ignored rather than double-applied.
     pub fn checkpoint(&mut self) -> Result<bool, FdError> {
         let seq = match &self.durability {
-            Some(d) => d.base_seq + self.log.num_batches() as u64,
+            Some(d) => d.base_seq + self.passes,
             None => return Ok(false),
         };
         let start = Instant::now();
@@ -1361,7 +1355,6 @@ mod tests {
         let empty = session.begin();
         session.commit(empty).unwrap();
         assert_eq!(session.maintenance_passes(), 1);
-        assert_eq!(session.changelog().num_batches(), 1);
     }
 
     #[test]
@@ -1377,7 +1370,6 @@ mod tests {
         assert_eq!(session.canonical_results(), before);
         assert_eq!(session.maintenance_passes(), 0);
         assert_eq!(session.db().num_tuples(), 10, "insert must roll back");
-        assert!(session.changelog().is_empty());
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Mutation descriptions and histories for dynamic databases.
+//! Mutation descriptions for dynamic databases.
 //!
 //! A [`Delta`] describes one *pending* mutation — the unit the live
 //! maintenance engine applies; a [`DeltaBatch`] groups several pending
 //! mutations into one transactional unit (what a session commits with a
 //! single maintenance pass); a [`Change`] records a mutation that
-//! *happened* (with the tuple id the database assigned); a [`ChangeLog`]
-//! accumulates the realized history — grouped by commit — so replicas,
-//! audits and tests can replay it batch by batch.
+//! *happened* (with the tuple id the database assigned).
 
 use crate::database::Database;
 use crate::error::Result;
@@ -135,72 +133,6 @@ impl Change {
     }
 }
 
-/// An append-only history of realized mutations, grouped by commit.
-///
-/// Singleton mutations recorded through [`record`](Self::record) are
-/// batches of one; a transactional commit records its whole group at
-/// once through [`record_batch`](Self::record_batch), so replicas can
-/// replay the history with the original commit boundaries intact.
-#[derive(Debug, Clone, Default)]
-pub struct ChangeLog {
-    changes: Vec<Change>,
-    /// End offset (exclusive) of each recorded batch, ascending.
-    bounds: Vec<usize>,
-}
-
-impl ChangeLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a realized change as a batch of one.
-    pub fn record(&mut self, change: Change) {
-        self.changes.push(change);
-        self.bounds.push(self.changes.len());
-    }
-
-    /// Records a group of realized changes as one batch. Empty groups
-    /// are not recorded (an empty commit leaves no history).
-    pub fn record_batch(&mut self, changes: impl IntoIterator<Item = Change>) {
-        let before = self.changes.len();
-        self.changes.extend(changes);
-        if self.changes.len() > before {
-            self.bounds.push(self.changes.len());
-        }
-    }
-
-    /// Number of recorded changes (across all batches).
-    pub fn len(&self) -> usize {
-        self.changes.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Number of recorded batches (commits).
-    pub fn num_batches(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// The recorded changes, oldest first, flattened across batches.
-    pub fn changes(&self) -> &[Change] {
-        &self.changes
-    }
-
-    /// The recorded batches, oldest first — each item is one commit's
-    /// group of changes.
-    pub fn batches(&self) -> impl Iterator<Item = &[Change]> {
-        self.bounds.iter().scan(0usize, move |start, &end| {
-            let batch = &self.changes[*start..end];
-            *start = end;
-            Some(batch)
-        })
-    }
-}
-
 /// Applies a delta to a database, returning the realized [`Change`].
 pub fn apply_delta(db: &mut Database, delta: Delta) -> Result<Change> {
     match delta {
@@ -286,7 +218,6 @@ mod tests {
     #[test]
     fn deltas_apply_and_log() {
         let mut db = tourist_database();
-        let mut log = ChangeLog::new();
         let c1 = apply_delta(
             &mut db,
             Delta::Insert {
@@ -295,13 +226,11 @@ mod tests {
             },
         )
         .unwrap();
-        log.record(c1);
         assert_eq!(c1.tuple(), TupleId(10));
         let c2 = apply_delta(&mut db, Delta::Delete { tuple: TupleId(0) }).unwrap();
-        log.record(c2);
         assert_eq!(
-            log.changes(),
-            &[
+            [c1, c2],
+            [
                 Change::Inserted {
                     rel: RelId(0),
                     tuple: TupleId(10)
@@ -372,26 +301,5 @@ mod tests {
             assert_eq!(db.tuple_id_bound(), before_bound, "insert leaked");
             assert!(db.is_live(TupleId(0)), "delete leaked");
         }
-    }
-
-    #[test]
-    fn changelog_groups_batches() {
-        let mut db = tourist_database();
-        let mut log = ChangeLog::new();
-        log.record(apply_delta(&mut db, Delta::Delete { tuple: TupleId(3) }).unwrap());
-        let mut batch = DeltaBatch::new();
-        batch
-            .insert(RelId(0), vec!["Chile".into(), "arid".into()])
-            .delete(TupleId(0));
-        log.record_batch(apply_batch(&mut db, batch).unwrap());
-        log.record_batch(Vec::new()); // empty commits leave no history
-
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.num_batches(), 2);
-        let batches: Vec<&[Change]> = log.batches().collect();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].len(), 1);
-        assert_eq!(batches[1].len(), 2);
-        assert_eq!(batches[1][0].tuple(), TupleId(10));
     }
 }

@@ -22,7 +22,7 @@
 //! * [`lockcheck`] — a named `Mutex` wrapper that detects
 //!   lock-order inversions at runtime (on under `debug_assertions` or
 //!   the `lockcheck` feature; transparent in release);
-//! * [`changelog`] — [`Delta`]/[`Change`]/[`ChangeLog`]: the mutation
+//! * [`changelog`] — [`Delta`]/[`DeltaBatch`]/[`Change`]: the mutation
 //!   vocabulary of the dynamic-maintenance layer
 //!   ([`Database::insert_tuple`] / [`Database::remove_tuple`]).
 //!
@@ -50,9 +50,7 @@ pub mod stats;
 pub mod storage;
 pub mod textio;
 
-pub use changelog::{
-    apply_batch, apply_delta, validate_batch, Change, ChangeLog, Delta, DeltaBatch,
-};
+pub use changelog::{apply_batch, apply_delta, validate_batch, Change, Delta, DeltaBatch};
 pub use database::{
     universal_positions, universal_schema, Database, DatabaseBuilder, RelationBuilder,
 };

@@ -83,7 +83,7 @@ fn main() {
         println!("  {:>5.1}  {}", rank, set.label(ranked.db()));
     }
     println!(
-        "\nchangelog: {} commits applied",
-        session.changelog().num_batches()
+        "\nsession: {} commits applied",
+        session.maintenance_passes()
     );
 }

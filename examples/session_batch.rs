@@ -101,8 +101,7 @@ fn main() {
     assert!(ranked.verify_snapshot());
 
     println!(
-        "\nchangelog: {} commits, {} mutations",
-        session.changelog().num_batches(),
-        session.changelog().len()
+        "\nsession: {} commit(s) applied",
+        session.maintenance_passes()
     );
 }

@@ -91,7 +91,7 @@ pub mod prelude {
         StoreEngine, TopKUpdate, TupleSet, VecSink,
     };
     pub use fd_relational::{
-        tourist_database, AttrId, Change, ChangeLog, Database, DatabaseBuilder, Delta, DeltaBatch,
-        RelId, TupleId, Value, NULL,
+        tourist_database, AttrId, Change, Database, DatabaseBuilder, Delta, DeltaBatch, RelId,
+        TupleId, Value, NULL,
     };
 }

@@ -88,7 +88,7 @@ fn churn(mut session: FdSession<'static>, seed: u64, payload_base: i64) {
         );
     }
     // Every step really happened (one commit per step)…
-    assert_eq!(session.changelog().num_batches(), STEPS);
+    assert_eq!(session.maintenance_passes(), STEPS as u64);
     // …and the cheaper FdIter-based invariant must agree as well.
     assert!(session.verify_snapshot());
 }
@@ -216,7 +216,7 @@ fn nully_chain_batched_commits_match_oracle_every_step() {
             "batched session diverged from the oracle at step {step}"
         );
     }
-    assert_eq!(session.changelog().num_batches(), BATCHES);
+    assert_eq!(session.maintenance_passes(), BATCHES as u64);
     assert!(session.verify_snapshot());
 }
 
