@@ -365,7 +365,10 @@ fn e7_nphard(fast: bool) {
     );
 }
 
-/// E8/E9: approximate full disjunctions across thresholds.
+/// E8/E9: approximate full disjunctions across thresholds. Each variant
+/// runs twice: unpaged, where line 7 visits the candidates the similarity
+/// probe returns, and with `.page_size(4)`, which scans every tuple; both
+/// must emit the same sets in the same order.
 fn e8_e9_approx(scale: usize) {
     header("E9 — APPROXINCREMENTALFD across thresholds (A_min and A_prod, edit distance)");
     let db = bench_noisy_chain(3, 20 * scale, 0.3);
@@ -376,6 +379,7 @@ fn e8_e9_approx(scale: usize) {
         exact.len().to_string(),
         exact.iter().filter(|s| s.len() >= 2).count().to_string(),
         "-".into(),
+        "-".into(),
     ]];
     let aprod = AProd::new(EditDistanceSim);
     let variants: [(&str, &(dyn ApproxJoin + Sync), f64); 4] = [
@@ -385,25 +389,36 @@ fn e8_e9_approx(scale: usize) {
         ("A_prod", &aprod, 0.8),
     ];
     for (name, join, tau) in variants {
-        let (afd, t) = time_median(3, || {
-            FdQuery::over(&db)
-                .approx(join, tau)
-                .run()
-                .unwrap()
-                .into_sets()
-        });
+        let run = |query: FdQuery<'_>| query.approx(join, tau).run().unwrap().into_sets();
+        let (afd, t) = time_median(3, || run(FdQuery::over(&db)));
+        let (scanned, t_scan) = time_median(3, || run(FdQuery::over(&db).page_size(4)));
+        let members = |sets: &[TupleSet]| -> Vec<Vec<TupleId>> {
+            sets.iter().map(|s| s.tuples().to_vec()).collect()
+        };
+        assert_eq!(
+            members(&afd),
+            members(&scanned),
+            "{name} τ={tau}: the probed run diverges from the scan"
+        );
         rows_out.push(vec![
             format!("{name} τ={tau}"),
             afd.len().to_string(),
             afd.iter().filter(|s| s.len() >= 2).count().to_string(),
             fmt_duration(t),
+            fmt_duration(t_scan),
         ]);
     }
     println!(
         "{}",
         format_table(
             "typo'd chain: lower τ recovers more joins",
-            &["variant", "results", "combined (≥2 tuples)", "runtime"],
+            &[
+                "variant",
+                "results",
+                "combined (≥2 tuples)",
+                "runtime",
+                "scan (page 4)"
+            ],
             &rows_out
         )
     );

@@ -95,6 +95,22 @@ pub trait ApproxJoin {
         tau: f64,
         stats: &mut Stats,
     ) -> Vec<TupleSet>;
+
+    /// Bounds Fig. 6 line 7 for the member `m` of the popped set: appends
+    /// to `out`, in any order, a superset of the tuples `tb` of `rel`
+    /// (which shares an attribute with `m`'s relation) with
+    /// `A({m, tb}) ≥ tau`, and returns `true`. The default returns
+    /// `false`, and line 7 scans `rel`.
+    fn candidates(
+        &self,
+        _db: &Database,
+        _m: TupleId,
+        _rel: RelId,
+        _tau: f64,
+        _out: &mut Vec<TupleId>,
+    ) -> bool {
+        false
+    }
 }
 
 // The approximate policy *owns* its join function, so borrowing and
@@ -117,6 +133,17 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for &A {
     ) -> Vec<TupleSet> {
         (**self).maximal_subsets(db, set, tb, tau, stats)
     }
+
+    fn candidates(
+        &self,
+        db: &Database,
+        m: TupleId,
+        rel: RelId,
+        tau: f64,
+        out: &mut Vec<TupleId>,
+    ) -> bool {
+        (**self).candidates(db, m, rel, tau, out)
+    }
 }
 
 impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
@@ -133,6 +160,17 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
         stats: &mut Stats,
     ) -> Vec<TupleSet> {
         (**self).maximal_subsets(db, set, tb, tau, stats)
+    }
+
+    fn candidates(
+        &self,
+        db: &Database,
+        m: TupleId,
+        rel: RelId,
+        tau: f64,
+        out: &mut Vec<TupleId>,
+    ) -> bool {
+        (**self).candidates(db, m, rel, tau, out)
     }
 }
 
@@ -214,6 +252,18 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
         let kept = component_of(db, members, rel_b);
         debug_assert!(self.score(db, &kept) >= tau);
         vec![crate::jcc::rebuild(db, kept)]
+    }
+
+    /// `A_min({m, tb}) ≤ sim(m, tb)`, so the similarity's bound is one.
+    fn candidates(
+        &self,
+        db: &Database,
+        m: TupleId,
+        rel: RelId,
+        tau: f64,
+        out: &mut Vec<TupleId>,
+    ) -> bool {
+        self.sim.candidates(db, m, rel, tau, out)
     }
 }
 
@@ -304,6 +354,18 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
             .map(|m| crate::jcc::rebuild(db, m))
             .collect()
     }
+
+    /// `A_prod({m, tb}) = sim(m, tb)`, so the similarity's bound is one.
+    fn candidates(
+        &self,
+        db: &Database,
+        m: TupleId,
+        rel: RelId,
+        tau: f64,
+        out: &mut Vec<TupleId>,
+    ) -> bool {
+        self.sim.candidates(db, m, rel, tau, out)
+    }
 }
 
 /// Is sorted list `a` a subset of sorted list `b`?
@@ -358,8 +420,10 @@ fn with_member(mut members: Vec<TupleId>, t: TupleId) -> Vec<TupleId> {
 /// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
 /// consistent when it is structurally valid and `A(T) ≥ τ`. Members of
 /// such a set may disagree on shared attributes, so nothing here relies
-/// on bindings or the join-column indexes: the extension and the seed
-/// growth scan whole relations by design.
+/// on bindings. Line 7 takes its candidates from
+/// [`ApproxJoin::candidates`] when the join function bounds them (for
+/// [`AMin`] and [`AProd`], when their similarity does); the extension
+/// and the seed growth scan whole relations.
 #[derive(Debug)]
 pub struct Approx<A> {
     a: A,
@@ -381,7 +445,6 @@ impl<A: ApproxJoin> Approx<A> {
 impl<A: ApproxJoin> Policy for Approx<A> {
     const UNIQUE_PARTNER: bool = false;
     const PREORDER_SEEDS: bool = false;
-    const ADJACENT_CANDIDATES: bool = false;
     type Ref<'a>
         = Approx<&'a A>
     where
@@ -413,6 +476,11 @@ impl<A: ApproxJoin> Policy for Approx<A> {
                     .then(|| crate::jcc::rebuild(db, members))
             },
         )
+    }
+
+    /// The join function's bound ([`ApproxJoin::candidates`]).
+    fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool {
+        self.a.candidates(db, m, rel, self.tau, out)
     }
 
     /// Fig. 6 line 8: possibly several maximal subsets.

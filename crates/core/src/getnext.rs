@@ -30,14 +30,17 @@
 //! drivers, the parallel drivers and delta maintenance all run this one
 //! candidate loop.
 //!
-//! Line 7 is written as a scan of every tuple, but a candidate that joins
-//! no schema-adjacent member of `T` has `T′ = {tb}`, which line 10 drops
-//! unless `tb` is a root, and for a root lines 11–18 are then a no-op.
-//! The candidate source therefore depends on the policy and the pager
-//! alone: exact, unpaged runs — FIFO or ranked, plain, Section-7 or
-//! seeded — visit only the [`adjacent_candidates`], found through the
-//! posting lists, in the scan's order; approximate and block-based runs
-//! scan ([`scan_tuples_from`]).
+//! Line 7 is written as a scan of every tuple, but a candidate that is
+//! consistent with no schema-adjacent member of `T` has `T′ = {tb}`,
+//! which line 10 drops unless `tb` is a root, and for a root lines 11–18
+//! are then a no-op. Unpaged runs — exact or approximate, FIFO or ranked,
+//! plain, Section-7 or seeded — therefore visit only the
+//! [`adjacent_candidates`], in the scan's order. The policy bounds them
+//! per (member, relation) pair ([`Policy::candidates`]): the exact policy
+//! through the posting lists, the approximate one through its join
+//! function's similarity probe. A relation the policy cannot bound is
+//! scanned, and so is every relation of a block-based run
+//! ([`scan_tuples_from`]).
 
 use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
 use crate::lists::{CompleteStore, IncompleteQueue};
@@ -45,7 +48,8 @@ use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::storage::Pager;
-use fd_relational::{Database, RelId, TupleId};
+use fd_relational::{AttrId, Database, RelId, TupleId, Value};
+use std::cell::RefCell;
 
 /// What "consistent" means for one execution: the predicate behind the
 /// extension (lines 2–6), the maximal subsets (line 8), the merge
@@ -64,13 +68,6 @@ pub trait Policy {
     /// on that order when merge partners are not unique.
     const PREORDER_SEEDS: bool;
 
-    /// Does line 8 give `T′ = {tb}` for every candidate `tb` that agrees
-    /// with no schema-adjacent member of `T`? Then line 7 of an unpaged
-    /// run visits only the tuples the posting lists match to such a
-    /// member. True for exact joins; `≈`-joins admit unequal values, so
-    /// the approximate policy scans.
-    const ADJACENT_CANDIDATES: bool;
-
     /// The policy borrowed, for parallel workers sharing one policy.
     type Ref<'a>: Policy
     where
@@ -78,6 +75,14 @@ pub trait Policy {
 
     /// Borrows the policy (see [`Policy::Ref`]).
     fn by_ref(&self) -> Self::Ref<'_>;
+
+    /// Line 7's candidates of relation `rel` against the member `m` of the
+    /// popped set, where `rel` shares an attribute with `m`'s relation:
+    /// appends to `out`, in any order, a superset of the tuples `tb` of
+    /// `rel` for which `{m, tb}` is consistent, and returns `true`.
+    /// Returns `false` when the policy cannot bound them; line 7 then
+    /// scans `rel`.
+    fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool;
 
     /// May the singleton `{t}` seed a run (Fig. 5 line 3*)?
     fn admits(&self, db: &Database, t: TupleId, stats: &mut Stats) -> bool;
@@ -111,6 +116,11 @@ pub trait Policy {
     fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, f: impl FnMut(TupleSet));
 }
 
+thread_local! {
+    /// The binding list of [`Exact::candidates`], reused across probes.
+    static BINDINGS: RefCell<Vec<(AttrId, Value, TupleId)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The exact policy: join consistency and connectivity (`JCC`), with the
 /// extension probing the join-column indexes.
 #[derive(Debug, Clone, Copy)]
@@ -119,11 +129,24 @@ pub struct Exact;
 impl Policy for Exact {
     const UNIQUE_PARTNER: bool = true;
     const PREORDER_SEEDS: bool = true;
-    const ADJACENT_CANDIDATES: bool = true;
     type Ref<'a> = Exact;
 
     fn by_ref(&self) -> Exact {
         Exact
+    }
+
+    /// The tuples of `rel` agreeing with `m` on their shared attributes,
+    /// from one posting-list probe.
+    fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool {
+        BINDINGS.with_borrow_mut(|bindings| {
+            bindings.clear();
+            bindings.extend(db.shared_attrs(db.rel_of(m), rel).iter().map(|&a| {
+                let v = db.tuple_value(m, a).expect("shared attr in schema");
+                (a, v.clone(), m)
+            }));
+            out.extend(db.probe(rel, bindings));
+        });
+        true
     }
 
     fn admits(&self, _db: &Database, _t: TupleId, _stats: &mut Stats) -> bool {
@@ -245,64 +268,50 @@ impl Frontier for Fifo {
     }
 }
 
-/// Block-based or tuple-at-a-time scan (Section 7): applies `f` to every
-/// live tuple of relations `rel_min..n`, each relation in ascending id
-/// order — base band then that relation's dynamic inserts. With a pager,
-/// every page is fetched and counted, so block mode always scans; so does
-/// the approximate policy, for which [`adjacent_candidates`] is not exact.
-/// Line 7's source depends on nothing else.
-pub(crate) fn scan_tuples_from(
-    db: &Database,
-    rel_min: usize,
-    pager: Option<&Pager<'_>>,
-    mut f: impl FnMut(TupleId),
-) {
+/// Block-based scan (Section 7): applies `f` to every live tuple of
+/// relations `rel_min..n`, page by page, each relation in ascending id
+/// order — base band then that relation's dynamic inserts. Every page is
+/// fetched and counted, so a block-based run's line 7 always scans.
+fn scan_tuples_from(db: &Database, rel_min: usize, pager: &Pager<'_>, mut f: impl FnMut(TupleId)) {
     for rel_idx in rel_min..db.num_relations() {
-        let rel = RelId(rel_idx as u16);
-        match pager {
-            None => {
-                for t in db.tuples_of(rel) {
-                    f(t);
-                }
-            }
-            Some(pager) => {
-                for block in pager.scan(rel) {
-                    for t in block {
-                        f(t);
-                    }
-                }
+        for block in pager.scan(RelId(rel_idx as u16)) {
+            for t in block {
+                f(t);
             }
         }
     }
 }
 
 /// Line 7 restricted to the candidates that can give `T′ ≠ {tb}`: applies
-/// `f` to every live tuple of relations `rel_min..n` that is join
-/// consistent with at least one schema-adjacent member of `set` (another
-/// relation sharing an attribute), in [`scan_tuples_from`]'s order —
-/// relation by relation, ascending id within each. Any other `tb` keeps
-/// no member in the component of footnote 3, so `T′ = {tb}`. The tuples
-/// come from the union of one posting-list probe per (member, relation)
-/// pair on the pair's shared attributes.
-fn adjacent_candidates(db: &Database, set: &TupleSet, rel_min: usize, mut f: impl FnMut(TupleId)) {
+/// `f` to the live tuples of relations `rel_min..n` that `policy` bounds
+/// against at least one schema-adjacent member of `set` (another relation
+/// sharing an attribute), in a scan's order — relation by relation,
+/// ascending id within each. A consistent `T′ ∋ tb` of two or more tuples
+/// is connected, so it holds such a member `m`, and its connected subset
+/// `{m, tb}` is consistent too (`JCC` and an acceptable `A ≥ τ` are both
+/// antitone). Any other `tb` has `T′ = {tb}`. A relation's candidates are
+/// the union of the policy's [`candidates`](Policy::candidates) over the
+/// adjacent members, or all of its tuples when the policy cannot bound
+/// one of them.
+fn adjacent_candidates<P: Policy>(
+    db: &Database,
+    policy: &P,
+    set: &TupleSet,
+    rel_min: usize,
+    mut f: impl FnMut(TupleId),
+) {
     let members: Vec<(TupleId, RelId)> = set.tuples().iter().map(|&m| (m, db.rel_of(m))).collect();
-    let mut bindings = Vec::new();
     let mut ids: Vec<TupleId> = Vec::new();
     for rel_idx in rel_min..db.num_relations() {
         let rel = RelId(rel_idx as u16);
         ids.clear();
-        for &(m, rel_m) in &members {
-            if rel_m == rel {
-                continue;
-            }
-            bindings.clear();
-            bindings.extend(db.shared_attrs(rel_m, rel).iter().map(|&a| {
-                let v = db.tuple_value(m, a).expect("shared attr in schema");
-                (a, v.clone(), m)
-            }));
-            if !bindings.is_empty() {
-                ids.extend(db.probe(rel, &bindings));
-            }
+        let bounded = members
+            .iter()
+            .filter(|&&(_, rel_m)| rel_m != rel && db.rels_connected(rel_m, rel))
+            .all(|&(m, _)| policy.candidates(db, m, rel, &mut ids));
+        if !bounded {
+            db.tuples_of(rel).for_each(&mut f);
+            continue;
         }
         // Ascending id is `tuples_of` order: a relation's dynamic inserts
         // get ids above its base band, in insert order.
@@ -414,14 +423,13 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             return Some((root, set));
         }
 
-        // Line 7 visits only the adjacent candidates of an exact, unpaged
-        // run. Any other candidate has `T′ = {tb}`. Line 10 keeps it only
-        // if `tb` is a root; line 11 drops it if a printed set contains
-        // `tb`. Otherwise `tb`'s own pending entry is its only merge
-        // partner (both frontiers merge by root), and that entry already
-        // contains `tb`: the merge changes nothing, so skipping `tb` is
-        // exact. Reuse runs (`rel_min > i`) never see a tuple of `Ri`.
-        let adjacent = P::ADJACENT_CANDIDATES && pager.is_none();
+        // Line 7 visits only the adjacent candidates of an unpaged run.
+        // Any other candidate has `T′ = {tb}`. Line 10 keeps it only if
+        // `tb` is a root; line 11 drops it if a printed set contains `tb`.
+        // Otherwise `tb`'s own pending entry is its only merge partner
+        // (both frontiers merge by root), and that entry already contains
+        // `tb`: the merge changes nothing, so skipping `tb` is exact.
+        // Reuse runs (`rel_min > i`) never see a tuple of `Ri`.
         // Lines 7–18: derive successor tuple sets.
         let visit = |tb| {
             stats.candidate_scans += 1;
@@ -462,10 +470,9 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
                 frontier.push(db, ri, new_root, t_prime, stats);
             });
         };
-        if adjacent {
-            adjacent_candidates(db, &set, *rel_min, visit);
-        } else {
-            scan_tuples_from(db, *rel_min, pager.as_ref(), visit);
+        match pager {
+            None => adjacent_candidates(db, policy, &set, *rel_min, visit),
+            Some(pager) => scan_tuples_from(db, *rel_min, pager, visit),
         }
         Some((root, set))
     }

@@ -16,8 +16,8 @@ pub struct Stats {
     /// Full passes of the extension fixpoint loop.
     pub extension_passes: u64,
     /// Candidates visited by the `foreach tb` loop (Fig. 2 line 7): every
-    /// tuple of the scanned relations, or only the tuples joining a
-    /// schema-adjacent member in the runs that take adjacency candidates.
+    /// tuple of the scanned relations, or only the tuples the policy
+    /// bounds against a schema-adjacent member in unpaged runs.
     pub candidate_scans: u64,
     /// Maximal-subset computations (Fig. 2 line 8 / footnote 3).
     pub subset_computations: u64,

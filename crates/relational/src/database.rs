@@ -410,10 +410,10 @@ impl Database {
     /// [`tuples_of`](Self::tuples_of). A null binding on a join column
     /// returns no candidates (`⊥` is join-consistent with nothing).
     ///
-    /// When no binding applies (an empty binding list, an all-null set,
-    /// score-based approximate matching, or block-granular `Pager`
-    /// scans), this falls back to the liveness-aware scan, i.e. exactly
-    /// `tuples_of(rel)`.
+    /// When no binding applies (an empty binding list or an all-null
+    /// set), this falls back to the liveness-aware scan, i.e. exactly
+    /// `tuples_of(rel)`. Score-based approximate matching probes with
+    /// [`probe_similar`](Self::probe_similar) instead.
     pub fn probe(&self, rel: RelId, bindings: &[(AttrId, Value, TupleId)]) -> Vec<TupleId> {
         debug_assert!(
             bindings.windows(2).all(|w| w[0].0 < w[1].0),
@@ -481,7 +481,46 @@ impl Database {
         Some(out)
     }
 
-    /// Total [`probe`](Self::probe) calls since construction (or clone).
+    /// The live tuples of `rel` whose non-null value on `attr` passes
+    /// `keep`, ascending — the probe primitive of score-based
+    /// (approximate) candidate lookups. When `attr` is a join column of
+    /// `rel`, this is the union of the posting lists whose value passes
+    /// `keep`: one test per distinct value, not per tuple. Otherwise, or
+    /// with the index disabled, it tests each live tuple's value. Counted
+    /// like [`probe`](Self::probe).
+    pub fn probe_similar(
+        &self,
+        rel: RelId,
+        attr: AttrId,
+        mut keep: impl FnMut(&Value) -> bool,
+    ) -> Vec<TupleId> {
+        self.probe_counters.probes.fetch_add(1, Ordering::Relaxed);
+        let slot = self.indexed_attrs[rel.index()].binary_search_by_key(&attr, |&(a, _)| a);
+        match slot {
+            Ok(slot) if self.index_enabled => {
+                self.probe_counters.hits.fetch_add(1, Ordering::Relaxed);
+                let mut ids: Vec<TupleId> = self.postings[rel.index()][slot]
+                    .iter()
+                    .filter(|(v, _)| keep(v))
+                    .flat_map(|(_, list)| list.iter().copied().map(TupleId))
+                    .collect();
+                // The posting lists of one column are disjoint.
+                ids.sort_unstable();
+                ids
+            }
+            _ => self
+                .tuples_of(rel)
+                .filter(|&t| {
+                    self.tuple_value(t, attr)
+                        .is_some_and(|v| !v.is_null() && keep(v))
+                })
+                .collect(),
+        }
+    }
+
+    /// Total [`probe`](Self::probe) and
+    /// [`probe_similar`](Self::probe_similar) calls since construction
+    /// (or clone).
     pub fn index_probes(&self) -> u64 {
         self.probe_counters.probes.load(Ordering::Relaxed)
     }
@@ -1152,6 +1191,41 @@ mod tests {
         // as probes; only index-answered ones are hits).
         assert_eq!(db.index_probes(), 3);
         assert_eq!(db.index_hits(), 2);
+    }
+
+    #[test]
+    fn probe_similar_tests_each_value_once_and_matches_the_scan() {
+        let mut db = tourist_db();
+        let country = db.attr_id("Country").unwrap();
+        let city = db.attr_id("City").unwrap();
+        let site = db.attr_id("Site").unwrap();
+        let sites = RelId(2);
+        // One test per distinct Country of Sites (Canada, UK).
+        let mut tests = 0;
+        let canada = db.probe_similar(sites, country, |v| {
+            tests += 1;
+            v.display() == "Canada"
+        });
+        assert_eq!(canada, vec![TupleId(6), TupleId(7)]);
+        assert_eq!(tests, 2);
+        // s2's City is ⊥, which never passes.
+        let cities = vec![TupleId(6), TupleId(8), TupleId(9)];
+        assert_eq!(db.probe_similar(sites, city, |_| true), cities);
+        // Site is no join column: every live tuple's value is tested.
+        let mut tests = 0;
+        let hyde = db.probe_similar(sites, site, |v| {
+            tests += 1;
+            v.display().starts_with('H')
+        });
+        assert_eq!(hyde, vec![TupleId(9)]);
+        assert_eq!(tests, 4);
+        assert_eq!((db.index_probes(), db.index_hits()), (3, 2));
+        // The scan twin gives the same answers.
+        db.set_index_enabled(false);
+        let canada_scanned = db.probe_similar(sites, country, |v| v.display() == "Canada");
+        assert_eq!(canada_scanned, canada);
+        assert_eq!(db.probe_similar(sites, city, |_| true), cities);
+        assert_eq!((db.index_probes(), db.index_hits()), (5, 2));
     }
 
     #[test]

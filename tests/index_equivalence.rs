@@ -9,13 +9,17 @@
 //! ([`Database::verify_indexes`]) after every commit.
 //!
 //! The posting lists also choose Fig. 2's line-7 candidates (the tuples
-//! joining a schema-adjacent member) in unpaged exact runs — FIFO,
-//! ranked and seeded alike — while paged runs scan every tuple: on a
-//! churned database both must emit the same sets, ranks and order, and
-//! seeded delta runs must agree with a from-scratch recomputation.
+//! joining a schema-adjacent member) in unpaged runs — exact or
+//! approximate, FIFO, ranked and seeded alike — while paged runs scan
+//! every tuple: on a churned database both must emit the same sets,
+//! ranks and order, and seeded delta runs must agree with a from-scratch
+//! recomputation.
 
 use full_disjunction::core::delta::delta_insert_many;
-use full_disjunction::core::{canonicalize, FdQuery};
+use full_disjunction::core::sim::TableSim;
+use full_disjunction::core::{
+    canonicalize, ApproxJoin, EditDistanceSim, ExactSim, FdQuery, Similarity,
+};
 use full_disjunction::prelude::*;
 use full_disjunction::workloads::{chain, snowflake, star, DataSpec};
 use proptest::prelude::*;
@@ -304,6 +308,119 @@ fn adjacency_candidates_follow_scan_order_under_churn() {
             "{engine:?}: delta emission order diverges from the scan"
         );
     }
+}
+
+/// Approximate runs take line 7's candidates from the similarity probe
+/// when the join function bounds them (`AMin`/`AProd` over
+/// `EditDistanceSim` or `ExactSim` at `τ > 0`) and scan the relation
+/// otherwise (`TableSim`, whose overrides can lift any pair, and
+/// `τ = 0`). The unpaged run, the `page_size(3)` scan and the unpaged
+/// run with the indexes off (whose probe tests every tuple's value) must
+/// emit the same sets, ranks and order — FIFO, ranked (`FMax`) and
+/// `.parallel(2)` of both.
+#[test]
+fn approximate_candidates_follow_scan_order() {
+    let dbs = [
+        ("tourist", tourist_database()),
+        ("churned-chain", churned_chain()),
+        (
+            "chain4-typos",
+            chain(4, &DataSpec::new(6, 4).typos(0.3).seed(3)),
+        ),
+        (
+            "star3-typos",
+            star(3, &DataSpec::new(8, 4).typos(0.3).seed(5)),
+        ),
+        (
+            "star3-nulls",
+            star(3, &DataSpec::new(8, 4).typos(0.3).null_rate(0.2).seed(9)),
+        ),
+    ];
+    for (name, db) in &dbs {
+        let twin = scan_twin(db);
+        let prob = ProbScores::uniform(db, 1.0);
+        // Lift the least similar pair of two adjacent relations: only a
+        // scan finds it.
+        let t0 = db.tuples_of(RelId(0)).next().expect("non-empty");
+        let sim = |t| EditDistanceSim.sim(db, t0, t);
+        let t1 = db
+            .tuples_of(RelId(1))
+            .min_by(|&a, &b| sim(a).total_cmp(&sim(b)))
+            .expect("non-empty");
+        let mut table = TableSim::new(EditDistanceSim);
+        table.set(t0, t1, 0.95);
+        let joins: Vec<(&str, Box<dyn ApproxJoin + Sync>)> = vec![
+            (
+                "AMin/edit",
+                Box::new(AMin::new(EditDistanceSim, prob.clone())),
+            ),
+            ("AMin/exact", Box::new(AMin::new(ExactSim, prob.clone()))),
+            ("AMin/table", Box::new(AMin::new(table.clone(), prob))),
+            ("AProd/edit", Box::new(AProd::new(EditDistanceSim))),
+            ("AProd/exact", Box::new(AProd::new(ExactSim))),
+            ("AProd/table", Box::new(AProd::new(table))),
+        ];
+        let imp = ImpScores::from_fn(db, |t| f64::from((t.0 * 7) % 5));
+        for (join_name, join) in &joins {
+            for tau in [0.8, 0.6] {
+                for ranked in [false, true] {
+                    for threads in [1, 2] {
+                        let run = |db: &Database, page_size: Option<usize>| {
+                            let mut query = FdQuery::over(db).approx(&**join, tau);
+                            if let Some(n) = page_size {
+                                query = query.page_size(n);
+                            }
+                            if ranked {
+                                query = query.ranked(FMax::new(&imp));
+                            }
+                            if threads > 1 {
+                                query = query.parallel(threads);
+                            }
+                            let res = query.run().unwrap();
+                            (ordered(res.sets()), res.ranks().map(<[f64]>::to_vec))
+                        };
+                        let probes = db.index_probes();
+                        let probed = run(db, None);
+                        let case =
+                            format!("{name} {join_name} τ={tau} ranked={ranked} threads={threads}");
+                        assert_eq!(
+                            db.index_probes() > probes,
+                            !join_name.ends_with("table"),
+                            "{case}: only the similarity probe bounds line 7"
+                        );
+                        assert_eq!(probed, run(db, Some(3)), "{case}: diverges from the scan");
+                        assert_eq!(
+                            probed,
+                            run(&twin, None),
+                            "{case}: diverges with indexes off"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // At τ = 0 a null scores 0 and still passes: the similarity must not
+    // bound the candidates, and line 7 scans without probing.
+    let (_, db) = &dbs[4];
+    let a = AMin::new(EditDistanceSim, ProbScores::uniform(db, 1.0));
+    let probes = db.index_probes();
+    let probed = FdQuery::over(db).approx(&a, 0.0).run().unwrap();
+    assert_eq!(db.index_probes(), probes, "τ = 0 must not probe");
+    let scanned = FdQuery::over(db)
+        .approx(&a, 0.0)
+        .page_size(3)
+        .run()
+        .unwrap();
+    assert_eq!(
+        ordered(probed.sets()),
+        ordered(scanned.sets()),
+        "τ = 0 diverges from the scan"
+    );
+    assert!(
+        probed.sets().iter().any(|s| s.len() == db.num_relations()),
+        "τ = 0 joins across nulls"
+    );
 }
 
 /// Seeds spread over several relations are where the roots of the
