@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the paper plus the measured
-//! experiment tables (see the README's "Build, test, bench" section; the
-//! committed `BENCH_*.json` files record the benchmark trajectories).
+//! experiment tables E3–E16 (see the README's "Build, test, bench"
+//! section). Every table that compares contenders asserts that their
+//! answers agree before printing a time, so a panic is a correctness
+//! failure.
 //!
 //! ```sh
 //! cargo run --release -p fd-bench --bin paper_tables           # full
@@ -8,16 +10,25 @@
 //! ```
 
 use fd_baselines::{exhaustive_top1_fsum, naive_top_k, outerjoin_fd, pio_fd};
-use fd_bench::{bench_chain, bench_noisy_chain, bench_star, fmt_duration, time_median};
+use fd_bench::{
+    bench_chain, bench_noisy_chain, bench_star, fmt_duration, nearest_rank, time_median, time_once,
+};
 use fd_core::delta::{delta_batch, delta_insert};
+use fd_core::serve::{Client, Server};
+use fd_core::session::{DeltaBatch, FdSession};
 use fd_core::sim::TableSim;
+use fd_core::store::FsyncPolicy;
 use fd_core::{
     canonicalize, format_results, AMin, AProd, ApproxJoin, EditDistanceSim, ExactSim, FMax,
-    FdConfig, FdIter, FdQuery, FdiIter, ImpScores, InitStrategy, ProbScores, StoreEngine, TupleSet,
+    FdConfig, FdIter, FdQuery, FdiIter, ImpScores, InitStrategy, ProbScores, TupleSet,
 };
 use fd_relational::textio::{format_relation, format_table};
 use fd_relational::{tourist_database, Database, RelId, TupleId, Value};
 use fd_workloads::{chain, random_importance, DataSpec};
+use std::ops::Range;
+use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
@@ -37,6 +48,8 @@ fn main() {
     e12_block_ablation(scale);
     e13_parallel(scale);
     e14_delta_maintenance(scale);
+    e15_serve_fanout(scale);
+    e16_durability(scale);
 }
 
 fn header(title: &str) {
@@ -424,38 +437,60 @@ fn e8_e9_approx(scale: usize) {
     );
 }
 
-/// E10: store-engine ablation (Section 7 indexing).
+/// E10: the Section 7 access paths. The paper-faithful configuration
+/// scans both lists (`StoreEngine::Scan`) and, with the join-column
+/// indexes off, every relation; the second keeps the indexes off under
+/// the hashed store; the default adds the posting-list probes. All three
+/// must emit the same sets in the same order.
 fn e10_store_ablation(scale: usize) {
-    header("E10 — Section 7 ablation: list scans vs hash index by Ri-tuple");
+    header("E10 — Section 7 ablation: list scans vs hash index by Ri-tuple vs join-column probes");
     let mut rows_out = Vec::new();
     for rows in [10 * scale, 15 * scale, 20 * scale] {
         let db = bench_chain(4, rows);
-        let mut line = vec![rows.to_string()];
-        for engine in [StoreEngine::Scan, StoreEngine::Indexed] {
-            let cfg = FdConfig {
-                engine,
-                ..FdConfig::default()
-            };
-            let (scans, t) = time_median(3, || {
-                let mut it = FdIter::with_config(&db, cfg);
-                for _ in it.by_ref() {}
-                it.stats_total().total_store_scans()
-            });
-            line.push(scans.to_string());
-            line.push(fmt_duration(t));
-        }
-        rows_out.push(line);
+        let mut unindexed = db.clone();
+        unindexed.set_index_enabled(false);
+        let run = |db: &Database, cfg: FdConfig| {
+            time_median(3, || {
+                let mut it = FdIter::with_config(db, cfg);
+                let order: Vec<Vec<TupleId>> = it.by_ref().map(|s| s.tuples().to_vec()).collect();
+                (order, it.stats_total().total_store_scans())
+            })
+        };
+        let ((faithful, scan_scans), t_faithful) = run(&unindexed, FdConfig::paper_faithful());
+        let ((store, indexed_scans), t_store) = run(&unindexed, FdConfig::default());
+        let ((default, _), t_default) = run(&db, FdConfig::default());
+        assert_eq!(store, default, "join-index A/B diverges at {rows} rows");
+        assert_eq!(
+            faithful, default,
+            "store-engine A/B diverges at {rows} rows"
+        );
+        rows_out.push(vec![
+            rows.to_string(),
+            default.len().to_string(),
+            scan_scans.to_string(),
+            indexed_scans.to_string(),
+            fmt_duration(t_faithful),
+            fmt_duration(t_store),
+            fmt_duration(t_default),
+            format!(
+                "{:.1}x",
+                t_faithful.as_secs_f64() / t_default.as_secs_f64().max(1e-9)
+            ),
+        ]);
     }
     println!(
         "{}",
         format_table(
-            "chain n=4",
+            "chain n=4; identical emission order in all three (median of 3)",
             &[
                 "rows/rel",
+                "|FD|",
                 "Scan: store scans",
-                "Scan: time",
                 "Indexed: store scans",
-                "Indexed: time"
+                "paper-faithful",
+                "Indexed, index off",
+                "default",
+                "speedup"
             ],
             &rows_out
         )
@@ -636,7 +671,7 @@ fn e14_delta_maintenance(scale: usize) {
     for rows in [16 * scale, 32 * scale, 64 * scale] {
         let db = bench_chain(4, rows);
         let previous: Vec<TupleSet> = FdIter::with_config(&db, cfg).collect();
-        let batch = overlapping_inserts(rows);
+        let batch = overlapping_inserts(rows, 0..BATCH_INSERTS);
         let insert_all = || {
             let mut db = db.clone();
             let ids: Vec<TupleId> = batch
@@ -700,32 +735,281 @@ fn apply_result_delta(results: &mut Vec<TupleSet>, retracted: &[TupleSet], added
 /// Inserts per E14 batch.
 const BATCH_INSERTS: usize = 32;
 
-/// The overlapping-insert shape batched commits exist for: each group of
-/// 4 rows spans the whole chain and joins the *other rows of its group*
-/// through fresh values (1000 + g·10 + r, unseen in the base data),
-/// anchored to the existing rows through the group's first join column.
-/// A singleton replay derives every growing prefix of a group and then
-/// subsumes it one insert later; the batch's single multi-seed run
-/// derives only each group's final sets.
-fn overlapping_inserts(rows: usize) -> Vec<(RelId, Vec<Value>)> {
+/// Rows `ids` of the overlapping-insert shape batched commits exist for,
+/// over `bench_chain(4, rows)`: each group of 4 consecutive ids spans the
+/// whole chain and joins the *other rows of its group* through fresh
+/// values (1000 + g·10 + r, unseen in the base data), anchored to the
+/// existing rows through the group's first join column. A singleton
+/// replay derives every growing prefix of a group and then subsumes it
+/// one insert later; the batch's single multi-seed run derives only
+/// each group's final sets. Disjoint `ids` give disjoint rows.
+fn overlapping_inserts(rows: usize, ids: Range<usize>) -> Vec<(RelId, Vec<Value>)> {
     let domain = (rows / 4).max(2) as i64;
-    (0..BATCH_INSERTS)
-        .map(|i| {
-            let rel = (i % 4) as i64;
-            let group = (i / 4) as i64;
-            let left = if rel == 0 {
-                group % domain
-            } else {
-                1_000 + group * 10 + rel
-            };
-            (
-                RelId(rel as u16),
-                vec![
-                    Value::Int(left),
-                    Value::Int(1_000 + group * 10 + rel + 1),
-                    Value::Int(9_000_000 + i as i64),
-                ],
-            )
-        })
-        .collect()
+    ids.map(|i| {
+        let rel = (i % 4) as i64;
+        let group = (i / 4) as i64;
+        let left = if rel == 0 {
+            group % domain
+        } else {
+            1_000 + group * 10 + rel
+        };
+        (
+            RelId(rel as u16),
+            vec![
+                Value::Int(left),
+                Value::Int(1_000 + group * 10 + rel + 1),
+                Value::Int(9_000_000 + i as i64),
+            ],
+        )
+    })
+    .collect()
+}
+
+/// E15: `fd serve` commit-to-event latency over loopback TCP, from the
+/// committing client sending a singleton insert to each subscribed client
+/// reading the pushed `event` line. The inserts use unique join values,
+/// so every commit yields exactly one event and the numbers isolate the
+/// serve and fan-out path rather than maintenance (E14 covers that).
+fn e15_serve_fanout(scale: usize) {
+    header("E15 — fd serve fan-out: commit-to-event latency over loopback");
+    let commits = 50 * scale;
+    let mut rows_out = Vec::new();
+    for subscribers in [1usize, 8, 32] {
+        let lat = fanout_latencies(subscribers, commits);
+        rows_out.push(vec![
+            subscribers.to_string(),
+            lat.len().to_string(),
+            fmt_duration(nearest_rank(&lat, 0.5)),
+            fmt_duration(nearest_rank(&lat, 0.99)),
+            fmt_duration(*lat.last().expect("samples")),
+        ]);
+    }
+    println!(
+        "{}",
+        format_table(
+            &format!(
+                "tourist database, {commits} singleton-insert commits after \
+                 {FANOUT_WARMUP} unsampled ones (nearest-rank quantiles)"
+            ),
+            &["subscribers", "samples", "p50", "p99", "max"],
+            &rows_out
+        )
+    );
+}
+
+/// Commits E15 does not sample (thread spin-up, allocator warm-up).
+const FANOUT_WARMUP: usize = 5;
+
+/// One E15 configuration: a fresh daemon, `subscribers` subscribed
+/// connections and one committer issuing `commits` sampled singleton
+/// inserts. Returns the ascending latencies, one per subscriber per
+/// sampled commit; the committer waits for every subscriber's stamp
+/// before the next commit, so samples never cross commits.
+fn fanout_latencies(subscribers: usize, commits: usize) -> Vec<Duration> {
+    let server = Server::start(FdSession::new(tourist_database()), "127.0.0.1:0")
+        .expect("bind ephemeral port");
+    let addr = server.addr();
+
+    let (tx, rx) = mpsc::channel::<Instant>();
+    let mut readers = Vec::with_capacity(subscribers);
+    for _ in 0..subscribers {
+        let mut client = Client::connect(addr).expect("connect");
+        client.read_response().expect("greeting");
+        client.request("subscribe").expect("subscribe");
+        let tx = tx.clone();
+        readers.push(std::thread::spawn(move || {
+            // Stamp every pushed event line on receipt; EOF (daemon
+            // shutdown) ends the loop.
+            while let Ok(Some(line)) = client.read_line() {
+                if line.starts_with("event ") {
+                    let _ = tx.send(Instant::now());
+                }
+            }
+        }));
+    }
+    drop(tx);
+
+    let mut committer = Client::connect(addr).expect("connect");
+    committer.read_response().expect("greeting");
+    let mut latencies = Vec::with_capacity(commits * subscribers);
+    for i in 0..FANOUT_WARMUP + commits {
+        let sent = Instant::now();
+        let reply = committer
+            .request(&format!("insert Climates | Bench-{i} | arid"))
+            .expect("insert");
+        assert!(reply[0].starts_with("ok inserted"), "{reply:?}");
+        for _ in 0..subscribers {
+            let stamp = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("event delivery");
+            if i >= FANOUT_WARMUP {
+                latencies.push(stamp.saturating_duration_since(sent));
+            }
+        }
+    }
+
+    committer.request("shutdown").expect("shutdown");
+    server.wait().expect("clean daemon exit");
+    for reader in readers {
+        reader.join().expect("subscriber thread");
+    }
+    latencies.sort_unstable();
+    latencies
+}
+
+/// Base rows per relation of the E16 chain and star sessions.
+const DURABLE_ROWS: usize = 64;
+
+/// Rows per E16 churn insert (two whole groups of `overlapping_inserts`).
+const CHURN_BATCH: usize = 8;
+
+/// E16: durability. A chain n=4 session churns — insert a batch of
+/// well-connected rows, commit, delete them, commit — in memory and under
+/// each fsync policy, with compaction off so every durable commit pays
+/// exactly one WAL append. The quantiles are nearest-rank over the
+/// commits' own `Commit::timings` (`total`, `wal`). Then recovery: a
+/// session commits `n` singleton batches without a checkpoint, and
+/// reopening its directory is timed (snapshot load plus `n` replayed
+/// maintenance passes, no recomputation).
+fn e16_durability(scale: usize) {
+    header("E16 — durability: commit latency per fsync policy, recovery vs WAL length");
+    let rounds = 25 * scale;
+    let mut rows_out = Vec::new();
+    for policy in [
+        None,
+        Some(FsyncPolicy::Off),
+        Some(FsyncPolicy::OnCommit),
+        Some(FsyncPolicy::Always),
+    ] {
+        let (total, wal) = churn_timings(policy, rounds);
+        rows_out.push(vec![
+            policy.map_or_else(|| "in-memory".to_owned(), |p| p.to_string()),
+            total.len().to_string(),
+            fmt_duration(nearest_rank(&total, 0.5)),
+            fmt_duration(nearest_rank(&total, 0.99)),
+            match policy {
+                Some(_) => fmt_duration(nearest_rank(&wal, 0.5)),
+                None => "-".into(),
+            },
+        ]);
+    }
+    println!(
+        "{}",
+        format_table(
+            &format!(
+                "chain n=4 x {DURABLE_ROWS}, {rounds} rounds of insert-{CHURN_BATCH} / \
+                 delete-{CHURN_BATCH} commits"
+            ),
+            &[
+                "mode",
+                "commits",
+                "commit p50",
+                "commit p99",
+                "WAL append p50"
+            ],
+            &rows_out
+        )
+    );
+
+    let mut rows_out = Vec::new();
+    for batches in [16usize, 64, 256] {
+        let mut line = vec![batches.to_string()];
+        for db in [bench_chain(4, DURABLE_ROWS), bench_star(4, DURABLE_ROWS)] {
+            let (results, t) = recovery_time(db, batches);
+            line.push(results.to_string());
+            line.push(fmt_duration(t));
+        }
+        rows_out.push(line);
+    }
+    println!(
+        "{}",
+        format_table(
+            &format!("recovery of n singleton commits, n=4 x {DURABLE_ROWS} (one run each)"),
+            &[
+                "replayed batches",
+                "chain: results",
+                "chain: recovery",
+                "star: results",
+                "star: recovery"
+            ],
+            &rows_out
+        )
+    );
+}
+
+/// A fresh, absent directory under the system temp dir for one E16 run.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fd-paper-tables-{tag}-{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("clearing a stale directory");
+    }
+    dir
+}
+
+/// E16's churn under `policy` (`None`: in memory). Returns the ascending
+/// `total` and `wal` timings of every commit.
+fn churn_timings(policy: Option<FsyncPolicy>, rounds: usize) -> (Vec<Duration>, Vec<Duration>) {
+    let mut session = FdSession::new(bench_chain(4, DURABLE_ROWS));
+    let dir = policy.map(|p| {
+        let dir = scratch_dir(&format!("churn-{p}"));
+        session.persist_to(&dir, p).expect("persist");
+        session.set_wal_compaction_threshold(u64::MAX);
+        dir
+    });
+    let base_results = session.len();
+    let (mut total, mut wal) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let mut batch = DeltaBatch::new();
+        let ids = round * CHURN_BATCH..(round + 1) * CHURN_BATCH;
+        for (rel, values) in overlapping_inserts(DURABLE_ROWS, ids) {
+            batch.insert(rel, values);
+        }
+        let insert = session.commit(batch).expect("insert commit");
+        let mut batch = DeltaBatch::new();
+        for tuple in insert.inserted() {
+            batch.delete(tuple);
+        }
+        let delete = session.commit(batch).expect("delete commit");
+        for commit in [insert, delete] {
+            total.push(commit.timings.total);
+            wal.push(commit.timings.wal);
+        }
+    }
+    assert_eq!(session.len(), base_results, "churn must round-trip");
+    drop(session);
+    if let Some(dir) = dir {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    total.sort_unstable();
+    wal.sort_unstable();
+    (total, wal)
+}
+
+/// Commits `batches` singleton inserts to a durable session over `db`
+/// without a checkpoint, then times reopening its directory. Returns the
+/// recovered result count and the recovery time.
+fn recovery_time(db: Database, batches: usize) -> (usize, Duration) {
+    let dir = scratch_dir(&format!("recover-{batches}"));
+    {
+        let mut session = FdSession::new(db);
+        session.persist_to(&dir, FsyncPolicy::Off).expect("persist");
+        session.set_wal_compaction_threshold(u64::MAX);
+        let arity = session.db().relation(RelId(0)).schema().arity();
+        for i in 0..batches {
+            let mut batch = DeltaBatch::new();
+            // The first column joins a small shared domain; the rest are
+            // fresh values, the last one a unique payload.
+            let mut values = vec![Value::Int((i % 7) as i64)];
+            values.extend((1..arity - 1).map(|c| Value::Int(5_000 + (i * 8 + c) as i64)));
+            values.push(Value::Int(9_000_000 + i as i64));
+            batch.insert(RelId(0), values);
+            session.commit(batch).expect("commit");
+        }
+    }
+    let (session, elapsed) = time_once(|| FdSession::open(&dir).expect("recovery"));
+    assert_eq!(session.replayed_batches(), batches as u64);
+    let results = session.len();
+    drop(session);
+    std::fs::remove_dir_all(&dir).ok();
+    (results, elapsed)
 }

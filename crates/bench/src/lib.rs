@@ -2,17 +2,16 @@
 //!
 //! The experiment harness of the repository. The `paper_tables` binary
 //! regenerates every table and figure of the paper and times every
-//! experimental claim (E3–E14); E3, E6 and E14 assert that their
-//! contenders' answers agree before printing a time. Four plain
-//! `harness = false` bench writers (`commit_phases`, `persist`,
-//! `scaling_index`, `serve_fanout`) record the session-level
-//! trajectories in the committed `BENCH_*.json` files at the repository
-//! root. The crate offers:
+//! experimental claim (E3–E16): the algorithms, the Section 7
+//! ablations, delta maintenance, serve fan-out and durability. E3, E6,
+//! E10, E14, E15 and E16 assert that their contenders' answers agree
+//! before printing a time. The crate offers:
 //!
 //! * shared workload constructors, so every table measures the same
 //!   databases;
-//! * small wall-clock utilities (one-shot and median-of-`n` timing,
-//!   compact duration formatting) for the table printer.
+//! * small wall-clock utilities (one-shot and median-of-`n` timing, a
+//!   nearest-rank quantile, compact duration formatting) for the table
+//!   printer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -66,6 +65,16 @@ pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     )
 }
 
+/// The nearest-rank `p`-quantile (`0 < p ≤ 1`) of ascending `sorted`
+/// samples: an observed sample, never an interpolation.
+pub fn nearest_rank(sorted: &[Duration], p: f64) -> Duration {
+    assert!(!sorted.is_empty(), "quantile of no samples");
+    let idx = ((sorted.len() as f64 * p).ceil() as usize)
+        .saturating_sub(1)
+        .min(sorted.len() - 1);
+    sorted[idx]
+}
+
 /// Formats a duration compactly for tables.
 pub fn fmt_duration(d: Duration) -> String {
     if d.as_secs() >= 1 {
@@ -96,6 +105,15 @@ mod tests {
         let (v, d) = time_median(3, || 21 * 2);
         assert_eq!(v, 42);
         assert!(d.as_nanos() < 1_000_000_000);
+    }
+
+    #[test]
+    fn nearest_rank_picks_an_observed_sample() {
+        let samples: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
+        assert_eq!(nearest_rank(&samples, 0.5), Duration::from_micros(50));
+        assert_eq!(nearest_rank(&samples, 0.99), Duration::from_micros(99));
+        assert_eq!(nearest_rank(&samples, 1.0), Duration::from_micros(100));
+        assert_eq!(nearest_rank(&samples[..1], 0.5), Duration::from_micros(1));
     }
 
     #[test]

@@ -225,6 +225,20 @@ pub(crate) trait Frontier {
 
     /// Line 18: appends a new pending set to `Ri`'s list.
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats);
+
+    /// Line 11: is `t_prime`, rooted at `root`, contained in a result of
+    /// `Ri`'s `Complete` list? By default that list is the engine's one
+    /// `complete`.
+    fn covered(
+        &self,
+        complete: &CompleteStore,
+        _ri: RelId,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool {
+        complete.contains_superset(t_prime, root, stats)
+    }
 }
 
 /// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
@@ -330,7 +344,8 @@ pub(crate) struct Engine<'db, P, Q> {
     pub(crate) policy: P,
     pub(crate) frontier: Q,
     /// Printed results. The drivers insert into it (the printing rule is
-    /// theirs); the engine reads it on line 11.
+    /// theirs); line 11 reads it through [`Frontier::covered`], which the
+    /// ranked queues answer from their own lists instead.
     pub(crate) complete: CompleteStore,
     pager: Option<Pager<'db>>,
     /// First relation index of the extension and candidate scans (0 for
@@ -459,7 +474,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
                     return;
                 }
                 // Line 11: already represented in Complete?
-                if complete.contains_superset(&t_prime, new_root, stats) {
+                if frontier.covered(complete, ri, new_root, &t_prime, stats) {
                     return;
                 }
                 // Lines 14–15: merge into a pending entry sharing the root.

@@ -53,9 +53,9 @@ impl CompleteStore {
     }
 
     /// Inserts a printed result. `roots` are the tuples under which the
-    /// set should be discoverable — for `INCREMENTALFD(R, i)` that is the
-    /// set's `Ri` tuple; the ranked variant registers every member (its
-    /// `Complete` list is shared by all `n` queues).
+    /// set should be discoverable — for `INCREMENTALFD(R, i)` and a ranked
+    /// queue's `Complete_i` that is the set's `Ri` tuple; a `Complete`
+    /// shared by several runs registers every member.
     pub(crate) fn insert(&mut self, set: TupleSet, roots: &[TupleId]) {
         let idx = self.sets.len() as u32;
         self.canon.insert(set.tuples().into());

@@ -23,9 +23,8 @@
 //! `(rank, members)` keys, so they sort next to each other and one
 //! adjacent-duplicate pass drops them.
 //!
-//! The result is the exact canonical ranking of `FD(R)` for every `n`.
-//! It equals the sequential builder plan's stream wherever that stream
-//! is in rank order (see the known defect in [`crate::priority`]).
+//! The result is the exact canonical ranking of `FD(R)` for every `n`,
+//! the same stream the sequential builder plan emits.
 //!
 //! **Bounds.** `.top_k(k)` / `.threshold(τ)` are applied to the sorted
 //! answers by `FdStream`, as for every plan. The workers enumerate their

@@ -13,28 +13,25 @@
 //!   size at most `c` containing a tuple from `Ri`, after which mergeable
 //!   pairs are unioned to a fixpoint (Fig. 3 lines 3–8); that seeds each
 //!   queue with the rank-determining subsets of all results;
-//! * each step pops the globally highest-ranked entry (lines 10–15), runs
-//!   the shared `GETNEXTRESULT` body against the *shared* `Complete`, and
-//!   prints the extension unless it was printed before (line 17) — a set
-//!   is generated once per member tuple, so exact duplicates must be
-//!   filtered.
+//! * each step pops the globally highest-ranked entry (lines 10–15) and
+//!   runs the shared `GETNEXTRESULT` body against that queue's own
+//!   `Complete_i`, as `INCREMENTALFD(R, i)` has: every extension popped
+//!   from `Incomplete_i` joins `Complete_i` under its `Ri` root, and
+//!   line 11 drops a `T′` only when one of those contains it;
+//! * the extension is printed unless it was printed before (line 17) — a
+//!   set is generated once per member tuple, so one exact-print set
+//!   shared by all queues filters the duplicates.
 //!
 //! Theorem 5.5: the top-k answers arrive in polynomial time in the input
-//! and `k`. **Known defect:** entries are popped by the rank of their
-//! *partial* set but printed with the rank of their maximal extension, so
-//! [`RankedFdIter`] can print an answer after a lower-ranked one — the
-//! non-increasing order of Lemma 5.4 is not guaranteed. The same holds
-//! for [`RankedApproxFdIter`](crate::RankedApproxFdIter) and for the
-//! builder's sequential ranked plan (`FdQuery::ranked` without
-//! `.parallel`). A small repro:
-//! `chain(4, DataSpec::new(10, 4).seed(3))` with `imp = t % 5`, exact or
-//! `AMin(EditDistanceSim, uniform 1.0)` at τ 0.6 or 0.8: the emitted
-//! ranks are not non-increasing. The parallel ranked plan sorts its
-//! answers and always emits the exact ranking. The repository benchmark
-//! reports such runs as `known defect`. [`RankedFdIter`]
-//! exposes the stream unboundedly; the `.top_k` / `.threshold`
-//! (Remark 5.6) bounds are applied by the [`FdQuery`](crate::FdQuery)
-//! builder.
+//! and `k`, and by Lemma 5.4 in non-increasing rank order — under the
+//! exact policy ([`RankedFdIter`]) and the approximate one
+//! ([`RankedApproxFdIter`](crate::RankedApproxFdIter)) alike. The
+//! per-queue `Complete_i` is what keeps that order: with one `Complete`
+//! for all queues, a set printed by queue `j` would drop queue `i`'s
+//! derivation of a subset, and the answer that derivation leads to would
+//! turn up later, through a lower-ranked entry. [`RankedFdIter`] exposes
+//! the stream unboundedly; the `.top_k` / `.threshold` (Remark 5.6)
+//! bounds are applied by the [`FdQuery`](crate::FdQuery) builder.
 //!
 //! The iterator can also be restricted to a contiguous *shard* of the
 //! seed relations (`RankedIter::for_policy`): it then emits exactly the
@@ -218,8 +215,9 @@ fn rank<F: MonotoneCDetermined>(f: &F, db: &Database, set: &TupleSet, stats: &mu
     f.rank(db, set)
 }
 
-/// The ranked frontier of Fig. 3: one [`LazyQueue`] per seed relation of
-/// the run (`rel_lo..`), ranked by `f`.
+/// The ranked frontier of Fig. 3: one [`LazyQueue`] `Incomplete_i` and
+/// one `Complete_i` per seed relation of the run (`rel_lo..`), ranked by
+/// `f`.
 pub(crate) struct RankHeaps<F> {
     f: F,
     /// Index of the first seed relation covered by `queues` (0 for the
@@ -228,6 +226,8 @@ pub(crate) struct RankHeaps<F> {
     /// The queue's store engine; approximate merges always probe by root.
     engine: StoreEngine,
     queues: Vec<LazyQueue>,
+    /// `Complete_i`: the extensions popped from `queues[i]`, by root.
+    completes: Vec<CompleteStore>,
 }
 
 impl<F: MonotoneCDetermined> RankHeaps<F> {
@@ -279,16 +279,26 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
         let r = rank(&self.f, db, &set, stats);
         self.queues[ri.index() - self.rel_lo].push(root, set, r, stats);
     }
+
+    fn covered(
+        &self,
+        _complete: &CompleteStore,
+        ri: RelId,
+        root: TupleId,
+        t_prime: &TupleSet,
+        stats: &mut Stats,
+    ) -> bool {
+        self.completes[ri.index() - self.rel_lo].contains_superset(t_prime, root, stats)
+    }
 }
 
 /// Streaming `PRIORITYINCREMENTALFD` under the exact policy.
 pub type RankedFdIter<'db, F> = RankedIter<'db, Exact, F>;
 
-/// Streaming ranked enumeration: yields `(tuple set, rank)` pairs, highest
-/// ranks first (up to the known defect in the module docs), until the
-/// full disjunction is exhausted. Take `k` items for the top-(k, f)
-/// problem, or use `take_while` on the rank for the (τ, f)-threshold
-/// problem. Under the approximate policy every yielded set satisfies
+/// Streaming ranked enumeration: yields `(tuple set, rank)` pairs in
+/// non-increasing rank order (Lemma 5.4), until the full disjunction is
+/// exhausted. Take `k` items for the top-(k, f) problem, or use
+/// `take_while` on the rank for the (τ, f)-threshold problem. Under the approximate policy every yielded set satisfies
 /// `A(T) ≥ τ` and together they form exactly the approximate full
 /// disjunction.
 pub struct RankedIter<'db, P, F> {
@@ -340,10 +350,12 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
             rel_lo: rels.start,
             engine: cfg.engine,
             queues: Vec::with_capacity(rels.len()),
+            completes: Vec::with_capacity(rels.len()),
         };
         for rel_idx in rels {
             let ri = RelId(rel_idx as u16);
             heaps.queues.push(LazyQueue::new());
+            heaps.completes.push(CompleteStore::new(cfg.engine));
             let seeds = enumerate_bounded(db, &policy, ri, c, &mut stats);
             for (root, set) in merge_to_fixpoint(db, &policy, seeds, &mut stats) {
                 heaps.push(db, ri, root, set, &mut stats);
@@ -366,9 +378,9 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
     }
 
     /// Rank of the next queue top, without consuming it. `None` when the
-    /// stream is exhausted. By Lemma 5.4 no answer not yet printed would
-    /// rank higher, but a queue rank is the rank of a partial set, and
-    /// the known ranked-order defect (module docs) breaks exactly that.
+    /// stream is exhausted. By Lemma 5.4 no answer not yet printed ranks
+    /// higher, so a stream may stop as soon as this falls below a
+    /// threshold (Remark 5.6).
     pub fn peek_rank(&mut self) -> Option<f64> {
         let engine = &mut self.engine;
         engine.frontier.best(&mut engine.stats).map(|(_, r)| r)
@@ -382,14 +394,18 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
     /// answer, skipping re-generated duplicates internally.
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let (_, set) = self.engine.get_next_result()?;
+            let (root, set) = self.engine.get_next_result()?;
             let engine = &mut self.engine;
+            // The extension joins its own queue's Complete_i, printed or not.
+            let frontier = &mut engine.frontier;
+            let qi = engine.db.rel_of(root).index() - frontier.rel_lo;
+            frontier.completes[qi].insert(set.clone(), &[root]);
             // Line 17: print unless this exact set was printed before.
             if engine.complete.contains_exact(set.tuples()) {
                 continue;
             }
-            let rank = rank(&engine.frontier.f, engine.db, &set, &mut engine.stats);
-            engine.complete.insert(set.clone(), set.tuples());
+            let rank = rank(&frontier.f, engine.db, &set, &mut engine.stats);
+            engine.complete.insert(set.clone(), &[]);
             engine.stats.results += 1;
             return Some((set, rank));
         }

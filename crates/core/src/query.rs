@@ -160,8 +160,6 @@ impl<'q> FdQuery<'q> {
     ///
     /// Emission is deterministic: answers of equal rank arrive in
     /// canonical (member-id) order, for every engine and thread count.
-    /// The sequential plan shares the known ordering defect documented
-    /// in [`crate::priority`].
     pub fn ranked(mut self, f: impl MonotoneCDetermined + Send + Sync + 'q) -> Self {
         self.ranking = Some(Box::new(f));
         self
@@ -198,9 +196,8 @@ impl<'q> FdQuery<'q> {
     /// relation), the ranked plans shard the priority queues and sort the
     /// collected answers once into the canonical ranked order. The
     /// unranked output is identical to the sequential plan's sets for
-    /// every `threads`. The ranked output is always the exact canonical
-    /// ranking; it equals the sequential stream wherever that stream is
-    /// in rank order (see the known defect in [`crate::priority`]).
+    /// every `threads`. The ranked output is the exact canonical ranking,
+    /// identical to the sequential plan's stream.
     pub fn parallel(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -670,10 +667,9 @@ impl Plan for Materialized {
 /// releases it sorted by member ids — the same canonical order the
 /// parallel ranked plan sorts its answers into once — so every
 /// engine/page-size configuration emits the same sequence, and the
-/// sequential and parallel ranked plans agree wherever the underlying
-/// stream is in rank order. The look-ahead is one tie group plus one
-/// answer, so the incremental polynomial delay bound survives (scaled by
-/// the tie group size).
+/// sequential and parallel ranked plans agree. The look-ahead is one tie
+/// group plus one answer, so the incremental polynomial delay bound
+/// survives (scaled by the tie group size).
 struct CanonicalTies<'q, P, F> {
     it: RankedIter<'q, P, F>,
     group: VecDeque<(TupleSet, f64)>,
@@ -798,12 +794,8 @@ impl<'q> FdStream<'q> {
             return None;
         }
         if let Some(tau) = self.min_rank {
-            // Stop once every queue top ranks below τ. That relies on
-            // Lemma 5.4's non-increasing emission order: monotonicity
-            // only makes a queue rank a lower bound on its own entry's
-            // final rank, and under the known ranked-order defect (see
-            // the `priority` module docs) an answer ranked ≥ τ may still
-            // be pending here.
+            // Stop once every queue top ranks below τ: by Lemma 5.4 no
+            // answer still pending ranks higher than the best queue top.
             if self.plan.peek_rank()? < tau {
                 return None;
             }

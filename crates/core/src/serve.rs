@@ -794,12 +794,6 @@ impl Server {
         self.shared.handle.clone()
     }
 
-    /// Has a `shutdown` command (or [`trigger_shutdown`](Self::trigger_shutdown))
-    /// been issued?
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
-    }
-
     /// Asks the daemon to stop, as the `shutdown` wire command does.
     /// Returns immediately; [`wait`](Self::wait) observes the exit.
     pub fn trigger_shutdown(&self) {

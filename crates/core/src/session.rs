@@ -191,17 +191,6 @@ impl VecSink {
             .updates
             .clone()
     }
-
-    /// Drains and returns the collected events.
-    pub fn take_events(&self) -> Vec<FdEvent> {
-        std::mem::take(
-            &mut self
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .events,
-        )
-    }
 }
 
 impl EventSink for VecSink {
@@ -222,58 +211,26 @@ impl EventSink for VecSink {
     }
 }
 
-/// An [`EventSink`] that forwards into `std::sync::mpsc` channels — the
-/// push-delivery half a network front end sits on. Send errors (the
-/// receiver hung up) are ignored: a departed subscriber must not take
-/// the session down.
+/// An [`EventSink`] that forwards every [`FdEvent`] into a
+/// `std::sync::mpsc` channel — the push-delivery half a network front
+/// end sits on. Send errors (the receiver hung up) are ignored: a
+/// departed subscriber must not take the session down.
 #[derive(Debug)]
 pub struct ChannelSink {
     events: std::sync::mpsc::Sender<FdEvent>,
-    updates: Option<std::sync::mpsc::Sender<TopKUpdate>>,
 }
 
 impl ChannelSink {
     /// A sink delivering every [`FdEvent`] to the returned receiver.
     pub fn new() -> (Self, std::sync::mpsc::Receiver<FdEvent>) {
         let (tx, rx) = std::sync::mpsc::channel();
-        (
-            ChannelSink {
-                events: tx,
-                updates: None,
-            },
-            rx,
-        )
-    }
-
-    /// Like [`new`](Self::new), additionally delivering every
-    /// [`TopKUpdate`] of a ranked session to the second receiver.
-    pub fn with_topk() -> (
-        Self,
-        std::sync::mpsc::Receiver<FdEvent>,
-        std::sync::mpsc::Receiver<TopKUpdate>,
-    ) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (utx, urx) = std::sync::mpsc::channel();
-        (
-            ChannelSink {
-                events: tx,
-                updates: Some(utx),
-            },
-            rx,
-            urx,
-        )
+        (ChannelSink { events: tx }, rx)
     }
 }
 
 impl EventSink for ChannelSink {
     fn on_event(&mut self, event: &FdEvent) {
         let _ = self.events.send(event.clone());
-    }
-
-    fn on_topk(&mut self, update: &TopKUpdate) {
-        if let Some(tx) = &self.updates {
-            let _ = tx.send(update.clone());
-        }
     }
 }
 

@@ -240,10 +240,7 @@ pub(crate) fn join_with_match_flags(
             }
         }
     }
-    let cols = JoinColumns {
-        out_src: p.out_src,
-        a_arity: a.attrs.len(),
-    };
+    let cols = JoinColumns { out_src: p.out_src };
     (out, a_matched, b_matched, cols)
 }
 
@@ -251,8 +248,6 @@ pub(crate) fn join_with_match_flags(
 pub(crate) struct JoinColumns {
     /// `(from_b, input_column)` per output column.
     pub out_src: Vec<(bool, usize)>,
-    /// Arity of the left input.
-    pub a_arity: usize,
 }
 
 impl JoinColumns {
@@ -282,12 +277,6 @@ impl JoinColumns {
                 None => Value::Null,
             })
             .collect()
-    }
-
-    /// Arity of the left input (used by tests).
-    #[allow(dead_code)]
-    pub(crate) fn left_arity(&self) -> usize {
-        self.a_arity
     }
 }
 

@@ -51,9 +51,8 @@
 //!     .run()?;
 //! assert_eq!(top.len(), 2);
 //!
-//! // Parallel ranked enumeration: the exact canonical ranking for any
-//! // worker count. It equals the sequential plan's output wherever that
-//! // stream is in rank order, as it is here.
+//! // Parallel ranked enumeration: the same canonical ranking as the
+//! // sequential plan, for any worker count.
 //! let par = FdQuery::over(&db)
 //!     .ranked(FMax::new(&imp))
 //!     .top_k(2)
