@@ -13,7 +13,7 @@ use fd_baselines::{exhaustive_top1_fsum, naive_top_k, outerjoin_fd, pio_fd};
 use fd_bench::{
     bench_chain, bench_noisy_chain, bench_star, fmt_duration, nearest_rank, time_median, time_once,
 };
-use fd_core::delta::{delta_batch, delta_insert};
+use fd_core::delta::delta_insert_many;
 use fd_core::serve::{Client, Server};
 use fd_core::session::{DeltaBatch, FdSession};
 use fd_core::sim::TableSim;
@@ -48,6 +48,7 @@ fn main() {
     e12_block_ablation(scale);
     e13_parallel(scale);
     e14_delta_maintenance(scale);
+    e14_fd_sweep(fast);
     e15_serve_fanout(scale);
     e16_durability(scale);
 }
@@ -636,7 +637,8 @@ fn e14_delta_maintenance(scale: usize) {
                 vec![Value::Int(0), Value::Int(1), Value::Int(9_999_999)],
             )
             .expect("insert");
-        let (delta, t_delta) = time_median(3, || delta_insert(&db, inserted, &previous, cfg));
+        let (delta, t_delta) =
+            time_median(3, || delta_insert_many(&db, &[inserted], &previous, cfg));
         let (fd, t_full) = time_median(3, || recompute(&db));
         let mut maintained = previous.clone();
         apply_result_delta(&mut maintained, &delta.subsumed, delta.added);
@@ -655,14 +657,8 @@ fn e14_delta_maintenance(scale: usize) {
     println!(
         "{}",
         format_table(
-            "one insert: delta_insert vs recompute (median of 3)",
-            &[
-                "rows/rel",
-                "|FD| after",
-                "delta_insert",
-                "recompute",
-                "speedup"
-            ],
+            "one insert: delta_insert_many vs recompute (median of 3)",
+            &["rows/rel", "|FD| after", "delta", "recompute", "speedup"],
             &rows_out
         )
     );
@@ -682,21 +678,21 @@ fn e14_delta_maintenance(scale: usize) {
         };
         let (batched, t_batch) = time_median(3, || {
             let (db, ids) = insert_all();
-            delta_batch(&db, &ids, &[], &previous, cfg)
+            delta_insert_many(&db, &ids, &previous, cfg)
         });
         let (singletons, t_singletons) = time_median(3, || {
             let mut db = db.clone();
             let mut results = previous.clone();
             for (rel, row) in &batch {
                 let t = db.insert_tuple(*rel, row.clone()).expect("insert");
-                let d = delta_insert(&db, t, &results, cfg);
+                let d = delta_insert_many(&db, &[t], &results, cfg);
                 apply_result_delta(&mut results, &d.subsumed, d.added);
             }
             results
         });
         let (fd, t_full) = time_median(3, || recompute(&insert_all().0));
         let mut maintained = previous.clone();
-        apply_result_delta(&mut maintained, &batched.retracted, batched.added);
+        apply_result_delta(&mut maintained, &batched.subsumed, batched.added);
         assert_eq!(canonicalize(maintained), fd);
         assert_eq!(canonicalize(singletons), fd);
         rows_out.push(vec![
@@ -711,19 +707,94 @@ fn e14_delta_maintenance(scale: usize) {
         "{}",
         format_table(
             &format!(
-                "{BATCH_INSERTS} overlapping inserts: one delta_batch vs \
+                "{BATCH_INSERTS} overlapping inserts: one multi-seed delta vs \
                  {BATCH_INSERTS} delta_insert applies vs recompute (median of 3)"
             ),
             &[
                 "rows/rel",
                 "|FD| after",
-                "delta_batch",
+                "multi-seed delta",
                 "singleton applies",
                 "recompute"
             ],
             &rows_out
         )
     );
+}
+
+/// Insert-then-delete commit pairs per E14 |FD| sweep size.
+const SWEEP_PAIRS: usize = 200;
+
+/// E14's |FD| sweep: a session commit costs what its delta touches, not
+/// what the result holds. Over `chain(2)` with as many join values as
+/// rows, each pair of commits inserts one `C0` row joining an existing
+/// `C1` row on `J1` and then deletes it again. Every commit does about
+/// the same maintenance work whatever |FD| is, and `results_examined`
+/// (the previous results a commit looks at) must show it.
+fn e14_fd_sweep(fast: bool) {
+    header("E14 — commit cost against |FD| (chain n=2, insert/delete pairs)");
+    let sizes: &[usize] = if fast {
+        &[1_000, 4_000]
+    } else {
+        &[1_000, 4_000, 16_000, 64_000]
+    };
+    let mut rows_out = Vec::new();
+    let mut examined_per_commit = Vec::new();
+    for &rows in sizes {
+        let mut session = FdSession::new(chain(2, &DataSpec::new(rows, rows).seed(1)));
+        let fd = session.len();
+        let c1: Vec<TupleId> = session.db().tuples_of(RelId(1)).collect();
+        let (mut commits, mut examined) = (Vec::new(), 0);
+        for pair in 0..SWEEP_PAIRS {
+            let partner = c1[(pair * 7_919) % c1.len()];
+            let j1 = session.db().tuple_values(partner)[0].clone();
+            let values = vec![Value::Int(-1), j1, Value::Int(-1 - pair as i64)];
+            let mut batch = DeltaBatch::new();
+            batch.insert(RelId(0), values);
+            let insert = session.commit(batch).expect("insert commits");
+            // Maintained == recomputed, where recomputing is cheap.
+            if pair + 1 == SWEEP_PAIRS && rows <= 16_000 {
+                assert!(session.verify_snapshot(), "{rows} rows after the insert");
+            }
+            let mut batch = DeltaBatch::new();
+            batch.delete(insert.inserted()[0]);
+            let delete = session.commit(batch).expect("delete commits");
+            for c in [insert, delete] {
+                commits.push(c.timings.total);
+                examined += c.stats.results_examined;
+            }
+        }
+        if rows <= 16_000 {
+            assert!(session.verify_snapshot(), "{rows} rows after the pairs");
+        }
+        assert_eq!(session.len(), fd, "every pair round-trips");
+        commits.sort();
+        let per_commit = examined as f64 / commits.len() as f64;
+        examined_per_commit.push(per_commit);
+        rows_out.push(vec![
+            rows.to_string(),
+            fd.to_string(),
+            fmt_duration(nearest_rank(&commits, 0.5)),
+            format!("{per_commit:.2}"),
+        ]);
+    }
+    println!(
+        "{}",
+        format_table(
+            &format!("{SWEEP_PAIRS} insert/delete commit pairs on a plain session"),
+            &["rows/rel", "|FD|", "commit p50", "results examined/commit"],
+            &rows_out
+        )
+    );
+    // Flat, not proportional: a scan over the results would grow 4x per
+    // size step.
+    let least = examined_per_commit.iter().copied().fold(f64::MAX, f64::min);
+    for (&rows, &per_commit) in sizes.iter().zip(&examined_per_commit) {
+        assert!(
+            per_commit <= 2.0 * least,
+            "results examined grows with |FD|: {per_commit:.2}/commit at {rows} rows"
+        );
+    }
 }
 
 /// A session commit's bookkeeping for one delta, on a plain result list.

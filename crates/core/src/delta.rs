@@ -6,7 +6,7 @@
 //! delta of inserting a tuple `t` is an `FDi`-style run seeded at the
 //! singleton `{t}`:
 //!
-//! * [`delta_insert`] — after `t` enters the database, the new `FD`
+//! * inserting `t` ([`delta_insert_many`]) — after `t` enters the database, the new `FD`
 //!   differs from the old one by (a) the maximal join-consistent
 //!   connected sets *containing `t`* (all new — no pre-existing set can
 //!   contain a tuple that did not exist) and (b) the old results those
@@ -14,7 +14,7 @@
 //!   `GETNEXTRESULT` with `Incomplete = [{t}]` and the line-10 root
 //!   filter tightened to "contains `t`", which is `INCREMENTALFD` over
 //!   the database in which `t`'s relation is replaced by `{t}`.
-//! * [`delta_delete`] — after `t` leaves, every result containing `t`
+//! * deleting `t` ([`delta_delete_many`]) — after `t` leaves, every result containing `t`
 //!   dies, and a previously-subsumed set can resurface. A newly maximal
 //!   set `M` must be connected, contain no tuple of a surviving result
 //!   superset, and satisfy `M ⊆ S \ {t}` for some dropped result `S`
@@ -24,8 +24,9 @@
 //!   splitting each dropped set and keeping the components that are
 //!   non-extendable and not already present.
 //!
-//! Both functions are pure: database + previous results in, delta out.
-//! The session layer (`crate::session`) builds the stateful subscription engine on top.
+//! Both read the previous results through a `ResultStore`, whose
+//! posting lists hand each delta only the results it touches. The session
+//! layer (`crate::session`) keeps one store and maintains it.
 
 use crate::getnext::{Engine, Exact, Fifo};
 use crate::incremental::FdConfig;
@@ -33,8 +34,150 @@ use crate::jcc::{component_of, extend_to_maximal, rebuild};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
-use fd_relational::fxhash::FxHashSet;
+use fd_relational::fxhash::{FxHashMap, FxHashSet};
 use fd_relational::{Database, TupleId};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
+
+/// A materialized full disjunction, each result held once: the results
+/// in a dense list (pushed at the end, removed by `swap_remove`), a
+/// posting list per member tuple, and on a ranked store each result's
+/// recorded rank beside it plus every result's key in canonical rank
+/// order. A delta reads only the postings of the tuples it touches.
+#[derive(Debug, Default)]
+pub(crate) struct ResultStore<'a> {
+    sets: Cow<'a, [TupleSet]>,
+    /// Member tuple → ascending positions in `sets` of its results.
+    postings: FxHashMap<TupleId, Vec<u32>>,
+    /// `ranks[i]` is `sets[i]`'s rank (ranked stores; empty otherwise).
+    ranks: Vec<f64>,
+    /// Every ranked result's key, in canonical rank order.
+    order: BTreeSet<RankKey>,
+}
+
+/// A ranked result's key: rank descending, then members ascending — the
+/// order of [`crate::ranking::canonical_rank_order`].
+type RankKey = (Reverse<i64>, Box<[TupleId]>);
+
+fn rank_key(rank: f64, members: &[TupleId]) -> RankKey {
+    // `f64::total_cmp` as an integer order: negative ranks flip their
+    // magnitude bits.
+    let bits = rank.to_bits() as i64;
+    let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+    (Reverse(total), members.into())
+}
+
+impl<'a> ResultStore<'a> {
+    /// A store over `sets`, ranked when `ranks` (one per set) is given.
+    pub(crate) fn new(sets: impl Into<Cow<'a, [TupleSet]>>, ranks: Option<Vec<f64>>) -> Self {
+        let sets = sets.into();
+        let mut postings: FxHashMap<TupleId, Vec<u32>> = FxHashMap::default();
+        for (pos, set) in sets.iter().enumerate() {
+            for &t in set.tuples() {
+                postings.entry(t).or_default().push(pos as u32);
+            }
+        }
+        let ranks = ranks.unwrap_or_default();
+        let keys = ranks.iter().zip(sets.iter());
+        let order = keys.map(|(&r, s)| rank_key(r, s.tuples())).collect();
+        ResultStore {
+            sets,
+            postings,
+            ranks,
+            order,
+        }
+    }
+
+    /// The results, in store order.
+    pub(crate) fn sets(&self) -> &[TupleSet] {
+        &self.sets
+    }
+
+    /// The position of the result with exactly these members, found in
+    /// the shortest posting list among them.
+    pub(crate) fn position(&self, tuples: &[TupleId]) -> Option<usize> {
+        let lists = tuples.iter().map(|t| self.postings.get(t));
+        let shortest = lists.min_by_key(|list| list.map_or(0, Vec::len))??;
+        let mut found = shortest.iter().map(|&pos| pos as usize);
+        found.find(|&pos| self.sets[pos].tuples() == tuples)
+    }
+
+    /// Ascending positions of the results holding any of `tuples`, and
+    /// the number of posting entries visited to find them.
+    fn holding(&self, tuples: impl IntoIterator<Item = TupleId>) -> (Vec<usize>, u64) {
+        let lists = tuples.into_iter().filter_map(|t| self.postings.get(&t));
+        let mut out: Vec<usize> = lists.flatten().map(|&pos| pos as usize).collect();
+        let visited = out.len() as u64;
+        out.sort_unstable();
+        out.dedup();
+        (out, visited)
+    }
+
+    /// Appends a result, with its rank on a ranked store.
+    pub(crate) fn push(&mut self, set: TupleSet, rank: Option<f64>) {
+        let pos = self.sets.len() as u32;
+        for &t in set.tuples() {
+            self.postings.entry(t).or_default().push(pos);
+        }
+        if let Some(rank) = rank {
+            self.order.insert(rank_key(rank, set.tuples()));
+            self.ranks.push(rank);
+        }
+        self.sets.to_mut().push(set);
+    }
+
+    /// Removes the result with exactly these members; the last result
+    /// takes its position, as in `Vec::swap_remove`.
+    pub(crate) fn remove(&mut self, tuples: &[TupleId]) {
+        let Some(pos) = self.position(tuples) else {
+            debug_assert!(false, "retracting unknown result {tuples:?}");
+            return;
+        };
+        for t in tuples {
+            let list = self.postings.get_mut(t).expect("a member is posted");
+            list.retain(|&p| p as usize != pos);
+            if list.is_empty() {
+                self.postings.remove(t);
+            }
+        }
+        let last = self.sets.len() - 1;
+        if pos != last {
+            for t in self.sets[last].tuples() {
+                // `last` is the largest position, so it ends every list.
+                let list = self.postings.get_mut(t).expect("a member is posted");
+                list.pop();
+                list.insert(list.partition_point(|&p| (p as usize) < pos), pos as u32);
+            }
+        }
+        self.sets.to_mut().swap_remove(pos);
+        if !self.ranks.is_empty() {
+            let rank = self.ranks.swap_remove(pos);
+            self.order.remove(&rank_key(rank, tuples));
+        }
+    }
+
+    /// The first `k` results in canonical rank order, with their recorded
+    /// ranks (ranked stores).
+    pub(crate) fn top(&self, k: usize) -> Vec<(TupleSet, f64)> {
+        let mut out = Vec::with_capacity(k.min(self.order.len()));
+        for (_, members) in self.order.iter().take(k) {
+            let pos = self.position(members).expect("every key is stored");
+            out.push((self.sets[pos].clone(), self.ranks[pos]));
+        }
+        out
+    }
+
+    /// Do the postings and the rank order equal a rebuild from the
+    /// results and their recorded ranks?
+    pub(crate) fn is_consistent(&self) -> bool {
+        let ranked = !self.ranks.is_empty();
+        let fresh = ResultStore::new(&self.sets[..], ranked.then(|| self.ranks.clone()));
+        (!ranked || self.ranks.len() == self.sets.len())
+            && fresh.postings == self.postings
+            && fresh.order == self.order
+    }
+}
 
 /// The effect of one tuple insertion on the full disjunction.
 #[derive(Debug, Clone, Default)]
@@ -63,32 +206,13 @@ pub struct DeleteDelta {
     pub stats: Stats,
 }
 
-/// Computes the full-disjunction delta of inserting tuple `t`.
-///
-/// `db` must already contain `t` (live); `previous` is the materialized
-/// full disjunction of the database *without* `t`. Runs in incremental
-/// polynomial time per emitted set (Theorem 4.10 applied to the instance
-/// whose `Ri` is `{t}`), independent of how many runs a full
-/// recomputation would need.
-///
-/// Builder equivalent (preferred — no bare `FdConfig` plumbing):
-/// `FdQuery::over(&db).delta_insert(t, previous)` — see
-/// [`crate::FdQuery::delta_insert`].
-pub fn delta_insert(
-    db: &Database,
-    t: TupleId,
-    previous: &[TupleSet],
-    cfg: FdConfig,
-) -> InsertDelta {
-    delta_insert_many(db, &[t], previous, cfg)
-}
-
-/// Computes the full-disjunction delta of inserting `seeds` — the
-/// multi-seed generalization of [`delta_insert`], and the insert half of
-/// a batched commit's single maintenance pass.
+/// Computes the full-disjunction delta of inserting `seeds` — the insert
+/// half of a batched commit's single maintenance pass.
 ///
 /// `db` must already contain every seed (live); `previous` is the
-/// materialized full disjunction of the database *without* them. All `k`
+/// materialized full disjunction of the database *without* them. Runs in
+/// incremental polynomial time per emitted set (Theorem 4.10 applied to
+/// the instance whose `Ri` is the seeds). All `k`
 /// seeds drive **one** `FDi` run: `Incomplete` starts from the `k`
 /// singletons, the line-10 root filter accepts any seed, and emitted
 /// sets register in `Complete` under every contained seed — so a maximal
@@ -98,6 +222,16 @@ pub fn delta_insert_many(
     db: &Database,
     seeds: &[TupleId],
     previous: &[TupleSet],
+    cfg: FdConfig,
+) -> InsertDelta {
+    insert_in(db, seeds, &ResultStore::new(previous, None), cfg)
+}
+
+/// [`delta_insert_many`] against a store.
+fn insert_in(
+    db: &Database,
+    seeds: &[TupleId],
+    prev: &ResultStore<'_>,
     cfg: FdConfig,
 ) -> InsertDelta {
     debug_assert!(
@@ -121,27 +255,29 @@ pub fn delta_insert_many(
     engine.seeds = seeds.to_vec();
 
     let mut added: Vec<TupleSet> = Vec::new();
-    let mut emitted: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
     while let Some((_, set)) = engine.get_next_result() {
         engine.stats.results += 1;
         // The Complete store already suppresses subsets of printed sets;
-        // the canonical filter additionally drops exact re-derivations
+        // the exact-print set additionally drops exact re-derivations
         // (two seeds contained in one maximal set each derive it once).
-        if emitted.insert(set.tuples().into()) {
+        if engine.printed.insert(set.tuples()) {
             let roots: Vec<TupleId> = seeds.iter().copied().filter(|&s| set.contains(s)).collect();
             engine.complete.insert(set.clone(), &roots);
             added.push(set);
         }
     }
-    let stats = engine.stats;
+    let mut stats = engine.stats;
 
-    let subsumed = previous
-        .iter()
-        .filter(|prev| {
-            // A subsumed old set is a strict subset of a new one (never
-            // equal: it cannot contain a fresh seed tuple).
-            added.iter().any(|new| prev.is_subset_of(new))
-        })
+    // A subsumed old set is a strict subset of a new one and holds no
+    // fresh seed, so it shares a non-seed member with that set: the
+    // postings of those members hold every candidate.
+    let members = added.iter().flat_map(|s| s.tuples().iter().copied());
+    let (candidates, _) = prev.holding(members.filter(|t| !seeds.contains(t)));
+    stats.results_examined += candidates.len() as u64;
+    let subsumed = candidates
+        .into_iter()
+        .map(|pos| &prev.sets[pos])
+        .filter(|prev| added.iter().any(|new| prev.is_subset_of(new)))
         .cloned()
         .collect();
     InsertDelta {
@@ -151,78 +287,54 @@ pub fn delta_insert_many(
     }
 }
 
-/// Computes the full-disjunction delta of deleting tuple `t`.
-///
-/// `db` must already have `t` removed (tombstoned); `previous` is the
-/// materialized full disjunction of the database *with* `t`. The cost is
-/// proportional to the dropped results and one maximality probe per
-/// resurfacing candidate — not to the size of the database's full
-/// disjunction.
-///
-/// Builder equivalent (preferred — no bare `FdConfig` plumbing):
-/// `FdQuery::over(&db).delta_delete(t, previous)` — see
-/// [`crate::FdQuery::delta_delete`].
-pub fn delta_delete(
-    db: &Database,
-    t: TupleId,
-    previous: &[TupleSet],
-    cfg: FdConfig,
-) -> DeleteDelta {
-    delta_delete_many(db, &[t], previous, cfg)
-}
-
 /// Computes the full-disjunction delta of deleting all of `removed` —
-/// the grouped generalization of [`delta_delete`], and the delete half
-/// of a batched commit's single maintenance pass.
+/// the delete half of a batched commit's single maintenance pass.
 ///
 /// `db` must already have every removed tuple tombstoned; `previous` is
-/// the materialized full disjunction of the database *with* them. The
-/// dropped results (those touching **any** removed tuple) are collected
-/// in one scan, and the remnant components — each dropped set minus the
-/// whole removed group — are re-derived once, not once per deletion: a
-/// newly maximal set `M` has every old maximal superset dropped, so
-/// `M ⊆ S \ removed` for some dropped `S`, and being maximal and
-/// connected inside it, `M` is a connected component of `S \ removed`
-/// (the Theorem 4.8 argument applied to the group).
+/// the materialized full disjunction of the database *with* them.
+/// Against a session's `ResultStore` the cost is proportional to the
+/// dropped results and one maximality probe per resurfacing candidate —
+/// not to the size of the database's full disjunction. The dropped
+/// results (those touching **any** removed tuple) are the union
+/// of the removed tuples' posting lists, and the remnant components —
+/// each dropped set minus the whole removed group — are re-derived once,
+/// not once per deletion: a newly maximal set `M` has every old maximal
+/// superset dropped, so `M ⊆ S \ removed` for some dropped `S`, and
+/// being maximal and connected inside it, `M` is a connected component
+/// of `S \ removed` (the Theorem 4.8 argument applied to the group).
 pub fn delta_delete_many(
     db: &Database,
     removed: &[TupleId],
     previous: &[TupleSet],
     cfg: FdConfig,
 ) -> DeleteDelta {
+    let _ = cfg; // store engine choice does not affect this path (yet)
+    delete_in(db, removed, &ResultStore::new(previous, None))
+}
+
+/// [`delta_delete_many`] against a store.
+fn delete_in(db: &Database, removed: &[TupleId], prev: &ResultStore<'_>) -> DeleteDelta {
     debug_assert!(
         removed.iter().all(|&t| !db.is_live(t)),
         "delete delta runs after the tombstones"
     );
-    let _ = cfg; // store engine choice does not affect this path (yet)
     let mut stats = Stats::new();
-    if removed.is_empty() {
-        return DeleteDelta::default();
-    }
-    let mut dropped: Vec<TupleSet> = Vec::new();
-    let mut survivors: FxHashSet<&[TupleId]> = FxHashSet::default();
-    for prev in previous {
-        if removed.iter().any(|&t| prev.contains(t)) {
-            dropped.push(prev.clone());
-        } else {
-            survivors.insert(prev.tuples());
-        }
-    }
+    let (hits, visited) = prev.holding(removed.iter().copied());
+    stats.results_examined += visited;
+    let dropped: Vec<TupleSet> = hits.iter().map(|&p| prev.sets[p].clone()).collect();
 
     let mut restored: Vec<TupleSet> = Vec::new();
     let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
     for set in &dropped {
-        let remnant: Vec<TupleId> = set
-            .tuples()
-            .iter()
-            .copied()
-            .filter(|u| !removed.contains(u))
-            .collect();
+        let mut remnant = set.tuples().to_vec();
+        remnant.retain(|u| !removed.contains(u));
         for component in connected_components(db, &remnant) {
             if !seen.insert(component.clone().into_boxed_slice()) {
                 continue;
             }
-            if survivors.contains(component.as_slice()) {
+            // A component holds no removed tuple, so an equal result
+            // is a survivor.
+            if prev.position(&component).is_some() {
                 continue;
             }
             let candidate = rebuild(db, component);
@@ -263,14 +375,14 @@ pub struct BatchDelta {
 /// Computes the full-disjunction delta of one batched commit: all of
 /// `inserted` entered the database and all of `removed` left it, in one
 /// transaction. `db` must already reflect the whole batch (inserted
-/// tuples live, removed tuples tombstoned); `previous` is the
+/// tuples live, removed tuples tombstoned); `store` holds the
 /// materialized full disjunction from *before* the batch.
 ///
 /// This is **one** maintenance pass, not `k`:
 ///
 /// * the deletes are processed as a group ([`delta_delete_many`]) —
-///   results touching any removed tuple drop in one scan, remnant
-///   components re-derive once;
+///   results touching any removed tuple come from the removed tuples'
+///   posting lists, remnant components re-derive once;
 /// * the inserts are seeded together ([`delta_insert_many`]) — one
 ///   multi-seed `FDi` run discovers every maximal set containing a new
 ///   tuple, so overlapping inserts combine without intermediate states;
@@ -282,33 +394,21 @@ pub struct BatchDelta {
 /// The remnant-component probes run against the final database, so a
 /// component extendable only through an inserted tuple is correctly left
 /// to the insert run (which emits the extended maximal set instead).
-pub fn delta_batch(
+pub(crate) fn delta_batch(
     db: &Database,
     inserted: &[TupleId],
     removed: &[TupleId],
-    previous: &[TupleSet],
+    store: &ResultStore<'_>,
     cfg: FdConfig,
 ) -> BatchDelta {
-    let del = delta_delete_many(db, removed, previous, cfg);
+    let del = delete_in(db, removed, store);
+    // A result the new sets subsume holds no removed tuple (the new sets
+    // hold none), so it is never also among the dropped ones.
+    let ins = insert_in(db, inserted, store, cfg);
     let mut stats = del.stats;
-
-    let ins = delta_insert_many(db, inserted, &[], cfg);
     stats.merge(&ins.stats);
-
-    // Only results that survived the delete group can be subsumed by a
-    // new maximal set (dropped sets are already being retracted,
-    // restored components are maximal in the final database by
-    // construction). Computed here by reference — the common one-insert
-    // commit must not clone the whole materialized result just to run
-    // the subsumption filter.
-    let subsumed = previous
-        .iter()
-        .filter(|prev| !removed.iter().any(|&t| prev.contains(t)))
-        .filter(|prev| ins.added.iter().any(|new| prev.is_subset_of(new)))
-        .cloned();
-
     let mut retracted = del.dropped;
-    retracted.extend(subsumed);
+    retracted.extend(ins.subsumed);
     let mut added = del.restored;
     added.extend(ins.added);
     BatchDelta {
@@ -587,7 +687,8 @@ mod tests {
             )
             .unwrap();
         db.remove_tuple(TupleId(0)).unwrap();
-        let d = delta_batch(&db, &[t], &[TupleId(0)], &before, FdConfig::default());
+        let store = ResultStore::new(&before[..], None);
+        let d = delta_batch(&db, &[t], &[TupleId(0)], &store, FdConfig::default());
         assert!(
             d.added.iter().all(|s| !s.contains(TupleId(0))),
             "no event may mention the deleted tuple"

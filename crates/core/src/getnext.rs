@@ -43,7 +43,7 @@
 //! ([`scan_tuples_from`]).
 
 use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
-use crate::lists::{CompleteStore, IncompleteQueue};
+use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
@@ -347,6 +347,9 @@ pub(crate) struct Engine<'db, P, Q> {
     /// theirs); line 11 reads it through [`Frontier::covered`], which the
     /// ranked queues answer from their own lists instead.
     pub(crate) complete: CompleteStore,
+    /// Fig. 3 line 17's exact-print set. Only the drivers that read it
+    /// fill it: the ranked stream and the seeded delta run.
+    pub(crate) printed: Printed,
     pager: Option<Pager<'db>>,
     /// First relation index of the extension and candidate scans (0 for
     /// the standalone algorithm; `i + 1` under Section 7's repeated-work
@@ -393,6 +396,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             policy,
             frontier,
             complete,
+            printed: Printed::default(),
             pager: page_size.map(|ps| Pager::new(db, ps)),
             rel_min: 0,
             seeds: Vec::new(),
@@ -416,6 +420,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             policy,
             frontier,
             complete,
+            printed,
             pager,
             rel_min,
             seeds,
@@ -433,8 +438,8 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
         // in). The candidate loop below depends only on (db, set), so a
         // re-derivation of an already-printed set would regenerate exactly
         // the T′ collection the first emission already processed — skip the
-        // scan and let the caller's canonical filter drop the duplicate.
-        if !seeds.is_empty() && complete.contains_exact(set.tuples()) {
+        // scan and let the caller's `printed` check drop the duplicate.
+        if !seeds.is_empty() && printed.contains(set.tuples()) {
             return Some((root, set));
         }
 

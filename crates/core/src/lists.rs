@@ -31,9 +31,6 @@ pub(crate) struct CompleteStore {
     sets: Vec<TupleSet>,
     /// Indexed engine: root tuple → indices into `sets`.
     by_root: FxHashMap<TupleId, Vec<u32>>,
-    /// Exact-membership fingerprints (used by the ranked variant's
-    /// "already printed?" check, Fig. 3 line 17).
-    canon: FxHashSet<Box<[TupleId]>>,
 }
 
 impl CompleteStore {
@@ -43,7 +40,6 @@ impl CompleteStore {
             engine,
             sets: Vec::new(),
             by_root: FxHashMap::default(),
-            canon: FxHashSet::default(),
         }
     }
 
@@ -58,7 +54,6 @@ impl CompleteStore {
     /// shared by several runs registers every member.
     pub(crate) fn insert(&mut self, set: TupleSet, roots: &[TupleId]) {
         let idx = self.sets.len() as u32;
-        self.canon.insert(set.tuples().into());
         if self.engine == StoreEngine::Indexed {
             for &r in roots {
                 self.by_root.entry(r).or_default().push(idx);
@@ -84,10 +79,23 @@ impl CompleteStore {
             },
         }
     }
+}
 
-    /// Fig. 3 line 17: has exactly this set been printed already?
-    pub(crate) fn contains_exact(&self, tuples: &[TupleId]) -> bool {
-        self.canon.contains(tuples)
+/// Fig. 3 line 17's exact view of `Complete`: the member lists of the
+/// printed results. Only the drivers that ask "printed already?" keep
+/// one: the ranked stream and the seeded delta run.
+#[derive(Debug, Default)]
+pub(crate) struct Printed(FxHashSet<Box<[TupleId]>>);
+
+impl Printed {
+    /// Records a printed set; false when it was printed before.
+    pub(crate) fn insert(&mut self, tuples: &[TupleId]) -> bool {
+        self.0.insert(tuples.into())
+    }
+
+    /// Has exactly this set been printed already?
+    pub(crate) fn contains(&self, tuples: &[TupleId]) -> bool {
+        self.0.contains(tuples)
     }
 }
 
@@ -271,12 +279,11 @@ mod tests {
 
     #[test]
     fn complete_exact_lookup() {
-        let db = tourist_database();
-        let mut complete = CompleteStore::new(StoreEngine::Indexed);
-        let set = rebuild(&db, vec![C1, A2]);
-        complete.insert(set, &[C1]);
-        assert!(complete.contains_exact(&[C1, A2]));
-        assert!(!complete.contains_exact(&[C1]));
+        let mut printed = Printed::default();
+        assert!(printed.insert(&[C1, A2]));
+        assert!(!printed.insert(&[C1, A2]), "a second print is a duplicate");
+        assert!(printed.contains(&[C1, A2]));
+        assert!(!printed.contains(&[C1]));
     }
 
     #[test]

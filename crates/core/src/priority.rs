@@ -334,8 +334,8 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
     /// stay global, so every emitted set is maximal in the *whole*
     /// database. Emission is *not* globally rank-ordered (an answer's rank
     /// witness may live in another shard's queue); the parallel ranked
-    /// driver sorts each shard before merging the shard streams back into
-    /// the full ranking.
+    /// driver collects every shard's answers and sorts them once into the
+    /// full ranking.
     pub(crate) fn for_policy(
         db: &'db Database,
         policy: P,
@@ -361,6 +361,8 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
                 heaps.push(db, ri, root, set, &mut stats);
             }
         }
+        // The engine's own `Complete` stays empty: line 11 reads
+        // `completes`, line 17 reads the engine's `printed` set.
         let complete = CompleteStore::new(cfg.engine);
         RankedIter {
             engine: Engine::new(db, policy, heaps, complete, cfg.page_size, stats),
@@ -401,11 +403,10 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
             let qi = engine.db.rel_of(root).index() - frontier.rel_lo;
             frontier.completes[qi].insert(set.clone(), &[root]);
             // Line 17: print unless this exact set was printed before.
-            if engine.complete.contains_exact(set.tuples()) {
+            if !engine.printed.insert(set.tuples()) {
                 continue;
             }
             let rank = rank(&frontier.f, engine.db, &set, &mut engine.stats);
-            engine.complete.insert(set.clone(), &[]);
             engine.stats.results += 1;
             return Some((set, rank));
         }

@@ -433,28 +433,40 @@ impl<'q> FdQuery<'q> {
         }
     }
 
-    /// Delta maintenance: the effect of inserting tuple `t` on the
-    /// materialized full disjunction `previous`, under this query's
-    /// execution configuration. See [`crate::delta::delta_insert`].
+    /// Delta maintenance: the effect of inserting tuple `t` (already
+    /// live in the database) on the materialized full disjunction
+    /// `previous`, under this query's execution configuration. See
+    /// [`crate::delta::delta_insert_many`].
     pub fn delta_insert(
         &self,
         t: TupleId,
         previous: &[TupleSet],
     ) -> Result<crate::delta::InsertDelta, FdError> {
         self.require_batch("delta maintenance")?;
-        Ok(crate::delta::delta_insert(self.db, t, previous, self.cfg))
+        Ok(crate::delta::delta_insert_many(
+            self.db,
+            &[t],
+            previous,
+            self.cfg,
+        ))
     }
 
-    /// Delta maintenance: the effect of deleting tuple `t` on the
-    /// materialized full disjunction `previous`, under this query's
-    /// execution configuration. See [`crate::delta::delta_delete`].
+    /// Delta maintenance: the effect of deleting tuple `t` (already
+    /// tombstoned) on the materialized full disjunction `previous`, under
+    /// this query's execution configuration. See
+    /// [`crate::delta::delta_delete_many`].
     pub fn delta_delete(
         &self,
         t: TupleId,
         previous: &[TupleSet],
     ) -> Result<crate::delta::DeleteDelta, FdError> {
         self.require_batch("delta maintenance")?;
-        Ok(crate::delta::delta_delete(self.db, t, previous, self.cfg))
+        Ok(crate::delta::delta_delete_many(
+            self.db,
+            &[t],
+            previous,
+            self.cfg,
+        ))
     }
 }
 

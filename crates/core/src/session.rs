@@ -8,9 +8,9 @@
 //! ranked top-k window), accepts mutations in transactional
 //! [`DeltaBatch`]es, and per [`commit`](FdSession::commit) runs **one**
 //! maintenance pass — deletes processed as a group, inserts seeded
-//! together in one multi-seed `FDi` run ([`crate::delta::delta_batch`])
-//! — returning the consolidated, net-effect [`FdEvent`] list. Consumers
-//! that would rather be pushed than poll register an [`EventSink`]
+//! together in one multi-seed `FDi` run ([`crate::delta`]) — returning
+//! the consolidated, net-effect [`FdEvent`] list. Consumers that would
+//! rather be pushed than poll register an [`EventSink`]
 //! ([`subscribe`](FdSession::subscribe)); [`VecSink`] collects, a
 //! [`ChannelSink`] forwards into an `mpsc` channel a network front end
 //! can drain.
@@ -36,7 +36,7 @@
 //! # Ok::<(), fd_core::FdError>(())
 //! ```
 
-use crate::delta::delta_batch;
+use crate::delta::{delta_batch, ResultStore};
 use crate::error::FdError;
 use crate::incremental::{canonicalize, FdConfig};
 use crate::obs::{Counter, Gauge, Histogram, Registry};
@@ -45,7 +45,6 @@ use crate::ranking::{canonical_rank_order, RankingFunction};
 use crate::stats::Stats;
 use crate::store::{FsyncPolicy, Store, StoreError, Wal};
 use crate::tupleset::TupleSet;
-use fd_relational::fxhash::FxHashMap;
 use fd_relational::{apply_delta, validate_batch, Change, Database, Delta, TupleId};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,7 +251,7 @@ pub struct CommitTimings {
     pub wal: Duration,
     /// Applying the validated batch to the database.
     pub apply: Duration,
-    /// The single delta-maintenance pass ([`crate::delta::delta_batch`]).
+    /// The single delta-maintenance pass ([`crate::delta`]).
     pub maintain: Duration,
     /// Folding retractions/additions into the materialized result and
     /// the ranked window, and diffing the top-k window.
@@ -287,111 +286,40 @@ pub struct Commit {
 impl Commit {
     /// Tuple ids the commit's inserts received, in batch order.
     pub fn inserted(&self) -> Vec<TupleId> {
-        self.changes
-            .iter()
-            .filter_map(|c| match c {
-                Change::Inserted { tuple, .. } => Some(*tuple),
-                Change::Removed { .. } => None,
-            })
-            .collect()
+        split(&self.changes).0
     }
 
     /// Tuple ids the commit removed, in batch order.
     pub fn removed(&self) -> Vec<TupleId> {
-        self.changes
-            .iter()
-            .filter_map(|c| match c {
-                Change::Removed { tuple, .. } => Some(*tuple),
-                Change::Inserted { .. } => None,
-            })
-            .collect()
+        split(&self.changes).1
     }
 }
 
-/// The maintained ranked view of a ranked session: every current result
-/// with its rank, sorted by [`canonical_rank_order`]; the window is the
-/// first `k` entries. Maintained incrementally — binary-search insert
-/// per added set, binary-search removal (by *recorded* rank, so the
-/// ranking function never re-evaluates a retracted set against the
-/// mutated database) per retracted set; the only full sort happens at
-/// construction.
-struct RankedView<'q> {
+/// The tuple ids a batch inserted and removed, each in batch order.
+fn split(changes: &[Change]) -> (Vec<TupleId>, Vec<TupleId>) {
+    let (mut inserted, mut removed) = (Vec::new(), Vec::new());
+    for change in changes {
+        match change {
+            Change::Inserted { tuple, .. } => inserted.push(*tuple),
+            Change::Removed { tuple, .. } => removed.push(*tuple),
+        }
+    }
+    (inserted, removed)
+}
+
+/// The ranking of a ranked session: the function, the window size and
+/// the window itself, the first `k` keys of the result store's rank
+/// order. A retracted set leaves that order by its *recorded* rank, so
+/// the function never re-evaluates it against the mutated database.
+struct Ranked<'q> {
     f: Box<dyn RankingFunction + Send + 'q>,
     k: usize,
-    ranked: Vec<(TupleSet, f64)>,
-    rank_of: FxHashMap<Box<[TupleId]>, f64>,
+    window: Vec<(TupleSet, f64)>,
 }
 
-impl std::fmt::Debug for RankedView<'_> {
+impl std::fmt::Debug for Ranked<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankedView")
-            .field("k", &self.k)
-            .field("len", &self.ranked.len())
-            .finish()
-    }
-}
-
-impl<'q> RankedView<'q> {
-    fn new(
-        db: &Database,
-        f: Box<dyn RankingFunction + Send + 'q>,
-        k: usize,
-        results: &[TupleSet],
-    ) -> Self {
-        let mut ranked: Vec<(TupleSet, f64)> =
-            results.iter().map(|s| (s.clone(), f.rank(db, s))).collect();
-        ranked.sort_by(|a, b| canonical_rank_order(a.1, &a.0, b.1, &b.0));
-        let rank_of = ranked
-            .iter()
-            .map(|(s, r)| (Box::<[TupleId]>::from(s.tuples()), *r))
-            .collect();
-        RankedView {
-            f,
-            k,
-            ranked,
-            rank_of,
-        }
-    }
-
-    fn window(&self) -> &[(TupleSet, f64)] {
-        &self.ranked[..self.k.min(self.ranked.len())]
-    }
-
-    fn remove(&mut self, set: &TupleSet) {
-        let Some(rank) = self.rank_of.remove(set.tuples()) else {
-            debug_assert!(false, "retracting unknown ranked result {set}");
-            return;
-        };
-        let found = self
-            .ranked
-            .binary_search_by(|e| canonical_rank_order(e.1, &e.0, rank, set));
-        match found {
-            Ok(pos) => {
-                self.ranked.remove(pos);
-            }
-            Err(_) => {
-                // Unreachable with a consistent map, but stay lossless.
-                debug_assert!(false, "recorded rank not found for {set}");
-                if let Some(pos) = self
-                    .ranked
-                    .iter()
-                    .position(|(s, _)| s.tuples() == set.tuples())
-                {
-                    self.ranked.remove(pos);
-                }
-            }
-        }
-    }
-
-    fn add(&mut self, db: &Database, set: &TupleSet) {
-        let rank = self.f.rank(db, set);
-        self.rank_of.insert(set.tuples().into(), rank);
-        let probe = (set.clone(), rank);
-        let pos = self
-            .ranked
-            .binary_search_by(|e| canonical_rank_order(e.1, &e.0, probe.1, &probe.0))
-            .unwrap_or_else(|p| p);
-        self.ranked.insert(pos, probe);
+        f.debug_struct("Ranked").field("k", &self.k).finish()
     }
 }
 
@@ -592,11 +520,10 @@ fn storage_err(e: StoreError) -> FdError {
 pub struct FdSession<'q> {
     db: Database,
     cfg: FdConfig,
-    /// Current results, in no particular order.
-    results: Vec<TupleSet>,
-    /// Canonical member list → position in `results`.
-    index: FxHashMap<Box<[TupleId]>, usize>,
-    ranked: Option<RankedView<'q>>,
+    /// Current results, in no particular order, with their ranks on a
+    /// ranked session.
+    results: ResultStore<'static>,
+    ranked: Option<Ranked<'q>>,
     sinks: Vec<(SinkId, Box<dyn EventSink + 'q>)>,
     next_sink: u64,
     /// Non-empty commits applied, recovery replays included. A durable
@@ -631,8 +558,8 @@ impl<'q> FdSession<'q> {
 
     /// Like [`with_config`](Self::with_config), additionally computing
     /// the *initial* materialization with up to `threads` workers.
-    /// Maintenance passes stay sequential — each one is already
-    /// proportional to the change, not the database.
+    /// Maintenance passes stay sequential — each one reads only the
+    /// results its change touches, through the store's posting lists.
     ///
     /// The parallel materialization always runs with
     /// [`crate::InitStrategy::Singletons`] (the reuse strategies describe
@@ -668,8 +595,7 @@ impl<'q> FdSession<'q> {
         let start = Instant::now();
         let results = materialize(&db, cfg, threads);
         metrics.materialize.record(start.elapsed());
-        let f: Box<dyn RankingFunction + Send + 'q> = Box::new(f);
-        Self::assemble(db, cfg, results, Some((f, k)), metrics)
+        Self::assemble(db, cfg, results, Some((Box::new(f), k)), metrics)
     }
 
     fn assemble(
@@ -679,19 +605,21 @@ impl<'q> FdSession<'q> {
         ranking: Option<(Box<dyn RankingFunction + Send + 'q>, usize)>,
         metrics: SessionMetrics,
     ) -> Self {
-        let index = results
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Box::<[TupleId]>::from(s.tuples()), i))
-            .collect();
-        let ranked = ranking.map(|(f, k)| RankedView::new(&db, f, k, &results));
         metrics.results.set(results.len() as i64);
+        let ranks = ranking
+            .as_ref()
+            .map(|(f, _)| results.iter().map(|s| f.rank(&db, s)).collect());
+        let results = ResultStore::new(results, ranks);
+        let ranked = ranking.map(|(f, k)| Ranked {
+            window: results.top(k),
+            f,
+            k,
+        });
         metrics.record_index(&db);
         FdSession {
             db,
             cfg,
             results,
-            index,
             ranked,
             sinks: Vec::new(),
             next_sink: 0,
@@ -714,29 +642,29 @@ impl<'q> FdSession<'q> {
 
     /// Number of tuple sets currently in the full disjunction.
     pub fn len(&self) -> usize {
-        self.results.len()
+        self.results.sets().len()
     }
 
     /// Is the full disjunction empty?
     pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
+        self.results.sets().is_empty()
     }
 
     /// The current results in unspecified order; see
     /// [`canonical_results`](Self::canonical_results) for a
     /// deterministic view.
     pub fn results(&self) -> &[TupleSet] {
-        &self.results
+        self.results.sets()
     }
 
     /// The current results in canonical (member-id) order.
     pub fn canonical_results(&self) -> Vec<TupleSet> {
-        canonicalize(self.results.clone())
+        canonicalize(self.results.sets().to_vec())
     }
 
     /// Is this exact tuple set currently a result?
     pub fn contains(&self, tuples: &[TupleId]) -> bool {
-        self.index.contains_key(tuples)
+        self.results.position(tuples).is_some()
     }
 
     /// Is this a ranked session (maintained top-k window)?
@@ -752,13 +680,14 @@ impl<'q> FdSession<'q> {
     /// The current top-k window — up to `k` `(set, rank)` pairs in
     /// non-increasing rank order — or `None` on a plain session.
     pub fn window(&self) -> Option<&[(TupleSet, f64)]> {
-        self.ranked.as_ref().map(|r| r.window())
+        self.ranked.as_ref().map(|r| &r.window[..])
     }
 
     /// The full maintained ranking (the window is its first `k`
-    /// entries), or `None` on a plain session.
-    pub fn ranking(&self) -> Option<&[(TupleSet, f64)]> {
-        self.ranked.as_ref().map(|r| &r.ranked[..])
+    /// entries), or `None` on a plain session. Built on each call from
+    /// the store's rank order.
+    pub fn ranking(&self) -> Option<Vec<(TupleSet, f64)>> {
+        self.ranked.as_ref().map(|_| self.results.top(usize::MAX))
     }
 
     /// Number of maintenance passes run so far — exactly one per
@@ -888,14 +817,7 @@ impl<'q> FdSession<'q> {
             .collect();
         let apply = apply_start.elapsed();
 
-        let mut inserted: Vec<TupleId> = Vec::new();
-        let mut removed: Vec<TupleId> = Vec::new();
-        for change in &changes {
-            match change {
-                Change::Inserted { tuple, .. } => inserted.push(*tuple),
-                Change::Removed { tuple, .. } => removed.push(*tuple),
-            }
-        }
+        let (inserted, removed) = split(&changes);
 
         // THE one maintenance pass of this commit.
         let maintain_start = Instant::now();
@@ -904,38 +826,29 @@ impl<'q> FdSession<'q> {
         self.passes += 1;
 
         let window_start = Instant::now();
-        let window_before: Vec<TupleSet> = self
-            .ranked
-            .as_ref()
-            .map(|r| r.window().iter().map(|(s, _)| s.clone()).collect())
-            .unwrap_or_default();
-
         let mut events = Vec::with_capacity(delta.retracted.len() + delta.added.len());
         for set in delta.retracted {
-            self.remove_set(&set);
-            if let Some(r) = &mut self.ranked {
-                r.remove(&set);
-            }
+            self.results.remove(set.tuples());
             events.push(FdEvent::Retracted(set));
         }
         for set in delta.added {
-            self.add_set(set.clone());
-            if let Some(r) = &mut self.ranked {
-                r.add(&self.db, &set);
-            }
+            let rank = self.ranked.as_ref().map(|r| r.f.rank(&self.db, &set));
+            self.results.push(set.clone(), rank);
             events.push(FdEvent::Added(set));
         }
 
-        let topk = self.ranked.as_ref().map(|r| {
-            let after = r.window();
+        let topk = self.ranked.as_mut().map(|r| {
+            let before = std::mem::replace(&mut r.window, self.results.top(r.k));
+            let after = &r.window;
             let entered = after
                 .iter()
-                .filter(|(s, _)| !window_before.iter().any(|b| b.tuples() == s.tuples()))
+                .filter(|(s, _)| !before.iter().any(|(b, _)| b == s))
                 .cloned()
                 .collect();
-            let left = window_before
+            let left = before
                 .into_iter()
-                .filter(|b| !after.iter().any(|(s, _)| s.tuples() == b.tuples()))
+                .filter(|(b, _)| !after.iter().any(|(s, _)| s == b))
+                .map(|(b, _)| b)
                 .collect();
             TopKUpdate {
                 events: events.clone(),
@@ -976,7 +889,7 @@ impl<'q> FdSession<'q> {
         let m = &self.metrics;
         m.commits.inc();
         m.events.add(commit.events.len() as u64);
-        m.results.set(self.results.len() as i64);
+        m.results.set(self.len() as i64);
         m.validate.record(commit.timings.validate);
         m.apply.record(commit.timings.apply);
         m.maintain.record(commit.timings.maintain);
@@ -1014,15 +927,12 @@ impl<'q> FdSession<'q> {
 
     /// The oracle-checkable invariant: does the materialized state equal
     /// the full disjunction of the current snapshot, recomputed from
-    /// scratch? (On ranked sessions, additionally: does the maintained
-    /// ranking equal a from-scratch rank + sort?)
+    /// scratch, with a result store equal to one rebuilt from it? (On
+    /// ranked sessions, additionally: do the maintained ranking and
+    /// window equal a from-scratch rank + sort?)
     pub fn verify_snapshot(&self) -> bool {
-        let fresh = FdQuery::over(&self.db)
-            .with_config(self.cfg)
-            .run()
-            .expect("a bare configuration is always a valid batch query")
-            .into_sets();
-        if self.canonical_results() != canonicalize(fresh) {
+        let fresh = materialize(&self.db, self.cfg, None);
+        if !self.results.is_consistent() || self.canonical_results() != canonicalize(fresh) {
             return false;
         }
         match &self.ranked {
@@ -1030,11 +940,13 @@ impl<'q> FdSession<'q> {
             Some(r) => {
                 let mut scratch: Vec<(TupleSet, f64)> = self
                     .results
+                    .sets()
                     .iter()
                     .map(|s| (s.clone(), r.f.rank(&self.db, s)))
                     .collect();
                 scratch.sort_by(|a, b| canonical_rank_order(a.1, &a.0, b.1, &b.0));
-                r.ranked == scratch
+                r.window[..] == scratch[..r.k.min(scratch.len())]
+                    && self.results.top(usize::MAX) == scratch
             }
         }
     }
@@ -1193,7 +1105,12 @@ impl<'q> FdSession<'q> {
             None => return Ok(false),
         };
         let start = Instant::now();
-        let ids: Vec<Vec<TupleId>> = self.results.iter().map(|s| s.tuples().to_vec()).collect();
+        let ids: Vec<Vec<TupleId>> = self
+            .results
+            .sets()
+            .iter()
+            .map(|s| s.tuples().to_vec())
+            .collect();
         let d = self.durability.as_mut().expect("checked above");
         d.store
             .write_snapshot(&self.db, &ids, seq)
@@ -1231,28 +1148,10 @@ impl<'q> FdSession<'q> {
             d.threshold = bytes;
         }
     }
-
-    fn add_set(&mut self, set: TupleSet) {
-        let key: Box<[TupleId]> = set.tuples().into();
-        debug_assert!(!self.index.contains_key(&key), "duplicate result {set}");
-        self.index.insert(key, self.results.len());
-        self.results.push(set);
-    }
-
-    fn remove_set(&mut self, set: &TupleSet) {
-        let Some(pos) = self.index.remove(set.tuples()) else {
-            debug_assert!(false, "retracting unknown result {set}");
-            return;
-        };
-        self.results.swap_remove(pos);
-        if pos < self.results.len() {
-            let moved_key: Box<[TupleId]> = self.results[pos].tuples().into();
-            self.index.insert(moved_key, pos);
-        }
-    }
 }
 
-/// The initial materialization every session constructor shares.
+/// The full disjunction of `db`, computed from scratch (by up to
+/// `threads` workers).
 fn materialize(db: &Database, cfg: FdConfig, threads: Option<usize>) -> Vec<TupleSet> {
     let mut query = FdQuery::over(db).with_config(cfg);
     if let Some(t) = threads {

@@ -39,6 +39,10 @@ pub struct Stats {
     pub rank_evals: u64,
     /// Approximate-join-function evaluations (approx variant).
     pub approx_evals: u64,
+    /// Previous results a delta-maintenance pass looked at: the posting
+    /// entries visited to find the dropped results, plus the subsumption
+    /// candidates tested.
+    pub results_examined: u64,
 }
 
 impl Stats {
@@ -64,6 +68,7 @@ impl Stats {
         self.heap_pops += other.heap_pops;
         self.rank_evals += other.rank_evals;
         self.approx_evals += other.approx_evals;
+        self.results_examined += other.results_examined;
     }
 
     /// Total list-scan work — the dominant `f²` factor of Theorem 4.8 that
@@ -78,7 +83,7 @@ impl Stats {
     /// serve `stats` reply and the Prometheus `fd_ops_total{op=…}`
     /// series all derive from it, so the spellings can never drift
     /// apart.
-    pub fn fields(&self) -> [(&'static str, u64); 14] {
+    pub fn fields(&self) -> [(&'static str, u64); 15] {
         [
             ("jcc_checks", self.jcc_checks),
             ("extension_scans", self.extension_scans),
@@ -94,6 +99,7 @@ impl Stats {
             ("heap_pops", self.heap_pops),
             ("rank_evals", self.rank_evals),
             ("approx_evals", self.approx_evals),
+            ("results_examined", self.results_examined),
         ]
     }
 }

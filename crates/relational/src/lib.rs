@@ -7,7 +7,7 @@
 //!   join-consistency semantics (shared attributes must be equal **and**
 //!   non-null); a string ([`IStr`]) carries its own hash, so the check
 //!   rejects unequal strings on one word;
-//! * [`Database`] / [`DatabaseBuilder`] — interned catalogs with a global
+//! * [`Database`] / [`DatabaseBuilder`] — catalogs with a database-wide
 //!   tuple id space and the relation connectivity graph; each database
 //!   keeps one copy of each distinct string of its rows, so equal join
 //!   values share an allocation;
@@ -46,7 +46,6 @@ pub mod hypergraph;
 pub mod join;
 pub mod lockcheck;
 pub mod outerjoin;
-pub mod stats;
 pub mod storage;
 pub mod textio;
 

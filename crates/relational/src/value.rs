@@ -340,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn interned_strings_compare_by_symbol() {
+    fn separately_allocated_strings_compare_by_text() {
         // Two independent allocations of the same text are equal and
         // hash equal, without sharing a pointer.
         let (a, b) = (Value::str("Toronto"), Value::str("Toronto"));

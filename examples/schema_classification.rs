@@ -1,17 +1,15 @@
 //! Database-integration substrate in action (the Section 7 context):
-//! catalog statistics, a pre-execution output-size signal, the schema's
-//! acyclicity classification with its join tree, and ranked *approximate*
-//! retrieval — everything a query planner consults before deciding how
-//! to evaluate a full disjunction.
+//! the schema's acyclicity classification with its join tree, which
+//! decides whether an outerjoin plan is available, then the actual full
+//! disjunction and ranked *approximate* retrieval over the same data.
 //!
 //! ```sh
-//! cargo run --release --example planner_statistics
+//! cargo run --release --example schema_classification
 //! ```
 
 use full_disjunction::core::{AMin, EditDistanceSim};
 use full_disjunction::prelude::*;
 use full_disjunction::relational::hypergraph::{join_tree, Hypergraph};
-use full_disjunction::relational::stats::{estimate_fd_pairs, CatalogStats};
 use full_disjunction::workloads::{travel, DataSpec};
 
 fn main() {
@@ -30,35 +28,7 @@ fn main() {
         db.num_tuples()
     );
 
-    // 1. Column statistics: what a catalog would know.
-    let stats = CatalogStats::collect(&db);
-    for rel in db.relations() {
-        for &attr in rel.schema().attrs() {
-            let c = stats.column(&db, rel.id(), attr).expect("own attribute");
-            println!(
-                "  {}.{}: {} rows, {} distinct, {:.0}% null",
-                rel.name(),
-                db.attr_name(attr),
-                c.rows,
-                c.distinct,
-                100.0 * c.null_fraction()
-            );
-        }
-    }
-
-    // 2. Pre-execution signal: estimated join-consistent pairs per edge.
-    let (edges, total) = estimate_fd_pairs(&db, &stats);
-    println!("\nestimated join-consistent pairs:");
-    for (a, b, est) in &edges {
-        println!(
-            "  {} ⋈ {} ≈ {est:.0}",
-            db.relation(*a).name(),
-            db.relation(*b).name()
-        );
-    }
-    println!("  total ≈ {total:.0}");
-
-    // 3. Schema classification: γ-acyclic, so even the restricted
+    // 1. Schema classification: γ-acyclic, so even the restricted
     //    outerjoin plan would be available on null-free data; the join
     //    tree drives such plans.
     let hg = Hypergraph::of_database(&db);
@@ -80,7 +50,7 @@ fn main() {
         }
     }
 
-    // 4. Execute: the actual full disjunction, then ranked approximate
+    // 2. Execute: the actual full disjunction, then ranked approximate
     //    retrieval of the 5 best-rated combined answers, tolerant of the
     //    injected nulls and future typos.
     let fd = FdQuery::over(&db).run().unwrap().into_sets();

@@ -9,7 +9,7 @@ use full_disjunction::baselines::brute::oracle_fd;
 use full_disjunction::core::{
     canonicalize, FMax, FdEvent, FdSession, ImpScores, RankingFunction, TupleSet,
 };
-use full_disjunction::relational::{Delta, RelId, TupleId, Value};
+use full_disjunction::relational::{Database, DatabaseBuilder, Delta, RelId, TupleId, Value};
 use full_disjunction::workloads::{chain, star, DataSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +86,22 @@ fn churn(mut session: FdSession<'static>, seed: u64, payload_base: i64) {
             oracle,
             "live state diverged from the oracle at step {step}"
         );
+        // Exact lookups: every result is found, and no strict subset of
+        // one is (the results form an antichain).
+        for set in &oracle {
+            assert!(
+                session.contains(set.tuples()),
+                "{set} missing at step {step}"
+            );
+            for skip in 0..set.len() {
+                let mut subset = set.tuples().to_vec();
+                subset.remove(skip);
+                assert!(
+                    !session.contains(&subset),
+                    "strict subset {subset:?} of {set} found at step {step}"
+                );
+            }
+        }
     }
     // Every step really happened (one commit per step)…
     assert_eq!(session.maintenance_passes(), STEPS as u64);
@@ -105,10 +121,10 @@ fn star_churn_matches_oracle_every_step() {
     churn(FdSession::new(db), 23, 2_000);
 }
 
-/// Ranked-window churn: a ranked `FdSession` maintains its ranked
-/// vector incrementally (binary-search insert / positional remove —
-/// never a full-window re-sort); after every mutation the maintained
-/// order must equal a from-scratch rank + sort of the current results.
+/// Ranked-window churn: a ranked `FdSession` maintains its rank order
+/// incrementally (one ordered-set insert or removal per changed result —
+/// never a re-sort); after every mutation the maintained order must
+/// equal a from-scratch rank + sort of the current results.
 #[test]
 fn ranked_window_incremental_order_equals_from_scratch_sort_under_churn() {
     let db = chain(3, &DataSpec::new(3, 3).seed(0xFACE));
@@ -230,4 +246,60 @@ fn nully_chain_churn_matches_oracle_every_step() {
         },
     );
     churn(FdSession::new(db), 37, 3_000);
+}
+
+/// `copies` copies of a small `chain(2)` database, each on its own join
+/// values (and payloads): copy `c` adds `1000·c` to every integer.
+fn disjoint_copies(copies: i64) -> Database {
+    let base = chain(2, &DataSpec::new(12, 4).seed(3));
+    let mut b = DatabaseBuilder::new();
+    for rel in base.relations() {
+        let attrs: Vec<&str> = rel
+            .schema()
+            .attrs()
+            .iter()
+            .map(|&a| base.attr_name(a))
+            .collect();
+        let mut out = b.relation(rel.name(), &attrs);
+        for c in 0..copies {
+            for t in base.tuples_of(rel.id()) {
+                let shift = |v: &Value| match v {
+                    Value::Int(i) => Value::Int(i + 1000 * c),
+                    other => other.clone(),
+                };
+                out.row_values(base.tuple_values(t).iter().map(shift).collect());
+            }
+        }
+    }
+    b.build().expect("chain schema")
+}
+
+/// A commit's maintenance reads the results its delta touches, not the
+/// whole result: the same insert-then-delete pair examines as many
+/// previous results against one copy of the data as against 16 copies
+/// on disjoint join values.
+#[test]
+fn maintenance_examines_the_same_results_at_sixteen_times_the_size() {
+    let examined = |copies: i64| {
+        let mut session = FdSession::new(disjoint_copies(copies));
+        let before = session.len();
+        // A C0 row (J0, J1, P0) joining copy 0 on J1.
+        let values = vec![Value::Int(-1), Value::Int(1), Value::Int(-1)];
+        let rel = RelId(0);
+        let insert = session.apply(Delta::Insert { rel, values }).unwrap();
+        let t = insert.inserted()[0];
+        let delete = session.apply(Delta::Delete { tuple: t }).unwrap();
+        assert!(session.verify_snapshot(), "{copies} copies");
+        assert_eq!(session.len(), before, "the pair round-trips");
+        let counts = (insert.stats.results_examined, delete.stats.results_examined);
+        (counts, before)
+    };
+    let (small, small_len) = examined(1);
+    let (large, large_len) = examined(16);
+    assert_eq!(large_len, 16 * small_len);
+    assert!(
+        small.0 > 0 && small.1 > 0,
+        "the pair touches results: {small:?}"
+    );
+    assert_eq!(small, large, "results examined per commit");
 }
