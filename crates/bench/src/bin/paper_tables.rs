@@ -145,16 +145,16 @@ fn figure_4_examples() {
     println!(
         "Example 6.3 (τ=0.4): A_min maximal subsets: {}",
         m_min
-            .iter()
-            .map(|s| s.label(&db))
+            .into_iter()
+            .map(|s| fd_core::jcc::rebuild(&db, s).label(&db))
             .collect::<Vec<_>>()
             .join(", ")
     );
     println!(
         "Example 6.3 (τ=0.4): A_prod maximal subsets: {}",
         m_prod
-            .iter()
-            .map(|s| s.label(&db))
+            .into_iter()
+            .map(|s| fd_core::jcc::rebuild(&db, s).label(&db))
             .collect::<Vec<_>>()
             .join(", ")
     );

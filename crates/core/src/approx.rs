@@ -25,12 +25,12 @@
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
 use crate::init::InitStrategy;
-use crate::jcc::component_of;
+use crate::jcc::{rebuild, retain_component};
 use crate::priority::RankedIter;
 use crate::ranking::MonotoneCDetermined;
 use crate::sim::Similarity;
 use crate::stats::Stats;
-use crate::tupleset::TupleSet;
+use crate::tupleset::{is_sorted_subset, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, RelId, TupleId};
 
@@ -84,9 +84,10 @@ pub trait ApproxJoin {
     /// Must return 0 for disconnected sets and be antitone under growth.
     fn score(&self, db: &Database, members: &[TupleId]) -> f64;
 
-    /// Fig. 6 line 8: all **maximal** subsets `T′ ⊆ T ∪ {tb}` that
-    /// contain `tb` and have `A(T′) ≥ τ`. `A` is *efficiently computable*
-    /// (Definition 6.4) when this runs in polynomial time.
+    /// Fig. 6 line 8: the sorted member lists of all **maximal** subsets
+    /// `T′ ⊆ T ∪ {tb}` that contain `tb` and have `A(T′) ≥ τ`. `A` is
+    /// *efficiently computable* (Definition 6.4) when this runs in
+    /// polynomial time.
     fn maximal_subsets(
         &self,
         db: &Database,
@@ -94,7 +95,7 @@ pub trait ApproxJoin {
         tb: TupleId,
         tau: f64,
         stats: &mut Stats,
-    ) -> Vec<TupleSet>;
+    ) -> Vec<Vec<TupleId>>;
 
     /// Bounds Fig. 6 line 7 for the member `m` of the popped set: appends
     /// to `out`, in any order, a superset of the tuples `tb` of `rel`
@@ -130,7 +131,7 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for &A {
         tb: TupleId,
         tau: f64,
         stats: &mut Stats,
-    ) -> Vec<TupleSet> {
+    ) -> Vec<Vec<TupleId>> {
         (**self).maximal_subsets(db, set, tb, tau, stats)
     }
 
@@ -158,7 +159,7 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
         tb: TupleId,
         tau: f64,
         stats: &mut Stats,
-    ) -> Vec<TupleSet> {
+    ) -> Vec<Vec<TupleId>> {
         (**self).maximal_subsets(db, set, tb, tau, stats)
     }
 
@@ -235,23 +236,24 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
         tb: TupleId,
         tau: f64,
         stats: &mut Stats,
-    ) -> Vec<TupleSet> {
+    ) -> Vec<Vec<TupleId>> {
         stats.approx_evals += 1;
         if self.prob.prob(tb) < tau {
             return Vec::new();
         }
         let rel_b = db.rel_of(tb);
-        let members = set.tuples().iter().copied().filter(|&t| {
+        let mut kept = Vec::with_capacity(set.len() + 1);
+        kept.extend(set.tuples().iter().copied().filter(|&t| {
             db.rel_of(t) != rel_b
                 && (!pair_connected(db, t, tb) || {
                     stats.approx_evals += 1;
                     self.sim.sim(db, t, tb) >= tau
                 })
-        });
-        let members = with_member(members.collect(), tb);
-        let kept = component_of(db, members, rel_b);
+        }));
+        insert_member(&mut kept, tb);
+        retain_component(db, &mut kept, rel_b);
         debug_assert!(self.score(db, &kept) >= tau);
-        vec![crate::jcc::rebuild(db, kept)]
+        vec![kept]
     }
 
     /// `A_min({m, tb}) ≤ sim(m, tb)`, so the similarity's bound is one.
@@ -306,21 +308,23 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
         tb: TupleId,
         tau: f64,
         stats: &mut Stats,
-    ) -> Vec<TupleSet> {
+    ) -> Vec<Vec<TupleId>> {
         let rel_b = db.rel_of(tb);
-        let others = set
+        let mut members: Vec<TupleId> = set
             .tuples()
             .iter()
             .copied()
-            .filter(|&t| db.rel_of(t) != rel_b);
-        let members = with_member(others.collect(), tb);
+            .filter(|&t| db.rel_of(t) != rel_b)
+            .collect();
+        insert_member(&mut members, tb);
+        retain_component(db, &mut members, rel_b);
 
         // Removal search: dropping a member can only raise the product
         // (similarities are ≤ 1), so sets that reach τ are frontier
         // candidates; recursion below them is pruned.
         let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
         let mut found: Vec<Vec<TupleId>> = Vec::new();
-        let mut stack: Vec<Vec<TupleId>> = vec![component_of(db, members, rel_b)];
+        let mut stack: Vec<Vec<TupleId>> = vec![members];
         while let Some(cand) = stack.pop() {
             if !seen.insert(cand.as_slice().into()) {
                 continue;
@@ -337,22 +341,21 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
                 if t == tb {
                     continue;
                 }
-                let shrunk: Vec<TupleId> = cand.iter().copied().filter(|&x| x != t).collect();
-                stack.push(component_of(db, shrunk, rel_b));
+                let mut shrunk: Vec<TupleId> = cand.iter().copied().filter(|&x| x != t).collect();
+                retain_component(db, &mut shrunk, rel_b);
+                stack.push(shrunk);
             }
         }
         // Keep only the maximal candidates.
         let mut out: Vec<Vec<TupleId>> = Vec::new();
         for cand in found {
-            if out.iter().any(|kept| is_sublist(&cand, kept)) {
+            if out.iter().any(|kept| is_sorted_subset(&cand, kept)) {
                 continue;
             }
-            out.retain(|kept| !is_sublist(kept, &cand));
+            out.retain(|kept| !is_sorted_subset(kept, &cand));
             out.push(cand);
         }
-        out.into_iter()
-            .map(|m| crate::jcc::rebuild(db, m))
-            .collect()
+        out
     }
 
     /// `A_prod({m, tb}) = sim(m, tb)`, so the similarity's bound is one.
@@ -368,53 +371,18 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
     }
 }
 
-/// Is sorted list `a` a subset of sorted list `b`?
-fn is_sublist(a: &[TupleId], b: &[TupleId]) -> bool {
-    if a.len() > b.len() {
-        return false;
-    }
-    let mut j = 0;
-    for &x in a {
-        loop {
-            if j >= b.len() {
-                return false;
-            }
-            match b[j].cmp(&x) {
-                std::cmp::Ordering::Less => j += 1,
-                std::cmp::Ordering::Equal => {
-                    j += 1;
-                    break;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-    }
-    true
-}
-
-/// Structural union of two approximate tuple sets: members must be
-/// relation-disjoint (shared tuples allowed) and the result connected.
-/// Returns the merged member list — scoring is the caller's decision.
-fn approx_union(db: &Database, a: &TupleSet, b: &TupleSet) -> Option<Vec<TupleId>> {
-    let mut members: Vec<TupleId> = a
-        .tuples()
-        .iter()
-        .chain(b.tuples().iter())
-        .copied()
-        .collect();
-    members.sort_unstable();
-    members.dedup();
-    if !members_connected(db, &members) {
-        return None;
-    }
-    Some(members)
-}
-
 /// Sorted `members` plus `t`, kept sorted.
-fn with_member(mut members: Vec<TupleId>, t: TupleId) -> Vec<TupleId> {
+fn insert_member(members: &mut Vec<TupleId>, t: TupleId) {
     let pos = members.partition_point(|&x| x < t);
     members.insert(pos, t);
-    members
+}
+
+/// Sorted `members` plus `t`, as a new list.
+fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
+    let mut out = Vec::with_capacity(members.len() + 1);
+    out.extend_from_slice(members);
+    insert_member(&mut out, t);
+    out
 }
 
 /// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
@@ -469,11 +437,11 @@ impl<A: ApproxJoin> Policy for Approx<A> {
             set,
             rel_min,
             stats,
-            |_, rel| db.tuples_of(rel),
+            |_, _, _| false,
             |set, tg, stats| {
-                let members = with_member(set.tuples().to_vec(), tg);
+                let members = with_member(set.tuples(), tg);
                 self.accepts(db, &members, stats)
-                    .then(|| crate::jcc::rebuild(db, members))
+                    .then(|| rebuild(db, members))
             },
         )
     }
@@ -490,24 +458,31 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         set: &TupleSet,
         tb: TupleId,
         stats: &mut Stats,
-        mut f: impl FnMut(TupleSet, &mut Stats),
+        mut f: impl FnMut(&[TupleId], &mut Stats),
     ) {
         for t_prime in self.a.maximal_subsets(db, set, tb, self.tau, stats) {
-            f(t_prime, stats);
+            f(&t_prime, stats);
         }
     }
 
     /// Fig. 6 lines 14–15 analog: a structural union that stays above τ.
+    /// Members must be relation-disjoint (shared tuples allowed) and the
+    /// result connected.
     fn union(
         &self,
         db: &Database,
-        a: &TupleSet,
-        b: &TupleSet,
+        s: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<TupleSet> {
-        let members = approx_union(db, a, b)?;
+        let mut members: Vec<TupleId> = s.tuples().iter().chain(t_prime).copied().collect();
+        members.sort_unstable();
+        members.dedup();
+        if !members_connected(db, &members) {
+            return None;
+        }
         self.accepts(db, &members, stats)
-            .then(|| crate::jcc::rebuild(db, members))
+            .then(|| rebuild(db, members))
     }
 
     /// All acceptable one-tuple growths, scanning every tuple (antitone
@@ -524,9 +499,9 @@ impl<A: ApproxJoin> Policy for Approx<A> {
             {
                 continue;
             }
-            let members = with_member(set.tuples().to_vec(), t);
+            let members = with_member(set.tuples(), t);
             if self.accepts(db, &members, stats) {
-                f(crate::jcc::rebuild(db, members));
+                f(rebuild(db, members));
             }
         }
     }
@@ -673,18 +648,13 @@ mod tests {
         // A_min: the unique maximal subset is {c1, s2, a2}.
         let amin = AMin::new(sim.clone(), prob);
         let subs = amin.maximal_subsets(&db, &t, S2, tau, &mut stats);
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].tuples(), &[C1, A2, S2]);
+        assert_eq!(subs, vec![vec![C1, A2, S2]]);
         assert!(amin.score(&db, &[C1, A2, S2]) >= tau);
 
         // A_prod: {c1,s2,a2} scores 0.32 < τ; the two maximal subsets are
         // {c1, s2} and {s2, a2}.
         let aprod = AProd::new(sim);
-        let mut subs: Vec<Vec<TupleId>> = aprod
-            .maximal_subsets(&db, &t, S2, tau, &mut stats)
-            .into_iter()
-            .map(|s| s.tuples().to_vec())
-            .collect();
+        let mut subs = aprod.maximal_subsets(&db, &t, S2, tau, &mut stats);
         subs.sort();
         assert_eq!(subs, vec![vec![C1, S2], vec![A2, S2]]);
     }

@@ -30,7 +30,7 @@
 
 use crate::getnext::{Engine, Exact, Fifo};
 use crate::incremental::FdConfig;
-use crate::jcc::{component_of, extend_to_maximal, rebuild};
+use crate::jcc::{extend_to_maximal, rebuild, retain_component};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -262,7 +262,7 @@ fn insert_in(
         // (two seeds contained in one maximal set each derive it once).
         if engine.printed.insert(set.tuples()) {
             let roots: Vec<TupleId> = seeds.iter().copied().filter(|&s| set.contains(s)).collect();
-            engine.complete.insert(set.clone(), &roots);
+            engine.complete.insert(set.tuples(), &roots);
             added.push(set);
         }
     }
@@ -426,7 +426,9 @@ fn connected_components(db: &Database, members: &[TupleId]) -> Vec<Vec<TupleId>>
     let mut out: Vec<Vec<TupleId>> = Vec::new();
     for &m in members {
         if !out.iter().any(|c| c.contains(&m)) {
-            out.push(component_of(db, members.to_vec(), db.rel_of(m)));
+            let mut component = members.to_vec();
+            retain_component(db, &mut component, db.rel_of(m));
+            out.push(component);
         }
     }
     out

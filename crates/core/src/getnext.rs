@@ -42,13 +42,15 @@
 //! scanned, and so is every relation of a block-based run
 //! ([`scan_tuples_from`]).
 
-use crate::jcc::{add_tuple, can_add, extend_to_maximal_from, maximal_subset_with, try_union};
+use crate::jcc::{
+    add_tuple, can_add, extend_to_maximal_from, maximal_subset_into, rebuild, union_with,
+};
 use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
-use crate::tupleset::TupleSet;
+use crate::tupleset::{member_from, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::storage::Pager;
-use fd_relational::{AttrId, Database, RelId, TupleId, Value};
+use fd_relational::{Database, RelId, TupleId};
 use std::cell::RefCell;
 
 /// What "consistent" means for one execution: the predicate behind the
@@ -91,23 +93,24 @@ pub trait Policy {
     /// tuples of relations `≥ rel_min`.
     fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet;
 
-    /// Line 8: calls `f` on every maximal consistent subset of
-    /// `set ∪ {tb}` that contains `tb`.
+    /// Line 8: calls `f` on the sorted member list of every maximal
+    /// consistent subset of `set ∪ {tb}` that contains `tb`.
     fn for_each_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         stats: &mut Stats,
-        f: impl FnMut(TupleSet, &mut Stats),
+        f: impl FnMut(&[TupleId], &mut Stats),
     );
 
-    /// Line 14: the union of two sets, when it is consistent.
+    /// Line 14: the union of a set and a sorted member list, when it is
+    /// consistent.
     fn union(
         &self,
         db: &Database,
-        a: &TupleSet,
-        b: &TupleSet,
+        s: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<TupleSet>;
 
@@ -117,8 +120,9 @@ pub trait Policy {
 }
 
 thread_local! {
-    /// The binding list of [`Exact::candidates`], reused across probes.
-    static BINDINGS: RefCell<Vec<(AttrId, Value, TupleId)>> = const { RefCell::new(Vec::new()) };
+    /// The member list of [`Exact::for_each_subset`]'s `T′`, reused
+    /// across candidates.
+    static T_PRIME: RefCell<Vec<TupleId>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The exact policy: join consistency and connectivity (`JCC`), with the
@@ -136,16 +140,9 @@ impl Policy for Exact {
     }
 
     /// The tuples of `rel` agreeing with `m` on their shared attributes,
-    /// from one posting-list probe.
+    /// from one posting-list probe with `m`'s own values.
     fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool {
-        BINDINGS.with_borrow_mut(|bindings| {
-            bindings.clear();
-            bindings.extend(db.shared_attrs(db.rel_of(m), rel).iter().map(|&a| {
-                let v = db.tuple_value(m, a).expect("shared attr in schema");
-                (a, v.clone(), m)
-            }));
-            out.extend(db.probe(rel, bindings));
-        });
+        db.probe_tuple(rel, m, out);
         true
     }
 
@@ -163,21 +160,23 @@ impl Policy for Exact {
         set: &TupleSet,
         tb: TupleId,
         stats: &mut Stats,
-        mut f: impl FnMut(TupleSet, &mut Stats),
+        mut f: impl FnMut(&[TupleId], &mut Stats),
     ) {
         // Footnote 3: the maximal subset is unique.
-        let t_prime = maximal_subset_with(db, set, tb, stats);
-        f(t_prime, stats)
+        T_PRIME.with_borrow_mut(|t_prime| {
+            maximal_subset_into(db, set, tb, stats, t_prime);
+            f(t_prime, stats)
+        })
     }
 
     fn union(
         &self,
         db: &Database,
-        a: &TupleSet,
-        b: &TupleSet,
+        s: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<TupleSet> {
-        try_union(db, a, b, stats)
+        union_with(db, s, t_prime, stats)
     }
 
     fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, mut f: impl FnMut(TupleSet)) {
@@ -187,7 +186,7 @@ impl Policy for Exact {
         // disagrees with `set`; `can_add` stays the authoritative check.
         let mut candidates: Vec<TupleId> = Vec::new();
         for rel_idx in 0..db.num_relations() {
-            candidates.extend(db.probe(RelId(rel_idx as u16), set.bindings()));
+            db.probe(RelId(rel_idx as u16), set.bindings(), &mut candidates);
         }
         candidates.sort_unstable();
         for t in candidates {
@@ -211,15 +210,15 @@ pub(crate) trait Frontier {
     /// the list it came from and its root (its tuple of `Ri`).
     fn pop(&mut self, stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)>;
 
-    /// Lines 14–15: merges `t_prime` into a pending set of `Ri`'s list
-    /// sharing its root. Returns the merge success.
+    /// Lines 14–15: merges the member list `t_prime` into a pending set
+    /// of `Ri`'s list sharing its root. Returns the merge success.
     fn try_merge<P: Policy>(
         &mut self,
         db: &Database,
         policy: &P,
         ri: RelId,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool;
 
@@ -234,7 +233,7 @@ pub(crate) trait Frontier {
         complete: &CompleteStore,
         _ri: RelId,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
         complete.contains_superset(t_prime, root, stats)
@@ -261,7 +260,7 @@ impl Frontier for Fifo {
         policy: &P,
         _ri: RelId,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
         self.queue
@@ -467,26 +466,33 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
                 // "inherit the popped root" filter loses exactly those
                 // representatives and drops results.)
                 let new_root = if seeds.is_empty() {
-                    t_prime.tuple_from(db, ri)
+                    member_from(db, t_prime, ri)
                 } else {
-                    seeds.iter().copied().find(|&s| t_prime.contains(s))
+                    seeds
+                        .iter()
+                        .copied()
+                        .find(|s| t_prime.binary_search(s).is_ok())
                 };
                 let Some(new_root) = new_root else {
                     return;
                 };
                 // Seeded runs: skip exact re-derivations (see `memo`).
-                if !seeds.is_empty() && !memo.insert(t_prime.tuples().into()) {
-                    return;
+                if !seeds.is_empty() {
+                    if memo.contains(t_prime) {
+                        return;
+                    }
+                    memo.insert(t_prime.into());
                 }
                 // Line 11: already represented in Complete?
-                if frontier.covered(complete, ri, new_root, &t_prime, stats) {
+                if frontier.covered(complete, ri, new_root, t_prime, stats) {
                     return;
                 }
                 // Lines 14–15: merge into a pending entry sharing the root.
-                if frontier.try_merge(db, policy, ri, new_root, &t_prime, stats) {
+                if frontier.try_merge(db, policy, ri, new_root, t_prime, stats) {
                     return;
                 }
-                // Line 18: genuinely new — append.
+                // Line 18: genuinely new — append, built as a set once.
+                let t_prime = rebuild(db, t_prime.to_vec());
                 frontier.push(db, ri, new_root, t_prime, stats);
             });
         };
@@ -569,7 +575,7 @@ mod tests {
         let db = tourist_database();
         let mut e = engine(&db, StoreEngine::Scan, db.tuples_of(RelId(0)), None);
         let (_, r1) = e.get_next_result().unwrap();
-        e.complete.insert(r1, &[C1]);
+        e.complete.insert(r1.tuples(), &[C1]);
 
         let before = pending(&e);
         let (_, r2) = e.get_next_result().unwrap();
@@ -588,18 +594,14 @@ mod tests {
         let mut e = engine(&db, StoreEngine::Indexed, [C3], None);
         let mut count = 0;
         while let Some((root, set)) = e.get_next_result() {
-            e.complete.insert(set, &[root]);
+            e.complete.insert(set.tuples(), &[root]);
             count += 1;
         }
         // Starting from {c3} alone: {c3,a3} is the only reachable result
         // rooted at c3... plus any sets derived via the candidate loop that
         // contain a Climates tuple reachable from it.
         assert!(count >= 1);
-        assert!(e
-            .complete
-            .sets()
-            .iter()
-            .any(|s| s.tuples() == [C3, TupleId(5)]));
+        assert!(e.complete.iter().any(|s| s == [C3, TupleId(5)]));
     }
 
     #[test]
@@ -609,7 +611,7 @@ mod tests {
             let mut e = engine(&db, StoreEngine::Indexed, db.tuples_of(RelId(0)), page_size);
             let mut out = Vec::new();
             while let Some((root, set)) = e.get_next_result() {
-                e.complete.insert(set.clone(), &[root]);
+                e.complete.insert(set.tuples(), &[root]);
                 out.push(set.tuples().to_vec());
             }
             (out, e.pages_read())

@@ -19,7 +19,7 @@ use crate::getnext::{Engine, Exact, Fifo, Policy};
 use crate::init::InitStrategy;
 use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
 use crate::stats::Stats;
-use crate::tupleset::TupleSet;
+use crate::tupleset::{members_label, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, RelId, TupleId};
 
@@ -145,9 +145,8 @@ impl<'db, P: Policy> RunIter<'db, P> {
         let comp = self
             .engine
             .complete
-            .sets()
             .iter()
-            .map(|s| s.label(db))
+            .map(|s| members_label(db, s))
             .collect();
         (inc, comp)
     }
@@ -169,13 +168,13 @@ impl<P: Policy> Iterator for RunIter<'_, P> {
             if self.suppress_contained
                 && engine
                     .complete
-                    .contains_superset(&set, root, &mut engine.stats)
+                    .contains_superset(set.tuples(), root, &mut engine.stats)
             {
                 continue;
             }
             // Every member is a lookup root: any later subset shares at
             // least its own root tuple with the set.
-            engine.complete.insert(set.clone(), set.tuples());
+            engine.complete.insert(set.tuples(), set.tuples());
             return Some(set);
         }
     }

@@ -21,7 +21,7 @@
 
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, RunIter};
-use crate::jcc::{component_of, rebuild};
+use crate::jcc::{rebuild, retain_component};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -70,7 +70,7 @@ impl InitStrategy {
         // every member tuple so any run's root lookups work.
         let mut complete = CompleteStore::new(cfg.engine);
         for prev in produced {
-            complete.insert(prev.clone(), prev.tuples());
+            complete.insert(prev.tuples(), prev.tuples());
         }
         RunIter::from_parts(
             db,
@@ -109,14 +109,15 @@ fn seed_previous<P: Policy>(
         };
         covered.insert(root);
         let seed = if trim {
-            let members: Vec<TupleId> = prev
+            let mut members: Vec<TupleId> = prev
                 .tuples()
                 .iter()
                 .copied()
                 .filter(|&t| db.rel_of(t) >= ri)
                 .collect();
             // Keep the component of the root among the trimmed members.
-            let trimmed = rebuild(db, component_of(db, members, ri));
+            retain_component(db, &mut members, ri);
+            let trimmed = rebuild(db, members);
             policy.extend(db, trimmed, ri.index() + 1, stats)
         } else {
             prev.clone()

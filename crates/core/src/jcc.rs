@@ -3,17 +3,24 @@
 //!
 //! * [`can_add`] / [`add_tuple`] — grow a tuple set by one tuple (the
 //!   maximal-extension loop, Fig. 2 lines 2–6);
-//! * [`try_union`] — the single-linear-pass `JCC(S ∪ T′)` test of
-//!   Theorem 4.8 plus the actual merge (Fig. 2 lines 14–15);
-//! * [`maximal_subset_with`] — footnote 3's unique maximal subset
-//!   `T′ ⊆ T ∪ {tb}` that contains `tb` (Fig. 2 line 8).
+//! * [`maximal_subset_into`] — footnote 3's unique maximal subset
+//!   `T′ ⊆ T ∪ {tb}` that contains `tb` (Fig. 2 line 8), as a sorted
+//!   member list in a reused buffer;
+//! * [`union_with`] — the single-linear-pass `JCC(S ∪ T′)` test of
+//!   Theorem 4.8 plus the actual merge (Fig. 2 lines 14–15), taking
+//!   `T′` as that member list.
+//!
+//! `T′` stays a member list through lines 10–14; a [`TupleSet`] (with its
+//! bindings) is built only for a successful merge (line 14) or a new
+//! `Incomplete` entry (line 18), each once. [`maximal_subset_with`] and
+//! [`try_union`] are the same operations on whole tuple sets.
 //!
 //! All predicates implement the paper's null semantics: a shared attribute
 //! is consistent only when both sides are equal **and non-null**.
 
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
-use fd_relational::{Database, RelId, TupleId};
+use fd_relational::{AttrId, Database, RelId, TupleId, Value};
 
 /// Are two *tuples* join consistent — equal and non-null on every shared
 /// attribute of their relations' schemas? Tuples of the same relation are
@@ -26,6 +33,31 @@ pub fn tuples_join_consistent(db: &Database, t1: TupleId, t2: TupleId) -> bool {
         let v2 = db.tuple_value(t2, a).expect("shared attr in schema");
         v1.join_consistent_with(v2)
     })
+}
+
+/// One merge pass of a non-member tuple `t` against a set's sorted
+/// `bindings`: `None` when some attribute both bind is not equal and
+/// non-null on both sides (a null binding always conflicts here, since
+/// `t` is not its origin), else whether any attribute of `t` is bound.
+fn agrees_with(db: &Database, bindings: &[(AttrId, Value, TupleId)], t: TupleId) -> Option<bool> {
+    let values = db.tuple_values(t);
+    let mut shared = false;
+    let mut bi = bindings.iter().peekable();
+    for &(attr, col) in db.tuple_schema(t).columns_by_attr() {
+        // Advance set bindings to `attr`.
+        while matches!(bi.peek(), Some(&&(a, _, _)) if a < attr) {
+            bi.next();
+        }
+        if let Some(&&(a, ref bound, _)) = bi.peek() {
+            if a == attr {
+                if !bound.join_consistent_with(&values[col as usize]) {
+                    return None;
+                }
+                shared = true;
+            }
+        }
+    }
+    Some(shared)
 }
 
 /// Can tuple `t` be added to `set` while keeping it join consistent and
@@ -55,27 +87,7 @@ pub fn can_add(db: &Database, set: &TupleSet, t: TupleId, stats: &mut Stats) -> 
     {
         return false;
     }
-    // Binding compatibility: merge pass over sorted attribute lists.
-    // `t` is not a member, so every shared attribute must be equal and
-    // non-null on both sides (a null binding always conflicts here).
-    let values = db.tuple_values(t);
-    let schema = db.tuple_schema(t);
-    let mut bi = set.bindings().iter().peekable();
-    for &(attr, col) in schema.columns_by_attr() {
-        // Advance set bindings to `attr`.
-        while matches!(bi.peek(), Some(&&(a, _, _)) if a < attr) {
-            bi.next();
-        }
-        if let Some(&&(a, ref bound, _)) = bi.peek() {
-            if a == attr {
-                let v = &values[col as usize];
-                if !bound.join_consistent_with(v) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    agrees_with(db, set.bindings(), t).is_some()
 }
 
 /// Adds tuple `t` to `set`, assuming [`can_add`] approved it. Returns the
@@ -124,197 +136,178 @@ pub fn add_tuple(db: &Database, set: &TupleSet, t: TupleId) -> TupleSet {
     TupleSet::from_parts(tuples, merged)
 }
 
-/// Does the member list hold at most one tuple per relation? Member ids
-/// are sorted, but with dynamically-inserted overflow tuples the id order
-/// does not group relations, so adjacent-pair scans are not enough — two
-/// tuples of one relation can be separated by an interleaved id.
-pub(crate) fn one_tuple_per_relation(db: &Database, members: &[fd_relational::TupleId]) -> bool {
-    let mut rels: Vec<fd_relational::RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
-    rels.sort_unstable();
-    rels.windows(2).all(|w| w[0] != w[1])
-}
-
-/// `JCC(S ∪ T)` plus the union itself (Fig. 2 lines 14–15). Returns
-/// `None` when the union is not a valid join-consistent connected tuple
-/// set. Implements the single-pass criterion of Theorem 4.8: the parts may
-/// not bind a shared attribute differently (or null), must not contain
-/// different tuples of the same relation, and must be connected — which,
-/// for two individually-connected sets, holds when they share a tuple or
-/// some pair of relations across the parts shares an attribute.
-pub fn try_union(db: &Database, a: &TupleSet, b: &TupleSet, stats: &mut Stats) -> Option<TupleSet> {
+/// `JCC(S ∪ T′)` plus the union itself (Fig. 2 lines 14–15), for a valid
+/// set `S` and the sorted member list of a valid `T′`. Returns `None`
+/// when the union is not a join-consistent connected tuple set.
+///
+/// Implements the single-pass criterion of Theorem 4.8 on the members of
+/// `T′` outside `S`: none may share a relation with `S`, each must agree
+/// with `S`'s bindings (equal and non-null on every attribute both bind),
+/// and the parts must touch — share a member, or bind a common attribute.
+/// Members `S` already holds agree with it by construction. Nothing is
+/// allocated unless the union succeeds.
+pub fn union_with(
+    db: &Database,
+    s: &TupleSet,
+    t_prime: &[TupleId],
+    stats: &mut Stats,
+) -> Option<TupleSet> {
     stats.jcc_checks += 1;
-    // Relation-disjointness (same relation ⇒ must be the same tuple) and
-    // the merged tuple list, one pass.
-    let (ta, tb) = (a.tuples(), b.tuples());
-    let mut tuples = Vec::with_capacity(ta.len() + tb.len());
-    let (mut i, mut j) = (0, 0);
-    let mut shares_tuple = false;
-    while i < ta.len() || j < tb.len() {
-        if j >= tb.len() {
-            tuples.push(ta[i]);
-            i += 1;
-        } else if i >= ta.len() {
-            tuples.push(tb[j]);
-            j += 1;
-        } else {
-            match ta[i].cmp(&tb[j]) {
-                std::cmp::Ordering::Less => {
-                    tuples.push(ta[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    tuples.push(tb[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    shares_tuple = true;
-                    tuples.push(ta[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+    let mut touches = false;
+    let mut added = 0;
+    for &m in t_prime {
+        if s.contains(m) {
+            touches = true;
+            continue;
         }
+        if s.tuple_from(db, db.rel_of(m)).is_some() {
+            return None;
+        }
+        touches |= agrees_with(db, s.bindings(), m)?;
+        added += 1;
     }
-    // One tuple per relation?
-    if !one_tuple_per_relation(db, &tuples) {
+    if !touches {
         return None;
     }
-
-    // Binding compatibility, one merge pass. On a shared attribute the
-    // values must be equal and non-null — unless both bindings are the
-    // *same tuple's* null (the parts share that member; a tuple's null
-    // never conflicts with itself, only with other tuples).
-    let (ba, bb) = (a.bindings(), b.bindings());
-    let mut merged = Vec::with_capacity(ba.len() + bb.len());
-    let (mut i, mut j) = (0, 0);
-    let mut shares_attr = false;
-    while i < ba.len() || j < bb.len() {
-        if j >= bb.len() {
-            merged.push(ba[i].clone());
-            i += 1;
-        } else if i >= ba.len() {
-            merged.push(bb[j].clone());
-            j += 1;
-        } else {
-            match ba[i].0.cmp(&bb[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(ba[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(bb[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    shares_attr = true;
-                    let (_, ref va, oa) = ba[i];
-                    let (_, ref vb, ob) = bb[j];
-                    let compatible = if va.is_null() || vb.is_null() {
-                        va.is_null() && vb.is_null() && oa == ob
-                    } else {
-                        va == vb
-                    };
-                    if !compatible {
-                        return None;
-                    }
-                    merged.push(ba[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
+    let mut tuples = Vec::with_capacity(s.len() + added);
+    tuples.extend_from_slice(s.tuples());
+    let mut bindings = s.bindings().to_vec();
+    for &m in t_prime {
+        if let Err(pos) = tuples.binary_search(&m) {
+            tuples.insert(pos, m);
+            push_bindings(db, m, &mut bindings);
         }
     }
-
-    // Connectivity: parts are connected internally; the union is connected
-    // iff they touch. Sharing a member tuple or a bound attribute is the
-    // paper's one-pass criterion. (A shared attribute between two schemas
-    // always yields a shared *binding* attribute, since bindings cover
-    // every member-schema attribute.)
-    if !(shares_tuple || shares_attr) {
-        return None;
-    }
-    Some(TupleSet::from_parts(tuples, merged))
+    // Stable: on a shared attribute `S`'s binding stays, as the fold of
+    // `add_tuple`s would keep it.
+    bindings.sort_by_key(|b| b.0);
+    bindings.dedup_by_key(|b| b.0);
+    Some(TupleSet::from_parts(tuples, bindings))
 }
 
-/// Footnote 3 / Fig. 2 line 8: the unique maximal subset `T′` of
-/// `T ∪ {tb}` that contains `tb` and is join consistent and connected.
+/// [`union_with`] of two tuple sets.
+pub fn try_union(db: &Database, a: &TupleSet, b: &TupleSet, stats: &mut Stats) -> Option<TupleSet> {
+    union_with(db, a, b.tuples(), stats)
+}
+
+/// Appends `t`'s `(attr, value, t)` bindings, ascending by attribute.
+fn push_bindings(db: &Database, t: TupleId, out: &mut Vec<(AttrId, Value, TupleId)>) {
+    let values = db.tuple_values(t);
+    out.extend(
+        db.tuple_schema(t)
+            .columns_by_attr()
+            .iter()
+            .map(|&(a, col)| (a, values[col as usize].clone(), t)),
+    );
+}
+
+/// Footnote 3 / Fig. 2 line 8: writes to `out` the sorted member list of
+/// the unique maximal subset `T′` of `T ∪ {tb}` that contains `tb` and
+/// is join consistent and connected.
 ///
 /// Procedure (as in the paper): drop every member of `T` that is not
 /// pairwise join consistent with `tb` (members of `tb`'s own relation
 /// drop automatically), then keep the connected component of `tb`'s
-/// relation among the survivors, and rebuild the set.
+/// relation among the survivors. Each member is tested once, and `out`
+/// is the only storage touched.
+pub fn maximal_subset_into(
+    db: &Database,
+    set: &TupleSet,
+    tb: TupleId,
+    stats: &mut Stats,
+    out: &mut Vec<TupleId>,
+) {
+    stats.subset_computations += 1;
+    let rel_b = db.rel_of(tb);
+    out.clear();
+    // Does a survivor's relation share an attribute with tb's?
+    let mut attached = false;
+    for &t in set.tuples() {
+        stats.jcc_checks += 1;
+        let rel = db.rel_of(t);
+        if rel != rel_b && tuples_join_consistent(db, t, tb) {
+            out.push(t);
+            attached |= db.rels_connected(rel, rel_b);
+        }
+    }
+    // Fast paths covering the overwhelmingly common candidate outcomes:
+    // no survivor touches tb (T′ = {tb}), or everything survives and tb
+    // attaches to the — already connected — set (T′ = T ∪ {tb}).
+    if !attached {
+        out.clear();
+        out.push(tb);
+        return;
+    }
+    let all_survive = out.len() == set.len();
+    let pos = out.partition_point(|&x| x < tb);
+    out.insert(pos, tb);
+    if !all_survive {
+        // General path: tb's component among the survivors (O(n²)
+        // auxiliary-graph search, Theorem 4.8).
+        retain_component(db, out, rel_b);
+    }
+}
+
+/// [`maximal_subset_into`], built as a tuple set.
 pub fn maximal_subset_with(
     db: &Database,
     set: &TupleSet,
     tb: TupleId,
     stats: &mut Stats,
 ) -> TupleSet {
-    stats.subset_computations += 1;
-    let rel_b = db.rel_of(tb);
-    // Pass 1: pairwise consistency with tb.
-    let mut survivors = 0usize;
-    let mut all_survive = true;
-    for &t in set.tuples() {
-        stats.jcc_checks += 1;
-        if db.rel_of(t) != rel_b && tuples_join_consistent(db, t, tb) {
-            survivors += 1;
-        } else {
-            all_survive = false;
-        }
-    }
-    // Fast paths covering the overwhelmingly common candidate outcomes:
-    // nothing survives (T′ = {tb}) or everything does (T′ = T ∪ {tb} if
-    // tb attaches to the — already connected — set, else {tb}).
-    if survivors == 0 {
-        return TupleSet::singleton(db, tb);
-    }
-    if all_survive {
-        let attached = set
-            .tuples()
-            .iter()
-            .any(|&m| db.rels_connected(db.rel_of(m), rel_b));
-        return if attached {
-            add_tuple(db, set, tb)
-        } else {
-            TupleSet::singleton(db, tb)
-        };
-    }
-    // General path. Pass 2: connected component of tb's relation among
-    // the survivors (O(n²) auxiliary-graph search, Theorem 4.8).
-    let survivors: Vec<TupleId> = set
-        .tuples()
-        .iter()
-        .copied()
-        .filter(|&t| db.rel_of(t) != rel_b && tuples_join_consistent(db, t, tb))
-        .collect();
-    let mut chosen = component_of(db, survivors, rel_b);
-    let pos = chosen.partition_point(|&x| x < tb);
-    chosen.insert(pos, tb);
-    rebuild(db, chosen)
+    let mut members = Vec::with_capacity(set.len() + 1);
+    maximal_subset_into(db, set, tb, stats, &mut members);
+    rebuild(db, members)
 }
 
-/// The members whose relations lie in `anchor`'s connected component of
-/// the members' relations (Theorem 4.8's auxiliary graph), in input
-/// order. Member relations must be distinct.
-pub(crate) fn component_of(
-    db: &Database,
-    mut members: Vec<TupleId>,
-    anchor: RelId,
-) -> Vec<TupleId> {
-    let rels: Vec<RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
-    let component = db.subset_component(&rels, anchor);
-    members.retain(|&t| component.binary_search(&db.rel_of(t)).is_ok());
-    members
+/// Keeps the members whose relations lie in `anchor`'s connected
+/// component of the members' relations (Theorem 4.8's auxiliary graph;
+/// `anchor` need not hold a member). Member relations must be distinct;
+/// sorted members stay sorted. Works in place, allocating nothing.
+pub(crate) fn retain_component(db: &Database, members: &mut Vec<TupleId>, anchor: RelId) {
+    // `members[..reached]` is the component found so far; everything
+    // after it is still unreached.
+    let mut reached = 0;
+    for j in 0..members.len() {
+        let rel = db.rel_of(members[j]);
+        if rel == anchor || db.rels_connected(anchor, rel) {
+            members.swap(reached, j);
+            reached += 1;
+        }
+    }
+    let mut next = 0;
+    while next < reached {
+        let rel = db.rel_of(members[next]);
+        let unreached = reached;
+        for j in unreached..members.len() {
+            if db.rels_connected(rel, db.rel_of(members[j])) {
+                members.swap(reached, j);
+                reached += 1;
+            }
+        }
+        next += 1;
+    }
+    members.truncate(reached);
+    members.sort_unstable();
 }
 
 /// Builds a [`TupleSet`] from sorted, relation-distinct member tuples that
-/// are already known to be mutually join consistent.
+/// are already known to be mutually join consistent, in one pass: every
+/// member's bindings, stably sorted by attribute, the first of each
+/// attribute kept (so its origin is the smallest member holding it).
 pub fn rebuild(db: &Database, tuples: Vec<TupleId>) -> TupleSet {
-    let mut set = TupleSet::singleton(db, tuples[0]);
-    for &t in &tuples[1..] {
-        set = add_tuple(db, &set, t);
+    let mut bindings = Vec::with_capacity(
+        tuples
+            .iter()
+            .map(|&t| db.tuple_schema(t).columns_by_attr().len())
+            .sum(),
+    );
+    for &t in &tuples {
+        push_bindings(db, t, &mut bindings);
     }
-    set
+    bindings.sort_by_key(|b| b.0);
+    bindings.dedup_by_key(|b| b.0);
+    TupleSet::from_parts(tuples, bindings)
 }
 
 /// Full `JCC` validation of an arbitrary candidate set — used by tests,
@@ -374,23 +367,29 @@ pub fn extend_to_maximal_from(
         set,
         rel_min,
         stats,
-        |set, rel| db.probe(rel, set.bindings()),
+        |set, rel, out| {
+            db.probe(rel, set.bindings(), out);
+            true
+        },
         |set, t, stats| can_add(db, set, t, stats).then(|| add_tuple(db, set, t)),
     )
 }
 
 /// The greedy fixpoint behind both policies' extensions: for each
 /// relation `≥ rel_min` not yet represented but connected to the set,
-/// add the first of its `candidates` that `grow` accepts (one tuple per
-/// relation), and repeat passes until one adds nothing.
-pub(crate) fn extend_greedy<I: IntoIterator<Item = TupleId>>(
+/// add the first candidate that `grow` accepts (one tuple per relation),
+/// and repeat passes until one adds nothing. `candidates` appends a
+/// relation's candidates to a reused buffer, ascending, and returns
+/// `true`; returning `false` scans the relation instead.
+pub(crate) fn extend_greedy(
     db: &Database,
     mut set: TupleSet,
     rel_min: usize,
     stats: &mut Stats,
-    mut candidates: impl FnMut(&TupleSet, RelId) -> I,
+    mut candidates: impl FnMut(&TupleSet, RelId, &mut Vec<TupleId>) -> bool,
     mut grow: impl FnMut(&TupleSet, TupleId, &mut Stats) -> Option<TupleSet>,
 ) -> TupleSet {
+    let mut buf = Vec::new();
     loop {
         stats.extension_passes += 1;
         let mut grew = false;
@@ -406,13 +405,20 @@ pub(crate) fn extend_greedy<I: IntoIterator<Item = TupleId>>(
             {
                 continue;
             }
-            for t in candidates(&set, rel) {
+            buf.clear();
+            let probed = candidates(&set, rel, &mut buf);
+            let mut try_grow = |t| {
                 stats.extension_scans += 1;
-                if let Some(grown) = grow(&set, t, stats) {
-                    set = grown;
-                    grew = true;
-                    break; // one tuple per relation; move on.
-                }
+                grow(&set, t, stats)
+            };
+            let grown = if probed {
+                buf.iter().find_map(|&t| try_grow(t))
+            } else {
+                db.tuples_of(rel).find_map(try_grow)
+            };
+            if let Some(grown) = grown {
+                set = grown;
+                grew = true; // one tuple per relation; move on.
             }
         }
         if !grew {
@@ -449,7 +455,6 @@ mod tests {
         let b1 = db.insert_tuple(RelId(1), vec![1.into(), 7.into()]).unwrap();
         let a2 = db.insert_tuple(RelId(0), vec![1.into(), 2.into()]).unwrap();
         assert!(a1 < b1 && b1 < a2, "ids interleave the relations");
-        assert!(!one_tuple_per_relation(&db, &[a1, b1, a2]));
 
         let mut stats = Stats::new();
         let left = rebuild(&db, vec![a1, b1]);
@@ -457,6 +462,30 @@ mod tests {
         // a1 and a2 bind identical values, so only the relation test can
         // reject the union — and it must.
         assert!(try_union(&db, &left, &right, &mut stats).is_none());
+    }
+
+    /// The component step of line 8, anchored at a relation with or
+    /// without a member (the A–B–C chain, D apart).
+    #[test]
+    fn member_component_anchored() {
+        let mut b = fd_relational::DatabaseBuilder::new();
+        b.relation("A", &["x"]).row([1]);
+        b.relation("B", &["x", "y"]).row([1, 2]);
+        b.relation("C", &["y"]).row([2]);
+        b.relation("D", &["z"]).row([3]);
+        let db = b.build().unwrap();
+        let (a, bb, c, d) = (TupleId(0), TupleId(1), TupleId(2), TupleId(3));
+        let component = |members: &[TupleId], anchor: u16| {
+            let mut members = members.to_vec();
+            retain_component(&db, &mut members, RelId(anchor));
+            members
+        };
+        // Among {A, C, D} anchored at A: only A (C not directly connected).
+        assert_eq!(component(&[a, c, d], 0), vec![a]);
+        // Among {A, B, C} anchored at C: all three, still sorted.
+        assert_eq!(component(&[a, bb, c], 2), vec![a, bb, c]);
+        // Anchored at B, which holds no member: A and C attach through it.
+        assert_eq!(component(&[a, c, d], 1), vec![a, c]);
     }
 
     #[test]

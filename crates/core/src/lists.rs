@@ -9,7 +9,7 @@
 //! identical results and differ only in scan work.
 
 use crate::stats::Stats;
-use crate::tupleset::TupleSet;
+use crate::tupleset::{is_sorted_subset, TupleSet};
 use fd_relational::fxhash::{FxHashMap, FxHashSet};
 use fd_relational::TupleId;
 use std::collections::VecDeque;
@@ -24,12 +24,17 @@ pub enum StoreEngine {
     Indexed,
 }
 
-/// The `Complete` list: results already printed.
+/// The `Complete` list: results already printed, as member lists in one
+/// flat arena — line 11 asks only about members.
 #[derive(Debug)]
 pub(crate) struct CompleteStore {
     engine: StoreEngine,
-    sets: Vec<TupleSet>,
-    /// Indexed engine: root tuple → indices into `sets`.
+    /// Every stored member list, back to back.
+    members: Vec<TupleId>,
+    /// `ends[k]`: end of the `k`-th list in `members` (it starts where
+    /// the previous one ends).
+    ends: Vec<u32>,
+    /// Indexed engine: root tuple → indices into `ends`.
     by_root: FxHashMap<TupleId, Vec<u32>>,
 }
 
@@ -38,45 +43,58 @@ impl CompleteStore {
     pub(crate) fn new(engine: StoreEngine) -> Self {
         CompleteStore {
             engine,
-            sets: Vec::new(),
+            members: Vec::new(),
+            ends: Vec::new(),
             by_root: FxHashMap::default(),
         }
     }
 
-    /// The stored results, in print order.
-    pub(crate) fn sets(&self) -> &[TupleSet] {
-        &self.sets
+    /// The `k`-th stored member list.
+    fn get(&self, k: usize) -> &[TupleId] {
+        let start = k.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.members[start..self.ends[k] as usize]
     }
 
-    /// Inserts a printed result. `roots` are the tuples under which the
-    /// set should be discoverable — for `INCREMENTALFD(R, i)` and a ranked
-    /// queue's `Complete_i` that is the set's `Ri` tuple; a `Complete`
-    /// shared by several runs registers every member.
-    pub(crate) fn insert(&mut self, set: TupleSet, roots: &[TupleId]) {
-        let idx = self.sets.len() as u32;
+    /// The stored member lists, in print order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[TupleId]> {
+        (0..self.ends.len()).map(|k| self.get(k))
+    }
+
+    /// Inserts the members of a printed result. `roots` are the tuples
+    /// under which the set should be discoverable — for
+    /// `INCREMENTALFD(R, i)` and a ranked queue's `Complete_i` that is the
+    /// set's `Ri` tuple; a `Complete` shared by several runs registers
+    /// every member.
+    pub(crate) fn insert(&mut self, members: &[TupleId], roots: &[TupleId]) {
+        let idx = self.ends.len() as u32;
         if self.engine == StoreEngine::Indexed {
             for &r in roots {
                 self.by_root.entry(r).or_default().push(idx);
             }
         }
-        self.sets.push(set);
+        self.members.extend_from_slice(members);
+        self.ends.push(self.members.len() as u32);
     }
 
-    /// Fig. 2 line 11: is `t` contained in some stored result? `root` is
-    /// `t`'s tuple from `Ri`; any superset must also contain it.
-    pub(crate) fn contains_superset(&self, t: &TupleSet, root: TupleId, stats: &mut Stats) -> bool {
+    /// Fig. 2 line 11: is the sorted member list `t` contained in some
+    /// stored result? `root` is `t`'s tuple from `Ri`; any superset must
+    /// also contain it.
+    pub(crate) fn contains_superset(
+        &self,
+        t: &[TupleId],
+        root: TupleId,
+        stats: &mut Stats,
+    ) -> bool {
+        let mut holds = |k: usize| {
+            stats.complete_scans += 1;
+            is_sorted_subset(t, self.get(k))
+        };
         match self.engine {
-            StoreEngine::Scan => self.sets.iter().any(|s| {
-                stats.complete_scans += 1;
-                t.is_subset_of(s)
-            }),
-            StoreEngine::Indexed => match self.by_root.get(&root) {
-                Some(idxs) => idxs.iter().any(|&i| {
-                    stats.complete_scans += 1;
-                    t.is_subset_of(&self.sets[i as usize])
-                }),
-                None => false,
-            },
+            StoreEngine::Scan => (0..self.ends.len()).any(holds),
+            StoreEngine::Indexed => self
+                .by_root
+                .get(&root)
+                .is_some_and(|idxs| idxs.iter().any(|&k| holds(k as usize))),
         }
     }
 }
@@ -236,11 +254,12 @@ impl IncompleteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jcc::{rebuild, try_union};
+    use crate::jcc::{rebuild, union_with};
     use fd_relational::{tourist_database, Database};
 
     const C1: TupleId = TupleId(0);
     const C2: TupleId = TupleId(1);
+    const C3: TupleId = TupleId(2);
     const A2: TupleId = TupleId(4);
     const S1: TupleId = TupleId(6);
 
@@ -248,11 +267,11 @@ mod tests {
         db: &Database,
         q: &mut IncompleteQueue,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
         q.try_merge(root, true, stats, |s, stats| {
-            try_union(db, s, t_prime, stats)
+            union_with(db, s, t_prime, stats)
         })
     }
 
@@ -262,18 +281,16 @@ mod tests {
 
     #[test]
     fn complete_superset_lookup() {
-        let db = tourist_database();
         for engine in both_engines() {
             let mut stats = Stats::new();
             let mut complete = CompleteStore::new(engine);
-            let big = rebuild(&db, vec![C1, A2, S1]);
-            complete.insert(big, &[C1]);
-
-            let small = rebuild(&db, vec![C1, S1]);
-            assert!(complete.contains_superset(&small, C1, &mut stats));
-
-            let other = rebuild(&db, vec![C2]);
-            assert!(!complete.contains_superset(&other, C2, &mut stats));
+            complete.insert(&[C1, A2, S1], &[C1]);
+            complete.insert(&[C2, S1], &[C2]);
+            assert!(complete.contains_superset(&[C1, S1], C1, &mut stats));
+            assert!(!complete.contains_superset(&[C2, A2], C2, &mut stats));
+            assert!(!complete.contains_superset(&[C3], C3, &mut stats));
+            let stored: Vec<&[TupleId]> = complete.iter().collect();
+            assert_eq!(stored, [&[C1, A2, S1][..], &[C2, S1][..]]);
         }
     }
 
@@ -313,7 +330,7 @@ mod tests {
             q.push(C1, rebuild(&db, vec![C1, A2]), &mut stats);
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
 
-            let t_prime = rebuild(&db, vec![C1, S1]);
+            let t_prime = [C1, S1];
             assert!(merge(&db, &mut q, C1, &t_prime, &mut stats));
             assert_eq!(stats.merges, 1);
 
@@ -331,7 +348,7 @@ mod tests {
             let mut stats = Stats::new();
             let mut q = IncompleteQueue::new(engine);
             q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
-            let t_prime = rebuild(&db, vec![C1, S1]);
+            let t_prime = [C1, S1];
             assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
         }
     }
@@ -347,7 +364,7 @@ mod tests {
             let mut q = IncompleteQueue::new(engine);
             q.push(A2, TupleSet::singleton(&db, A2), &mut stats);
             q.push(C1, TupleSet::singleton(&db, C1), &mut stats);
-            let t_prime = rebuild(&db, vec![C1, S1]);
+            let t_prime = [C1, S1];
             assert!(merge(&db, &mut q, C1, &t_prime, &mut stats));
             assert_eq!(stats.merges, 1);
             let (root, other) = q.pop().unwrap();
@@ -368,7 +385,7 @@ mod tests {
         let db = tourist_database();
         let mut scan_stats = Stats::new();
         let mut idx_stats = Stats::new();
-        let t_prime = rebuild(&db, vec![C1, S1]);
+        let t_prime = [C1, S1];
 
         let mut q = IncompleteQueue::new(StoreEngine::Scan);
         q.push(C2, TupleSet::singleton(&db, C2), &mut scan_stats);
@@ -391,7 +408,7 @@ mod tests {
         q.push(C1, rebuild(&db, vec![C1, A2]), &mut stats);
         let _ = q.pop();
         // Merge must not resurrect the popped slot.
-        let t_prime = rebuild(&db, vec![C1, S1]);
+        let t_prime = [C1, S1];
         assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
         assert_eq!(q.iter().count(), 0);
     }

@@ -178,34 +178,39 @@ impl LazyQueue {
         mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
         rank_of: impl FnOnce(&TupleSet, &mut Stats) -> f64,
     ) -> bool {
-        let candidates: Vec<u32> = if indexed {
-            self.by_root.get(&root).cloned().unwrap_or_default()
+        let LazyQueue {
+            slots,
+            heap,
+            by_root,
+        } = self;
+        // The root's slots, or every slot.
+        let (listed, all): (&[u32], _) = if indexed {
+            (by_root.get(&root).map_or(&[], Vec::as_slice), 0..0)
         } else {
-            (0..self.slots.len() as u32).collect()
+            (&[], 0..slots.len() as u32)
         };
-        for slot in candidates {
-            let Some(entry) = &self.slots[slot as usize] else {
-                continue;
-            };
+        let Some((slot, u)) = listed.iter().copied().chain(all).find_map(|slot| {
+            let entry = slots[slot as usize].as_ref()?;
             stats.incomplete_scans += 1;
-            if let Some(u) = union(&entry.set, stats) {
-                stats.merges += 1;
-                if u.tuples() == entry.set.tuples() {
-                    return true;
-                }
-                let gen = entry.gen + 1;
-                let rank = rank_of(&u, stats);
-                self.slots[slot as usize] = Some(Entry { root, set: u, gen });
-                self.heap.push(HeapItem {
-                    rank: Rank(rank),
-                    gen,
-                    slot,
-                });
-                stats.heap_pushes += 1;
-                return true;
-            }
+            union(&entry.set, stats).map(|u| (slot, u))
+        }) else {
+            return false;
+        };
+        stats.merges += 1;
+        let entry = slots[slot as usize].as_mut().expect("live slot");
+        if u.tuples() == entry.set.tuples() {
+            return true;
         }
-        false
+        entry.gen += 1;
+        entry.set = u;
+        let rank = rank_of(&entry.set, stats);
+        heap.push(HeapItem {
+            rank: Rank(rank),
+            gen: entry.gen,
+            slot,
+        });
+        stats.heap_pushes += 1;
+        true
     }
 }
 
@@ -261,7 +266,7 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
         policy: &P,
         ri: RelId,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
         let indexed = self.engine == StoreEngine::Indexed || !P::UNIQUE_PARTNER;
@@ -285,7 +290,7 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
         _complete: &CompleteStore,
         ri: RelId,
         root: TupleId,
-        t_prime: &TupleSet,
+        t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
         self.completes[ri.index() - self.rel_lo].contains_superset(t_prime, root, stats)
@@ -401,7 +406,7 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
             // The extension joins its own queue's Complete_i, printed or not.
             let frontier = &mut engine.frontier;
             let qi = engine.db.rel_of(root).index() - frontier.rel_lo;
-            frontier.completes[qi].insert(set.clone(), &[root]);
+            frontier.completes[qi].insert(set.tuples(), &[root]);
             // Line 17: print unless this exact set was printed before.
             if !engine.printed.insert(set.tuples()) {
                 continue;
@@ -474,7 +479,7 @@ fn merge_to_fixpoint<P: Policy>(
         'fixpoint: loop {
             for i in 0..sets.len() {
                 for j in (i + 1)..sets.len() {
-                    if let Some(u) = policy.union(db, &sets[i], &sets[j], stats) {
+                    if let Some(u) = policy.union(db, &sets[i], sets[j].tuples(), stats) {
                         stats.merges += 1;
                         sets.swap_remove(j);
                         sets[i] = u;

@@ -113,25 +113,9 @@ impl TupleSet {
         self.tuples.binary_search(&t).is_ok()
     }
 
-    /// The member from relation `rel`, if any. Builder-time tuple ids are
-    /// dense per relation, so the common case is one binary search over
-    /// the base band; dynamically inserted members (ids above the base
-    /// space) fall back to a short scan of the set's tail.
+    /// The member from relation `rel`, if any (see [`member_from`]).
     pub fn tuple_from(&self, db: &Database, rel: RelId) -> Option<TupleId> {
-        let range = db.base_tuples(rel);
-        let idx = self.tuples.partition_point(|&t| t.0 < range.start);
-        if let Some(&t) = self.tuples.get(idx) {
-            if t.0 < range.end {
-                return Some(t);
-            }
-        }
-        let base = db.base_tuple_count();
-        self.tuples
-            .iter()
-            .rev()
-            .take_while(|t| t.0 >= base)
-            .find(|&&t| db.rel_of(t) == rel)
-            .copied()
+        member_from(db, &self.tuples, rel)
     }
 
     /// Does the set contain a tuple from any relation before `rel`
@@ -148,28 +132,9 @@ impl TupleSet {
         rels
     }
 
-    /// Is this a subset of `other`? (Sorted-merge containment.)
+    /// Is this a subset of `other`? (See [`is_sorted_subset`].)
     pub fn is_subset_of(&self, other: &TupleSet) -> bool {
-        if self.tuples.len() > other.tuples.len() {
-            return false;
-        }
-        let mut j = 0;
-        for &t in &self.tuples {
-            loop {
-                if j >= other.tuples.len() {
-                    return false;
-                }
-                match other.tuples[j].cmp(&t) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-        }
-        true
+        is_sorted_subset(&self.tuples, &other.tuples)
     }
 
     /// The binding for `attr`, if any member's schema has it.
@@ -190,14 +155,66 @@ impl TupleSet {
 
     /// Renders as the paper prints tuple sets: `{c1, a2, s1}`.
     pub fn label(&self, db: &Database) -> String {
-        let labels: Vec<String> = self.tuples.iter().map(|&t| db.tuple_label(t)).collect();
-        format!("{{{}}}", labels.join(", "))
+        members_label(db, &self.tuples)
     }
 
     /// Stable display-independent form for assertions: sorted tuple ids.
     pub fn canonical(&self) -> &[TupleId] {
         &self.tuples
     }
+}
+
+/// The member of relation `rel` in a sorted member list, if any.
+/// Builder-time tuple ids are dense per relation, so the common case is
+/// one binary search over the base band; dynamically inserted members
+/// (ids above the base space) fall back to a short scan of the list's
+/// tail.
+pub(crate) fn member_from(db: &Database, members: &[TupleId], rel: RelId) -> Option<TupleId> {
+    let range = db.base_tuples(rel);
+    let idx = members.partition_point(|&t| t.0 < range.start);
+    if let Some(&t) = members.get(idx) {
+        if t.0 < range.end {
+            return Some(t);
+        }
+    }
+    let base = db.base_tuple_count();
+    members
+        .iter()
+        .rev()
+        .take_while(|t| t.0 >= base)
+        .find(|&&t| db.rel_of(t) == rel)
+        .copied()
+}
+
+/// Is the sorted member list `a` a subset of the sorted list `b`?
+/// (Sorted-merge containment.)
+pub(crate) fn is_sorted_subset(a: &[TupleId], b: &[TupleId]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    let mut j = 0;
+    for &t in a {
+        loop {
+            if j >= b.len() {
+                return false;
+            }
+            match b[j].cmp(&t) {
+                std::cmp::Ordering::Less => j += 1,
+                std::cmp::Ordering::Equal => {
+                    j += 1;
+                    break;
+                }
+                std::cmp::Ordering::Greater => return false,
+            }
+        }
+    }
+    true
+}
+
+/// A member list as the paper prints tuple sets: `{c1, a2, s1}`.
+pub(crate) fn members_label(db: &Database, members: &[TupleId]) -> String {
+    let labels: Vec<String> = members.iter().map(|&t| db.tuple_label(t)).collect();
+    format!("{{{}}}", labels.join(", "))
 }
 
 impl fmt::Display for TupleSet {

@@ -394,91 +394,110 @@ impl Database {
         self.indexed_attrs[rel.index()].iter().map(|&(a, _)| a)
     }
 
-    /// Candidate tuples of `rel` matching a sorted binding list — the
-    /// probe primitive of the paper's maximal-extension loops (Fig. 2
-    /// lines 2–6): "the tuples of `rel` that could be join-consistent
-    /// with these bindings".
+    /// Appends to `out` the candidate tuples of `rel` matching a sorted
+    /// binding list — the probe primitive of the paper's
+    /// maximal-extension loops (Fig. 2 lines 2–6): "the tuples of `rel`
+    /// that could be join-consistent with these bindings".
     ///
     /// `bindings` is a `(attribute, value, owner)` list ascending by
     /// attribute — exactly a
     /// `TupleSet::bindings()` slice. Bindings on attributes outside
     /// `rel`'s schema are ignored (they constrain nothing here). When at
     /// least one binding lands on a join column, the posting lists are
-    /// intersected and the result is *exact*: every returned tuple is
+    /// intersected and the result is *exact*: every appended tuple is
     /// live and agrees with every applicable binding, in ascending id
     /// order — the same first-match order as
     /// [`tuples_of`](Self::tuples_of). A null binding on a join column
-    /// returns no candidates (`⊥` is join-consistent with nothing).
+    /// appends no candidates (`⊥` is join-consistent with nothing).
     ///
     /// When no binding applies (an empty binding list or an all-null
     /// set), this falls back to the liveness-aware scan, i.e. exactly
     /// `tuples_of(rel)`. Score-based approximate matching probes with
     /// [`probe_similar`](Self::probe_similar) instead.
-    pub fn probe(&self, rel: RelId, bindings: &[(AttrId, Value, TupleId)]) -> Vec<TupleId> {
+    pub fn probe(&self, rel: RelId, bindings: &[(AttrId, Value, TupleId)], out: &mut Vec<TupleId>) {
         debug_assert!(
             bindings.windows(2).all(|w| w[0].0 < w[1].0),
             "probe bindings must be ascending by attribute"
         );
-        self.probe_counters.probes.fetch_add(1, Ordering::Relaxed);
-        if self.index_enabled {
-            if let Some(ids) = self.probe_indexed(rel, bindings) {
-                self.probe_counters.hits.fetch_add(1, Ordering::Relaxed);
-                return ids;
-            }
-        }
-        self.tuples_of(rel).collect()
+        let slots = &self.indexed_attrs[rel.index()];
+        let pairs = slots.iter().enumerate().filter_map(|(slot, &(attr, _))| {
+            let j = bindings.binary_search_by_key(&attr, |b| b.0).ok()?;
+            Some((slot, &bindings[j].1))
+        });
+        self.probe_postings(rel, pairs, out);
     }
 
-    /// The indexed arm of [`probe`](Self::probe): `None` when no binding
-    /// lands on a join column of `rel` (the caller falls back to a scan).
-    fn probe_indexed(
+    /// Appends to `out` the tuples of `rel` agreeing with tuple `t` on
+    /// every attribute their relations share — [`probe`](Self::probe)
+    /// with `t`'s own values as the bindings, ascending. Relations
+    /// sharing no attribute get the fallback scan.
+    pub fn probe_tuple(&self, rel: RelId, t: TupleId, out: &mut Vec<TupleId>) {
+        let slots = &self.indexed_attrs[rel.index()];
+        let pairs = self.shared_attrs(self.rel_of(t), rel).iter().map(|&attr| {
+            // A shared attribute is a join column of both relations.
+            let slot = slots
+                .binary_search_by_key(&attr, |&(a, _)| a)
+                .expect("shared attrs are join columns");
+            let v = self.tuple_value(t, attr).expect("shared attr in schema");
+            (slot, v)
+        });
+        self.probe_postings(rel, pairs, out);
+    }
+
+    /// The probe behind [`probe`](Self::probe) and
+    /// [`probe_tuple`](Self::probe_tuple): `pairs` are the applicable
+    /// `(join-column slot, value)` bindings of `rel`. Copies the shortest
+    /// posting list into `out` and keeps the ids every other list holds
+    /// (binary search), so the output stays ascending and nothing else is
+    /// allocated. Without an applicable binding, or with the index
+    /// disabled, appends the live scan of `rel`.
+    fn probe_postings<'v>(
         &self,
         rel: RelId,
-        bindings: &[(AttrId, Value, TupleId)],
-    ) -> Option<Vec<TupleId>> {
-        let slots = &self.indexed_attrs[rel.index()];
+        pairs: impl Iterator<Item = (usize, &'v Value)> + Clone,
+        out: &mut Vec<TupleId>,
+    ) {
+        self.probe_counters.probes.fetch_add(1, Ordering::Relaxed);
         let maps = &self.postings[rel.index()];
-        let mut lists: Vec<&[u32]> = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        let mut applicable = false;
-        while i < slots.len() && j < bindings.len() {
-            match slots[i].0.cmp(&bindings[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    applicable = true;
-                    let v = &bindings[j].1;
-                    if v.is_null() {
-                        // A null binding on a shared attribute conflicts
-                        // with every candidate: zero results, decisively.
-                        return Some(Vec::new());
-                    }
-                    match maps[i].get(v) {
-                        Some(list) => lists.push(list),
-                        None => return Some(Vec::new()),
-                    }
-                    i += 1;
-                    j += 1;
+        let list = |slot: usize, v: &Value| -> &[u32] {
+            // A null binding on a shared attribute conflicts with every
+            // candidate, and so does a value no tuple holds.
+            if v.is_null() {
+                return &[];
+            }
+            maps[slot].get(v).map_or(&[], Vec::as_slice)
+        };
+        let shortest = if self.index_enabled {
+            pairs
+                .clone()
+                .enumerate()
+                .map(|(k, (slot, v))| (list(slot, v), k))
+                .min_by_key(|(l, _)| l.len())
+        } else {
+            None
+        };
+        let Some((first, k_first)) = shortest else {
+            out.extend(self.tuples_of(rel));
+            return;
+        };
+        self.probe_counters.hits.fetch_add(1, Ordering::Relaxed);
+        let start = out.len();
+        out.extend(first.iter().copied().map(TupleId));
+        for (k, (slot, v)) in pairs.enumerate() {
+            if k == k_first || out.len() == start {
+                continue;
+            }
+            let other = list(slot, v);
+            let mut kept = start;
+            for i in start..out.len() {
+                let id = out[i];
+                if other.binary_search(&id.0).is_ok() {
+                    out[kept] = id;
+                    kept += 1;
                 }
             }
+            out.truncate(kept);
         }
-        if !applicable {
-            return None;
-        }
-        // Intersect ascending posting lists: walk the smallest, binary-
-        // search the rest. Output stays ascending — `tuples_of` order.
-        lists.sort_unstable_by_key(|l| l.len());
-        let (first, rest) = lists.split_first().expect("applicable ⇒ non-empty");
-        let mut out = Vec::with_capacity(first.len());
-        'ids: for &id in *first {
-            for l in rest {
-                if l.binary_search(&id).is_err() {
-                    continue 'ids;
-                }
-            }
-            out.push(TupleId(id));
-        }
-        Some(out)
     }
 
     /// The live tuples of `rel` whose non-null value on `attr` passes
@@ -637,37 +656,6 @@ impl Database {
                 count == rels.len()
             }
         }
-    }
-
-    /// The members of `rels` in the same connected component as `anchor`,
-    /// where connectivity only uses edges between members of `rels`
-    /// (plus `anchor`). This is the second step of the paper's footnote-3
-    /// procedure for computing the maximal subset `T′`.
-    pub fn subset_component(&self, rels: &[RelId], anchor: RelId) -> Vec<RelId> {
-        let mut all: Vec<RelId> = Vec::with_capacity(rels.len() + 1);
-        all.extend_from_slice(rels);
-        if !all.contains(&anchor) {
-            all.push(anchor);
-        }
-        let mut seen = vec![false; all.len()];
-        let anchor_idx = all
-            .iter()
-            .position(|&r| r == anchor)
-            .expect("anchor present");
-        seen[anchor_idx] = true;
-        let mut stack = vec![anchor_idx];
-        let mut out = vec![anchor];
-        while let Some(i) = stack.pop() {
-            for (j, &rj) in all.iter().enumerate() {
-                if !seen[j] && self.rels_connected(all[i], rj) {
-                    seen[j] = true;
-                    stack.push(j);
-                    out.push(rj);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -944,6 +932,13 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// [`Database::probe`] into a fresh list.
+    fn probed(db: &Database, rel: RelId, bindings: &[(AttrId, Value, TupleId)]) -> Vec<TupleId> {
+        let mut out = Vec::new();
+        db.probe(rel, bindings, &mut out);
+        out
+    }
+
     #[test]
     fn tourist_catalog_shape() {
         let db = tourist_db();
@@ -1115,26 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_component_anchored() {
-        let mut b = DatabaseBuilder::new();
-        b.relation("A", &["x"]).row([1]);
-        b.relation("B", &["x", "y"]).row([1, 2]);
-        b.relation("C", &["y"]).row([2]);
-        b.relation("D", &["z"]).row([3]);
-        let db = b.build().unwrap();
-        // Among {A, C, D} anchored at A: only A (C not directly connected).
-        assert_eq!(
-            db.subset_component(&[RelId(0), RelId(2), RelId(3)], RelId(0)),
-            vec![RelId(0)]
-        );
-        // Among {A, B, C} anchored at C: all three.
-        assert_eq!(
-            db.subset_component(&[RelId(0), RelId(1), RelId(2)], RelId(2)),
-            vec![RelId(0), RelId(1), RelId(2)]
-        );
-    }
-
-    #[test]
     fn duplicate_names_are_rejected() {
         let mut b = DatabaseBuilder::new();
         b.relation("A", &["x", "x"]);
@@ -1174,17 +1149,17 @@ mod tests {
         let canada = (country, Value::str("Canada"), TupleId(0));
         // Sites tuples bound to Country=Canada: s1 (t6), s2 (t7).
         assert_eq!(
-            db.probe(RelId(2), std::slice::from_ref(&canada)),
+            probed(&db, RelId(2), std::slice::from_ref(&canada)),
             vec![TupleId(6), TupleId(7)]
         );
         // An unbound probe falls back to the full live scan.
         assert_eq!(
-            db.probe(RelId(2), &[]),
+            probed(&db, RelId(2), &[]),
             db.tuples_of(RelId(2)).collect::<Vec<_>>()
         );
         // A null binding on a shared attribute joins nothing.
         assert_eq!(
-            db.probe(RelId(2), &[(country, Value::Null, TupleId(0))]),
+            probed(&db, RelId(2), &[(country, Value::Null, TupleId(0))]),
             Vec::<TupleId>::new()
         );
         // One probe hit the index (fallback + null-binding also count
@@ -1239,7 +1214,7 @@ mod tests {
         ];
         bindings.sort_by_key(|b| b.0);
         // Sites with Country=Canada ∧ City=London: only s1 (t6).
-        assert_eq!(db.probe(RelId(2), &bindings), vec![TupleId(6)]);
+        assert_eq!(probed(&db, RelId(2), &bindings), vec![TupleId(6)]);
     }
 
     #[test]
@@ -1251,14 +1226,17 @@ mod tests {
             .insert_tuple(RelId(0), vec!["Canada".into(), "arctic".into()])
             .unwrap();
         assert_eq!(
-            db.probe(RelId(0), std::slice::from_ref(&canada)),
+            probed(&db, RelId(0), std::slice::from_ref(&canada)),
             vec![TupleId(0), t]
         );
         db.remove_tuple(TupleId(0)).unwrap();
-        assert_eq!(db.probe(RelId(0), std::slice::from_ref(&canada)), vec![t]);
+        assert_eq!(
+            probed(&db, RelId(0), std::slice::from_ref(&canada)),
+            vec![t]
+        );
         db.remove_tuple(t).unwrap();
         assert_eq!(
-            db.probe(RelId(0), std::slice::from_ref(&canada)),
+            probed(&db, RelId(0), std::slice::from_ref(&canada)),
             Vec::<TupleId>::new()
         );
         db.verify_indexes().unwrap();
@@ -1275,7 +1253,7 @@ mod tests {
         // relation); the caller's JCC check filters, so enumeration
         // stays correct — just slower.
         assert_eq!(
-            db.probe(RelId(2), std::slice::from_ref(&uk)),
+            probed(&db, RelId(2), std::slice::from_ref(&uk)),
             db.tuples_of(RelId(2)).collect::<Vec<_>>()
         );
         assert_eq!(db.index_hits(), 0);
