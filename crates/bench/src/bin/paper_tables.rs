@@ -446,7 +446,15 @@ fn e8_e9_approx(scale: usize) {
 fn e10_store_ablation(scale: usize) {
     header("E10 — Section 7 ablation: list scans vs hash index by Ri-tuple vs join-column probes");
     let mut rows_out = Vec::new();
-    for rows in [10 * scale, 15 * scale, 20 * scale] {
+    // Both sizes lists reach 40 rows, where a `T′` meets several
+    // same-root merge partners and the engines must agree on which one
+    // takes it (the first in pop order).
+    let sizes: &[usize] = if scale == 1 {
+        &[10, 15, 20, 40]
+    } else {
+        &[20, 30, 40]
+    };
+    for &rows in sizes {
         let db = bench_chain(4, rows);
         let mut unindexed = db.clone();
         unindexed.set_index_enabled(false);

@@ -411,7 +411,7 @@ impl<A: ApproxJoin> Approx<A> {
 }
 
 impl<A: ApproxJoin> Policy for Approx<A> {
-    const UNIQUE_PARTNER: bool = false;
+    const OFFER_EVERY_ENTRY: bool = false;
     const PREORDER_SEEDS: bool = false;
     type Ref<'a>
         = Approx<&'a A>

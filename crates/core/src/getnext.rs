@@ -58,11 +58,13 @@ use std::cell::RefCell;
 /// (lines 14–15) and the `≤ c` seed enumeration of Fig. 3. Implemented by
 /// [`Exact`] and [`Approx`](crate::Approx).
 pub trait Policy {
-    /// Lemma 4.4: an exact `T′` merges with at most one `Incomplete`
-    /// entry, so the indexed store may probe the entries of its root in
-    /// any order. Approximate joins give no such guarantee, so their
-    /// merge scans same-root entries in pop order and takes the first.
-    const UNIQUE_PARTNER: bool;
+    /// Does the list-scan store (`StoreEngine::Scan`) offer line 14's
+    /// `T′` to every `Incomplete` entry, as Fig. 2 does? The exact policy
+    /// does; an approximate union attempt costs a score evaluation, so
+    /// the approximate policy offers `T′` to its root's entries only.
+    /// Either way, `T′` may join several entries of its root, and the
+    /// first in pop order takes it, under both stores.
+    const OFFER_EVERY_ENTRY: bool;
 
     /// Visit order of the `≤ c` enumeration: `true` walks the growth tree
     /// in preorder, ascending ids first; `false` pops the most recently
@@ -131,7 +133,7 @@ thread_local! {
 pub struct Exact;
 
 impl Policy for Exact {
-    const UNIQUE_PARTNER: bool = true;
+    const OFFER_EVERY_ENTRY: bool = true;
     const PREORDER_SEEDS: bool = true;
     type Ref<'a> = Exact;
 
@@ -264,7 +266,7 @@ impl Frontier for Fifo {
         stats: &mut Stats,
     ) -> bool {
         self.queue
-            .try_merge(root, P::UNIQUE_PARTNER, stats, |s, stats| {
+            .try_merge(root, P::OFFER_EVERY_ENTRY, stats, |s, stats| {
                 policy.union(db, s, t_prime, stats)
             })
     }

@@ -138,8 +138,12 @@ pub(crate) struct IncompleteQueue {
     /// Entries pushed since the last pop, in creation order; logically
     /// these precede `order`.
     batch: Vec<u32>,
-    /// Indexed engine: root tuple → slots (live or dead; filtered on use).
-    by_root: FxHashMap<TupleId, Vec<u32>>,
+    /// Number of pops so far: the stamp of the current batch.
+    pops: u32,
+    /// Indexed engine: root tuple → `(stamp, slot)` of its entries in
+    /// push order, live or dead (filtered on use). The stamp is the pop
+    /// count at push time, so one stamp is one batch.
+    by_root: FxHashMap<TupleId, Vec<(u32, u32)>>,
 }
 
 impl IncompleteQueue {
@@ -150,6 +154,7 @@ impl IncompleteQueue {
             slots: Vec::new(),
             order: VecDeque::new(),
             batch: Vec::new(),
+            pops: 0,
             by_root: FxHashMap::default(),
         }
     }
@@ -162,13 +167,17 @@ impl IncompleteQueue {
         self.slots.push(Some((root, set)));
         self.batch.push(slot);
         if self.engine == StoreEngine::Indexed {
-            self.by_root.entry(root).or_default().push(slot);
+            self.by_root
+                .entry(root)
+                .or_default()
+                .push((self.pops, slot));
         }
     }
 
     /// Fig. 2 line 1: removes the first tuple set (splicing the pending
     /// batch to the front first).
     pub(crate) fn pop(&mut self) -> Option<(TupleId, TupleSet)> {
+        self.pops += 1;
         for slot in self.batch.drain(..).rev() {
             self.order.push_front(slot);
         }
@@ -181,25 +190,26 @@ impl IncompleteQueue {
     }
 
     /// Fig. 2 lines 14–15: offers `T′` to the stored sets and replaces the
-    /// first `S` rooted at `T′`'s `root` for which `union(S)` succeeds by
-    /// that union, preserving its queue position. Returns true when a
-    /// merge happened.
+    /// first `S` in pop order rooted at `T′`'s `root` for which
+    /// `union(S)` succeeds by that union, preserving its queue position.
+    /// Returns true when a merge happened.
     ///
     /// Only an entry sharing the root may take the union, under both
     /// engines. In a plain or Section-7 run every root lies in `Ri`, and
-    /// two tuples of one relation never join (Lemma 4.4), so the rule
-    /// changes nothing there; in a seeded run whose seeds span relations
-    /// it keeps `T′` out of entries rooted at another seed.
+    /// two tuples of one relation never join, so the rule changes nothing
+    /// there; in a seeded run whose seeds span relations it keeps `T′` out
+    /// of entries rooted at another seed.
     ///
-    /// With a `unique` partner (exact joins, Lemma 4.4) the order does not
-    /// matter: the indexed engine probes the root's entries, the scan
-    /// engine offers `T′` to every entry in pop order, as Fig. 2 does, and
-    /// keeps the first same-root union. Otherwise (approximate joins) only
-    /// the same-root entries are scanned, in pop order.
+    /// Several same-root entries may join `T′`, so both engines pick the
+    /// first in pop order. The indexed engine walks the root's entries
+    /// batch by batch, newest batch first and each in push order — the
+    /// pop order. The scan engine walks the list in pop order and, with
+    /// `offer_all`, offers `T′` to every entry, as Fig. 2 does; without
+    /// it, only to the root's entries.
     pub(crate) fn try_merge(
         &mut self,
         root: TupleId,
-        unique: bool,
+        offer_all: bool,
         stats: &mut Stats,
         mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
     ) -> bool {
@@ -215,7 +225,7 @@ impl IncompleteQueue {
             let Some((r, s)) = slots[slot as usize].as_mut() else {
                 return false;
             };
-            if !unique && *r != root {
+            if !offer_all && *r != root {
                 return false;
             }
             stats.incomplete_scans += 1;
@@ -228,10 +238,21 @@ impl IncompleteQueue {
                 _ => false,
             }
         };
-        if unique && *engine == StoreEngine::Indexed {
-            by_root
-                .get(&root)
-                .is_some_and(|idx| idx.iter().any(|&slot| offer(slot, stats)))
+        if *engine == StoreEngine::Indexed {
+            let entries = by_root.get(&root).map_or(&[][..], Vec::as_slice);
+            let mut end = entries.len();
+            while end > 0 {
+                let stamp = entries[end - 1].0;
+                let start = entries[..end].partition_point(|&(s, _)| s < stamp);
+                if entries[start..end]
+                    .iter()
+                    .any(|&(_, slot)| offer(slot, stats))
+                {
+                    return true;
+                }
+                end = start;
+            }
+            false
         } else {
             // Logical order: pending batch first, then older entries.
             batch
@@ -377,6 +398,25 @@ mod tests {
             q.push(A2, TupleSet::singleton(&db, A2), &mut stats);
             assert!(!merge(&db, &mut q, C1, &t_prime, &mut stats));
             assert_eq!(q.pop().unwrap().1.tuples(), &[A2], "{engine:?}");
+        }
+    }
+
+    /// `T′ = {c1, s1}` joins both entries rooted at `c1`: `{c1}` from the
+    /// first batch and `{c1, a2}` from the second. Both engines give it
+    /// to the first in pop order — the newer batch's entry.
+    #[test]
+    fn merge_takes_the_first_partner_in_pop_order() {
+        let db = tourist_database();
+        for engine in both_engines() {
+            let mut stats = Stats::new();
+            let mut q = IncompleteQueue::new(engine);
+            q.push(C2, TupleSet::singleton(&db, C2), &mut stats);
+            q.push(C1, TupleSet::singleton(&db, C1), &mut stats);
+            assert_eq!(q.pop().unwrap().0, C2);
+            q.push(C1, rebuild(&db, vec![C1, A2]), &mut stats);
+            assert!(merge(&db, &mut q, C1, &[C1, S1], &mut stats));
+            let order: Vec<Vec<TupleId>> = q.iter().map(|s| s.tuples().to_vec()).collect();
+            assert_eq!(order, vec![vec![C1, A2, S1], vec![C1]], "{engine:?}");
         }
     }
 

@@ -269,7 +269,7 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
         t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> bool {
-        let indexed = self.engine == StoreEngine::Indexed || !P::UNIQUE_PARTNER;
+        let indexed = self.engine == StoreEngine::Indexed || !P::OFFER_EVERY_ENTRY;
         let f = &self.f;
         self.queues[ri.index() - self.rel_lo].try_merge(
             root,

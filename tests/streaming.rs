@@ -71,8 +71,9 @@ fn engine_choice_does_not_change_emission_order() {
         .map(|s| s.tuples().to_vec())
         .collect()
     };
-    // Indexed lookups change *where* merges are found, but merge
-    // candidates are unique per root (Lemma 4.4), so order is identical.
+    // Indexed lookups change how merge partners are found, but both
+    // engines give `T′` to the first same-root partner in pop order, so
+    // the order is identical.
     assert_eq!(order(StoreEngine::Scan), order(StoreEngine::Indexed));
 }
 
