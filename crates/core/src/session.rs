@@ -81,11 +81,10 @@ impl FdEvent {
     }
 }
 
-/// What one commit did to the ranked top-k window.
+/// What one commit did to the ranked top-k window. The commit's
+/// result-set changes are [`Commit::events`].
 #[derive(Debug, Clone, Default)]
 pub struct TopKUpdate {
-    /// The underlying result-set changes (retractions first).
-    pub events: Vec<FdEvent>,
     /// Sets that entered the top-k window, with their ranks.
     pub entered: Vec<(TupleSet, f64)>,
     /// Sets that left the top-k window (retracted or outranked).
@@ -850,11 +849,7 @@ impl<'q> FdSession<'q> {
                 .filter(|(b, _)| !after.iter().any(|(s, _)| s == b))
                 .map(|(b, _)| b)
                 .collect();
-            TopKUpdate {
-                events: events.clone(),
-                entered,
-                left,
-            }
+            TopKUpdate { entered, left }
         });
 
         let window = window_start.elapsed();
