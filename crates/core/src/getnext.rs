@@ -30,6 +30,14 @@
 //! drivers, the parallel drivers and delta maintenance all run this one
 //! candidate loop.
 //!
+//! Line 8's `T′` is a sorted member list, not a tuple set: the policy
+//! writes it into a reused buffer ([`Policy::for_each_subset`]), and
+//! lines 10–14 read the slice — the root test, the seeded memo, line
+//! 11's containment test and line 14's union. A [`TupleSet`] with its
+//! bindings is built only for a successful merge (line 14) or a new
+//! `Incomplete` entry (line 18), so a candidate that lines 10–11 drop
+//! allocates nothing.
+//!
 //! Line 7 is written as a scan of every tuple, but a candidate that is
 //! consistent with no schema-adjacent member of `T` has `T′ = {tb}`,
 //! which line 10 drops unless `tb` is a root, and for a root lines 11–18

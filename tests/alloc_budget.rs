@@ -8,8 +8,8 @@
 //! the heap traffic of a run is a handful of allocations per result, not
 //! per candidate. A regression to per-candidate allocation multiplies
 //! the counts below many times over; each budget is the measured count
-//! (22,895 for `sparse`, 55,231 for `dense`) plus about 25% headroom.
-//! Per-candidate tuple sets took 225,666 and 1,038,788.
+//! (22,895 for `sparse`, 55,231 for `dense`) plus about 25% headroom;
+//! building a tuple set per candidate costs 225,666 and 1,038,788.
 //!
 //! The allocator counts per thread (every `alloc` and `realloc` call of
 //! the calling thread), so tests running in parallel do not pollute each
