@@ -25,7 +25,7 @@
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
 use crate::init::InitStrategy;
-use crate::jcc::{rebuild, retain_component};
+use crate::jcc::{rebuild, retain_component, Union};
 use crate::priority::RankedIter;
 use crate::ranking::MonotoneCDetermined;
 use crate::sim::Similarity;
@@ -474,15 +474,21 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         s: &TupleSet,
         t_prime: &[TupleId],
         stats: &mut Stats,
-    ) -> Option<TupleSet> {
+    ) -> Option<Union> {
         let mut members: Vec<TupleId> = s.tuples().iter().chain(t_prime).copied().collect();
         members.sort_unstable();
         members.dedup();
         if !members_connected(db, &members) {
             return None;
         }
-        self.accepts(db, &members, stats)
-            .then(|| rebuild(db, members))
+        let grows = members.len() > s.len();
+        self.accepts(db, &members, stats).then(|| {
+            if grows {
+                Union::Grown(rebuild(db, members))
+            } else {
+                Union::Same
+            }
+        })
     }
 
     /// All acceptable one-tuple growths, scanning every tuple (antitone

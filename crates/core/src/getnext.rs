@@ -34,8 +34,9 @@
 //! writes it into a reused buffer ([`Policy::for_each_subset`]), and
 //! lines 10–14 read the slice — the root test, the seeded memo, line
 //! 11's containment test and line 14's union. A [`TupleSet`] with its
-//! bindings is built only for a successful merge (line 14) or a new
-//! `Incomplete` entry (line 18), so a candidate that lines 10–11 drop
+//! bindings is built only for a merge that grows an entry (line 14) or
+//! for a new `Incomplete` entry (line 18), so a candidate that lines
+//! 10–11 drop, or that merges into an entry already holding it,
 //! allocates nothing.
 //!
 //! Line 7 is written as a scan of every tuple, but a candidate that is
@@ -51,7 +52,7 @@
 //! ([`scan_tuples_from`]).
 
 use crate::jcc::{
-    add_tuple, can_add, extend_to_maximal_from, maximal_subset_into, rebuild, union_with,
+    add_tuple, can_add, extend_to_maximal_from, maximal_subset_into, rebuild, union_with, Union,
 };
 use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
@@ -122,7 +123,7 @@ pub trait Policy {
         s: &TupleSet,
         t_prime: &[TupleId],
         stats: &mut Stats,
-    ) -> Option<TupleSet>;
+    ) -> Option<Union>;
 
     /// Fig. 3 line 4: calls `f` on every consistent one-tuple growth of
     /// `set`, in the enumeration's visit order.
@@ -185,7 +186,7 @@ impl Policy for Exact {
         s: &TupleSet,
         t_prime: &[TupleId],
         stats: &mut Stats,
-    ) -> Option<TupleSet> {
+    ) -> Option<Union> {
         union_with(db, s, t_prime, stats)
     }
 

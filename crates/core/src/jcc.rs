@@ -11,8 +11,8 @@
 //!   `T′` as that member list.
 //!
 //! `T′` stays a member list through lines 10–14; a [`TupleSet`] (with its
-//! bindings) is built only for a successful merge (line 14) or a new
-//! `Incomplete` entry (line 18), each once. [`maximal_subset_with`] and
+//! bindings) is built only for a merge that grows an entry (line 14) or
+//! a new `Incomplete` entry (line 18), each once. [`maximal_subset_with`] and
 //! [`try_union`] are the same operations on whole tuple sets.
 //!
 //! All predicates implement the paper's null semantics: a shared attribute
@@ -136,6 +136,15 @@ pub fn add_tuple(db: &Database, set: &TupleSet, t: TupleId) -> TupleSet {
     TupleSet::from_parts(tuples, merged)
 }
 
+/// A consistent union `S ∪ T′` (Fig. 2 lines 14–15).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Union {
+    /// `T′ ⊆ S`: the union is `S` itself.
+    Same,
+    /// The union, a strict superset of `S`.
+    Grown(TupleSet),
+}
+
 /// `JCC(S ∪ T′)` plus the union itself (Fig. 2 lines 14–15), for a valid
 /// set `S` and the sorted member list of a valid `T′`. Returns `None`
 /// when the union is not a join-consistent connected tuple set.
@@ -145,13 +154,13 @@ pub fn add_tuple(db: &Database, set: &TupleSet, t: TupleId) -> TupleSet {
 /// with `S`'s bindings (equal and non-null on every attribute both bind),
 /// and the parts must touch — share a member, or bind a common attribute.
 /// Members `S` already holds agree with it by construction. Nothing is
-/// allocated unless the union succeeds.
+/// allocated unless the union grows `S`.
 pub fn union_with(
     db: &Database,
     s: &TupleSet,
     t_prime: &[TupleId],
     stats: &mut Stats,
-) -> Option<TupleSet> {
+) -> Option<Union> {
     stats.jcc_checks += 1;
     let mut touches = false;
     let mut added = 0;
@@ -169,6 +178,9 @@ pub fn union_with(
     if !touches {
         return None;
     }
+    if added == 0 {
+        return Some(Union::Same);
+    }
     let mut tuples = Vec::with_capacity(s.len() + added);
     tuples.extend_from_slice(s.tuples());
     let mut bindings = s.bindings().to_vec();
@@ -182,12 +194,15 @@ pub fn union_with(
     // `add_tuple`s would keep it.
     bindings.sort_by_key(|b| b.0);
     bindings.dedup_by_key(|b| b.0);
-    Some(TupleSet::from_parts(tuples, bindings))
+    Some(Union::Grown(TupleSet::from_parts(tuples, bindings)))
 }
 
-/// [`union_with`] of two tuple sets.
+/// [`union_with`] of two tuple sets, as a tuple set.
 pub fn try_union(db: &Database, a: &TupleSet, b: &TupleSet, stats: &mut Stats) -> Option<TupleSet> {
-    union_with(db, a, b.tuples(), stats)
+    union_with(db, a, b.tuples(), stats).map(|u| match u {
+        Union::Same => a.clone(),
+        Union::Grown(set) => set,
+    })
 }
 
 /// Appends `t`'s `(attr, value, t)` bindings, ascending by attribute.

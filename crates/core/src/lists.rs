@@ -8,6 +8,7 @@
 //! ablation benchmark (experiment E10) can compare them; they produce
 //! identical results and differ only in scan work.
 
+use crate::jcc::Union;
 use crate::stats::Stats;
 use crate::tupleset::{is_sorted_subset, TupleSet};
 use fd_relational::fxhash::{FxHashMap, FxHashSet};
@@ -211,7 +212,7 @@ impl IncompleteQueue {
         root: TupleId,
         offer_all: bool,
         stats: &mut Stats,
-        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
+        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<Union>,
     ) -> bool {
         let IncompleteQueue {
             engine,
@@ -229,14 +230,14 @@ impl IncompleteQueue {
                 return false;
             }
             stats.incomplete_scans += 1;
-            match union(s, stats) {
-                Some(u) if *r == root => {
-                    stats.merges += 1;
-                    *s = u;
-                    true
-                }
-                _ => false,
+            let Some(u) = union(s, stats).filter(|_| *r == root) else {
+                return false;
+            };
+            stats.merges += 1;
+            if let Union::Grown(u) = u {
+                *s = u;
             }
+            true
         };
         if *engine == StoreEngine::Indexed {
             let entries = by_root.get(&root).map_or(&[][..], Vec::as_slice);

@@ -41,6 +41,7 @@
 
 use crate::getnext::{Engine, Exact, Frontier, Policy};
 use crate::incremental::FdConfig;
+use crate::jcc::Union;
 use crate::lists::{CompleteStore, StoreEngine};
 use crate::ranking::MonotoneCDetermined;
 use crate::stats::Stats;
@@ -175,7 +176,7 @@ impl LazyQueue {
         root: TupleId,
         indexed: bool,
         stats: &mut Stats,
-        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<TupleSet>,
+        mut union: impl FnMut(&TupleSet, &mut Stats) -> Option<Union>,
         rank_of: impl FnOnce(&TupleSet, &mut Stats) -> f64,
     ) -> bool {
         let LazyQueue {
@@ -197,10 +198,10 @@ impl LazyQueue {
             return false;
         };
         stats.merges += 1;
-        let entry = slots[slot as usize].as_mut().expect("live slot");
-        if u.tuples() == entry.set.tuples() {
+        let Union::Grown(u) = u else {
             return true;
-        }
+        };
+        let entry = slots[slot as usize].as_mut().expect("live slot");
         entry.gen += 1;
         entry.set = u;
         let rank = rank_of(&entry.set, stats);
@@ -482,7 +483,9 @@ fn merge_to_fixpoint<P: Policy>(
                     if let Some(u) = policy.union(db, &sets[i], sets[j].tuples(), stats) {
                         stats.merges += 1;
                         sets.swap_remove(j);
-                        sets[i] = u;
+                        if let Union::Grown(u) = u {
+                            sets[i] = u;
+                        }
                         continue 'fixpoint;
                     }
                 }
@@ -500,7 +503,7 @@ fn merge_to_fixpoint<P: Policy>(
 mod tests {
     use super::*;
     use crate::approx::{AMin, ApproxAllIter, ProbScores};
-    use crate::jcc::{rebuild, try_union};
+    use crate::jcc::{rebuild, union_with};
     use crate::query::FdQuery;
     use crate::ranking::{FMax, FTriple, ImpScores};
     use crate::sim::{EditDistanceSim, ExactSim};
@@ -688,7 +691,7 @@ mod tests {
                 c2,
                 indexed,
                 &mut stats,
-                |s, stats| try_union(&db, s, &noop, stats),
+                |s, stats| union_with(&db, s, noop.tuples(), stats),
                 |_, stats| {
                     stats.rank_evals += 1;
                     1.0
