@@ -163,7 +163,8 @@ pub fn union_with(
 ) -> Option<Union> {
     stats.jcc_checks += 1;
     let mut touches = false;
-    let mut added = 0;
+    // Members and bindings the union adds.
+    let (mut added, mut added_bindings) = (0, 0);
     for &m in t_prime {
         if s.contains(m) {
             touches = true;
@@ -174,6 +175,7 @@ pub fn union_with(
         }
         touches |= agrees_with(db, s.bindings(), m)?;
         added += 1;
+        added_bindings += db.tuple_schema(m).columns_by_attr().len();
     }
     if !touches {
         return None;
@@ -183,7 +185,8 @@ pub fn union_with(
     }
     let mut tuples = Vec::with_capacity(s.len() + added);
     tuples.extend_from_slice(s.tuples());
-    let mut bindings = s.bindings().to_vec();
+    let mut bindings = Vec::with_capacity(s.bindings().len() + added_bindings);
+    bindings.extend_from_slice(s.bindings());
     for &m in t_prime {
         if let Err(pos) = tuples.binary_search(&m) {
             tuples.insert(pos, m);

@@ -1203,6 +1203,25 @@ mod tests {
         assert_eq!((db.index_probes(), db.index_hits()), (5, 2));
     }
 
+    /// Probing with a tuple's own values is probing with its bindings on
+    /// the shared attributes; a null there joins nothing.
+    #[test]
+    fn probe_tuple_uses_the_tuples_shared_values() {
+        let db = tourist_db();
+        let probe_tuple = |rel: u16, t: u32| {
+            let mut out = vec![TupleId(99)];
+            db.probe_tuple(RelId(rel), TupleId(t), &mut out);
+            out
+        };
+        // a2 (Canada, London) against Sites: Country and City agree on s1.
+        assert_eq!(probe_tuple(2, 4), vec![TupleId(99), TupleId(6)]);
+        // c1 (Canada) against Sites: Country only — s1 and s2.
+        assert_eq!(probe_tuple(2, 0), vec![TupleId(99), TupleId(6), TupleId(7)]);
+        // s2's City is ⊥: no Accommodations tuple joins it.
+        assert_eq!(probe_tuple(1, 7), vec![TupleId(99)]);
+        assert_eq!((db.index_probes(), db.index_hits()), (3, 3));
+    }
+
     #[test]
     fn probe_multi_attr_intersection() {
         let db = tourist_db();

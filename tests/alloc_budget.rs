@@ -8,7 +8,7 @@
 //! the heap traffic of a run is a handful of allocations per result, not
 //! per candidate. A regression to per-candidate allocation multiplies
 //! the counts below many times over; each budget is the measured count
-//! (17,921 for `sparse`, 28,843 for `dense`) plus about 25% headroom;
+//! (17,396 for `sparse`, 28,470 for `dense`) plus about 25% headroom;
 //! building a tuple set per candidate costs 225,666 and 1,038,788.
 //!
 //! The allocator counts per thread (every `alloc` and `realloc` call of
@@ -73,7 +73,7 @@ fn sparse_full_run_stays_within_its_allocation_budget() {
     let (answers, allocations) = full_run(&db);
     assert_eq!(answers, 626);
     assert!(
-        allocations <= 22_400,
+        allocations <= 21_700,
         "{allocations} allocations for {answers} answers"
     );
 }
@@ -84,7 +84,7 @@ fn dense_full_run_stays_within_its_allocation_budget() {
     let (answers, allocations) = full_run(&db);
     assert_eq!(answers, 945);
     assert!(
-        allocations <= 36_100,
+        allocations <= 35_600,
         "{allocations} allocations for {answers} answers"
     );
 }
