@@ -484,7 +484,10 @@ impl Database {
         let start = out.len();
         out.extend(first.iter().copied().map(TupleId));
         for (k, (slot, v)) in pairs.enumerate() {
-            if k == k_first || out.len() == start {
+            if out.len() == start {
+                break;
+            }
+            if k == k_first {
                 continue;
             }
             let other = list(slot, v);
