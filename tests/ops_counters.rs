@@ -12,7 +12,8 @@
 
 use full_disjunction::core::delta::delta_insert_many;
 use full_disjunction::core::{
-    AMin, EditDistanceSim, FMax, FdConfig, FdQuery, ImpScores, ProbScores, Stats, TupleSet,
+    AMin, EditDistanceSim, FMax, FPairSum, FdConfig, FdQuery, ImpScores, ProbScores, Stats,
+    TupleSet,
 };
 use full_disjunction::relational::{tourist_database, Database, RelId, Value};
 use full_disjunction::workloads::{chain, star, DataSpec};
@@ -55,6 +56,7 @@ fn row(db_name: &str, mode: &str, sets: &[TupleSet], stats: &Stats) -> String {
 fn query_rows(db_name: &str, db: &Database, out: &mut String) {
     let imp = ImpScores::from_fn(db, |t| f64::from((t.0 * 7) % 11));
     let f = FMax::new(&imp);
+    let pair_sum = FPairSum::new(&imp);
     let a = AMin::new(EditDistanceSim, ProbScores::uniform(db, 1.0));
     let paged = FdConfig {
         page_size: Some(4),
@@ -93,6 +95,15 @@ fn query_rows(db_name: &str, db: &Database, out: &mut String) {
                 .approx(&a, TAU)
                 .ranked(&f)
                 .top_k(K),
+        ),
+        // A c = 2 ranking: Fig. 3's seeding grows pairs before it merges.
+        (
+            "ranked_pairsum_top5",
+            FdQuery::over(db).ranked(&pair_sum).top_k(K),
+        ),
+        (
+            "ranked_approx_pairsum_top5",
+            FdQuery::over(db).approx(&a, TAU).ranked(&pair_sum).top_k(K),
         ),
     ];
     for (mode, query) in plans {
