@@ -390,8 +390,8 @@ fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
 /// such a set may disagree on shared attributes, so nothing here relies
 /// on bindings. Line 7 takes its candidates from
 /// [`ApproxJoin::candidates`] when the join function bounds them (for
-/// [`AMin`] and [`AProd`], when their similarity does); the extension
-/// and the seed growth scan whole relations.
+/// [`AMin`] and [`AProd`], when their similarity does), and so does
+/// Fig. 3's seed growth; the extension scans whole relations.
 #[derive(Debug)]
 pub struct Approx<A> {
     a: A,
@@ -412,7 +412,6 @@ impl<A: ApproxJoin> Approx<A> {
 
 impl<A: ApproxJoin> Policy for Approx<A> {
     const OFFER_EVERY_ENTRY: bool = false;
-    const PREORDER_SEEDS: bool = false;
     type Ref<'a>
         = Approx<&'a A>
     where
@@ -489,27 +488,6 @@ impl<A: ApproxJoin> Policy for Approx<A> {
                 Union::Same
             }
         })
-    }
-
-    /// All acceptable one-tuple growths, scanning every tuple (antitone
-    /// `A` guarantees the growth reaches every acceptable set).
-    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, mut f: impl FnMut(TupleSet)) {
-        for t in db.all_tuples() {
-            let rel = db.rel_of(t);
-            if set.contains(t)
-                || set.tuple_from(db, rel).is_some()
-                || !set
-                    .tuples()
-                    .iter()
-                    .any(|&m| db.rels_connected(db.rel_of(m), rel))
-            {
-                continue;
-            }
-            let members = with_member(set.tuples(), t);
-            if self.accepts(db, &members, stats) {
-                f(rebuild(db, members));
-            }
-        }
     }
 }
 

@@ -49,11 +49,10 @@
 //! through the posting lists, the approximate one through its join
 //! function's similarity probe. A relation the policy cannot bound is
 //! scanned, and so is every relation of a block-based run
-//! ([`scan_tuples_from`]).
+//! ([`scan_tuples_from`]). Fig. 3's seed growth shares the bound
+//! ([`candidate_bound`]).
 
-use crate::jcc::{
-    add_tuple, can_add, extend_to_maximal_from, maximal_subset_into, rebuild, union_with, Union,
-};
+use crate::jcc::{extend_to_maximal_from, maximal_subset_into, rebuild, union_with, Union};
 use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
 use crate::tupleset::{member_from, TupleSet};
@@ -63,9 +62,11 @@ use fd_relational::{Database, RelId, TupleId};
 use std::cell::RefCell;
 
 /// What "consistent" means for one execution: the predicate behind the
-/// extension (lines 2–6), the maximal subsets (line 8), the merge
-/// (lines 14–15) and the `≤ c` seed enumeration of Fig. 3. Implemented by
-/// [`Exact`] and [`Approx`](crate::Approx).
+/// extension (lines 2–6), the maximal subsets (line 8) and the merge
+/// (lines 14–15). Fig. 3's `≤ c` seed enumeration needs nothing more: it
+/// grows a set by the [`candidate_bound`] tuples whose one-tuple
+/// [`union`](Policy::union) grows it. Implemented by [`Exact`] and
+/// [`Approx`](crate::Approx).
 pub trait Policy {
     /// Does the list-scan store (`StoreEngine::Scan`) offer line 14's
     /// `T′` to every `Incomplete` entry, as Fig. 2 does? The exact policy
@@ -75,12 +76,6 @@ pub trait Policy {
     /// first in pop order takes it, under both stores.
     const OFFER_EVERY_ENTRY: bool;
 
-    /// Visit order of the `≤ c` enumeration: `true` walks the growth tree
-    /// in preorder, ascending ids first; `false` pops the most recently
-    /// found set first. The fixpoint merge after the enumeration depends
-    /// on that order when merge partners are not unique.
-    const PREORDER_SEEDS: bool;
-
     /// The policy borrowed, for parallel workers sharing one policy.
     type Ref<'a>: Policy
     where
@@ -89,12 +84,13 @@ pub trait Policy {
     /// Borrows the policy (see [`Policy::Ref`]).
     fn by_ref(&self) -> Self::Ref<'_>;
 
-    /// Line 7's candidates of relation `rel` against the member `m` of the
-    /// popped set, where `rel` shares an attribute with `m`'s relation:
-    /// appends to `out`, in any order, a superset of the tuples `tb` of
-    /// `rel` for which `{m, tb}` is consistent, and returns `true`.
-    /// Returns `false` when the policy cannot bound them; line 7 then
-    /// scans `rel`.
+    /// The candidates of relation `rel` against the member `m` of a set,
+    /// where `rel` shares an attribute with `m`'s relation: appends to
+    /// `out`, in any order, a superset of the tuples `tb` of `rel` for
+    /// which `{m, tb}` is consistent, and returns `true`. Returns `false`
+    /// when the policy cannot bound them; the caller then scans `rel`.
+    /// Line 7 and Fig. 3's seed growth read it through
+    /// [`candidate_bound`].
     fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool;
 
     /// May the singleton `{t}` seed a run (Fig. 5 line 3*)?
@@ -124,10 +120,6 @@ pub trait Policy {
         t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<Union>;
-
-    /// Fig. 3 line 4: calls `f` on every consistent one-tuple growth of
-    /// `set`, in the enumeration's visit order.
-    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, f: impl FnMut(TupleSet));
 }
 
 thread_local! {
@@ -143,7 +135,6 @@ pub struct Exact;
 
 impl Policy for Exact {
     const OFFER_EVERY_ENTRY: bool = true;
-    const PREORDER_SEEDS: bool = true;
     type Ref<'a> = Exact;
 
     fn by_ref(&self) -> Exact {
@@ -188,23 +179,6 @@ impl Policy for Exact {
         stats: &mut Stats,
     ) -> Option<Union> {
         union_with(db, s, t_prime, stats)
-    }
-
-    fn grow(&self, db: &Database, set: &TupleSet, stats: &mut Stats, mut f: impl FnMut(TupleSet)) {
-        // Candidates via the join-column indexes: the sorted union of the
-        // per-relation probes visits tuples in ascending id order. The
-        // probe only skips tuples whose bound shared attribute already
-        // disagrees with `set`; `can_add` stays the authoritative check.
-        let mut candidates: Vec<TupleId> = Vec::new();
-        for rel_idx in 0..db.num_relations() {
-            db.probe(RelId(rel_idx as u16), set.bindings(), &mut candidates);
-        }
-        candidates.sort_unstable();
-        for t in candidates {
-            if !set.contains(t) && can_add(db, set, t, stats) {
-                f(add_tuple(db, set, t));
-            }
-        }
     }
 }
 
@@ -306,17 +280,34 @@ fn scan_tuples_from(db: &Database, rel_min: usize, pager: &Pager<'_>, mut f: imp
     }
 }
 
+/// The tuples of relation `rel` that can join the set with the sorted
+/// member list `members`: appends to `out` the union of the policy's
+/// [`candidates`](Policy::candidates) over the members of other relations
+/// sharing an attribute with `rel`, and returns `true` — nothing when no
+/// member is adjacent. Returns `false` when the policy cannot bound one of
+/// them. The bound is exact for any consistent connected `S ∋ tb` of two
+/// or more tuples drawn from the set plus `tb`: `S` holds an adjacent
+/// member `m`, and its connected subset `{m, tb}` is consistent too
+/// (`JCC` and an acceptable `A ≥ τ` are both antitone). Line 7 and
+/// Fig. 3's seed growth both bound their candidates here.
+pub(crate) fn candidate_bound<P: Policy>(
+    db: &Database,
+    policy: &P,
+    members: &[TupleId],
+    rel: RelId,
+    out: &mut Vec<TupleId>,
+) -> bool {
+    members.iter().all(|&m| {
+        let rel_m = db.rel_of(m);
+        rel_m == rel || !db.rels_connected(rel_m, rel) || policy.candidates(db, m, rel, out)
+    })
+}
+
 /// Line 7 restricted to the candidates that can give `T′ ≠ {tb}`: applies
-/// `f` to the live tuples of relations `rel_min..n` that `policy` bounds
-/// against at least one schema-adjacent member of `set` (another relation
-/// sharing an attribute), in a scan's order — relation by relation,
-/// ascending id within each. A consistent `T′ ∋ tb` of two or more tuples
-/// is connected, so it holds such a member `m`, and its connected subset
-/// `{m, tb}` is consistent too (`JCC` and an acceptable `A ≥ τ` are both
-/// antitone). Any other `tb` has `T′ = {tb}`. A relation's candidates are
-/// the union of the policy's [`candidates`](Policy::candidates) over the
-/// adjacent members, or all of its tuples when the policy cannot bound
-/// one of them.
+/// `f` to the live tuples of relations `rel_min..n` within the
+/// [`candidate_bound`] of `set`, in a scan's order — relation by
+/// relation, ascending id within each. Any other `tb` has `T′ = {tb}`. A
+/// relation the policy cannot bound is scanned whole.
 fn adjacent_candidates<P: Policy>(
     db: &Database,
     policy: &P,
@@ -324,16 +315,11 @@ fn adjacent_candidates<P: Policy>(
     rel_min: usize,
     mut f: impl FnMut(TupleId),
 ) {
-    let members: Vec<(TupleId, RelId)> = set.tuples().iter().map(|&m| (m, db.rel_of(m))).collect();
     let mut ids: Vec<TupleId> = Vec::new();
     for rel_idx in rel_min..db.num_relations() {
         let rel = RelId(rel_idx as u16);
         ids.clear();
-        let bounded = members
-            .iter()
-            .filter(|&&(_, rel_m)| rel_m != rel && db.rels_connected(rel_m, rel))
-            .all(|&(m, _)| policy.candidates(db, m, rel, &mut ids));
-        if !bounded {
+        if !candidate_bound(db, policy, set.tuples(), rel, &mut ids) {
             db.tuples_of(rel).for_each(&mut f);
             continue;
         }

@@ -39,7 +39,7 @@
 //! unit of the crate's parallel ranked driver, which sorts the workers'
 //! answers once into the full ranking.
 
-use crate::getnext::{Engine, Exact, Frontier, Policy};
+use crate::getnext::{candidate_bound, Engine, Exact, Frontier, Policy};
 use crate::incremental::FdConfig;
 use crate::jcc::Union;
 use crate::lists::{CompleteStore, StoreEngine};
@@ -421,8 +421,9 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
 
 /// Enumerates every consistent tuple set with at most `c` members that
 /// contains a tuple of `ri` (Fig. 3 line 4), by consistency-preserving
-/// growth from each admitted `ri` tuple, in the policy's visit order.
-/// Returns `(root, set)` pairs, deduplicated.
+/// growth from each admitted `ri` tuple, walking the growth tree in
+/// preorder, ascending ids first. Returns `(root, set)` pairs,
+/// deduplicated.
 fn enumerate_bounded<P: Policy>(
     db: &Database,
     policy: &P,
@@ -437,23 +438,48 @@ fn enumerate_bounded<P: Policy>(
         .filter(|&t| policy.admits(db, t, stats))
         .map(|t| (t, TupleSet::singleton(db, t)))
         .collect();
-    if P::PREORDER_SEEDS {
-        stack.reverse();
-    }
+    stack.reverse();
     while let Some((root, set)) = stack.pop() {
         if !seen.insert(set.tuples().into()) {
             continue;
         }
         if set.len() < c {
             let first_child = stack.len();
-            policy.grow(db, &set, stats, |grown| stack.push((root, grown)));
-            if P::PREORDER_SEEDS {
-                stack[first_child..].reverse();
-            }
+            for_each_growth(db, policy, &set, stats, |grown| stack.push((root, grown)));
+            stack[first_child..].reverse();
         }
         out.push((root, set));
     }
     out
+}
+
+/// Calls `f` on every consistent one-tuple growth `set ∪ {t}`, ascending
+/// by `t`. A connected growth adds a tuple of an unrepresented relation
+/// adjacent to some member, so `t` lies within `set`'s
+/// [`candidate_bound`]; the policy's union decides the rest.
+fn for_each_growth<P: Policy>(
+    db: &Database,
+    policy: &P,
+    set: &TupleSet,
+    stats: &mut Stats,
+    mut f: impl FnMut(TupleSet),
+) {
+    let mut ids: Vec<TupleId> = Vec::new();
+    for rel_idx in 0..db.num_relations() {
+        let rel = RelId(rel_idx as u16);
+        if set.tuple_from(db, rel).is_none()
+            && !candidate_bound(db, policy, set.tuples(), rel, &mut ids)
+        {
+            ids.extend(db.tuples_of(rel));
+        }
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    for t in ids {
+        if let Some(Union::Grown(grown)) = policy.union(db, set, &[t], stats) {
+            f(grown);
+        }
+    }
 }
 
 /// Fig. 3 lines 5–8: repeatedly replace mergeable pairs by their union.
