@@ -484,7 +484,11 @@ fn for_each_growth<P: Policy>(
 
 /// Fig. 3 lines 5–8: repeatedly replace mergeable pairs by their union.
 /// Only sets sharing the same `ri` root can merge (a valid set holds one
-/// tuple per relation), so the fixpoint runs per root bucket.
+/// tuple per relation), so the fixpoint runs per root bucket. After a
+/// merge into `sets[i]` the scan resumes at `i`: every pair before it
+/// still fails, since a failed union of two root-sharing sets keeps
+/// failing as one side grows (a relation clash or value conflict stays,
+/// and `JCC` and an acceptable `A ≥ τ` are antitone).
 fn merge_to_fixpoint<P: Policy>(
     db: &Database,
     policy: &P,
@@ -503,20 +507,21 @@ fn merge_to_fixpoint<P: Policy>(
     let mut out = Vec::new();
     for root in root_order {
         let mut sets = buckets.remove(&root).expect("bucket exists");
-        'fixpoint: loop {
-            for i in 0..sets.len() {
-                for j in (i + 1)..sets.len() {
-                    if let Some(u) = policy.union(db, &sets[i], sets[j].tuples(), stats) {
-                        stats.merges += 1;
-                        sets.swap_remove(j);
-                        if let Union::Grown(u) = u {
-                            sets[i] = u;
-                        }
-                        continue 'fixpoint;
-                    }
-                }
+        let mut i = 0;
+        while i < sets.len() {
+            let partner = (i + 1..sets.len()).find_map(|j| {
+                let u = policy.union(db, &sets[i], sets[j].tuples(), stats)?;
+                Some((j, u))
+            });
+            let Some((j, u)) = partner else {
+                i += 1;
+                continue;
+            };
+            stats.merges += 1;
+            sets.swap_remove(j);
+            if let Union::Grown(u) = u {
+                sets[i] = u;
             }
-            break;
         }
         for set in sets {
             out.push((root, set));
