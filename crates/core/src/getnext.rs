@@ -50,7 +50,7 @@
 //! function's similarity probe. A relation the policy cannot bound is
 //! scanned, and so is every relation of a block-based run
 //! ([`scan_tuples_from`]). Fig. 3's seed growth shares the bound
-//! ([`candidate_bound`]).
+//! (`candidate_bound`).
 
 use crate::jcc::{extend_to_maximal_from, maximal_subset_into, rebuild, union_with, Union};
 use crate::lists::{CompleteStore, IncompleteQueue, Printed};
@@ -64,7 +64,7 @@ use std::cell::RefCell;
 /// What "consistent" means for one execution: the predicate behind the
 /// extension (lines 2–6), the maximal subsets (line 8) and the merge
 /// (lines 14–15). Fig. 3's `≤ c` seed enumeration needs nothing more: it
-/// grows a set by the [`candidate_bound`] tuples whose one-tuple
+/// grows a set by the `candidate_bound` tuples whose one-tuple
 /// [`union`](Policy::union) grows it. Implemented by [`Exact`] and
 /// [`Approx`](crate::Approx).
 pub trait Policy {
@@ -90,7 +90,7 @@ pub trait Policy {
     /// which `{m, tb}` is consistent, and returns `true`. Returns `false`
     /// when the policy cannot bound them; the caller then scans `rel`.
     /// Line 7 and Fig. 3's seed growth read it through
-    /// [`candidate_bound`].
+    /// `candidate_bound`.
     fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool;
 
     /// May the singleton `{t}` seed a run (Fig. 5 line 3*)?
@@ -305,7 +305,7 @@ pub(crate) fn candidate_bound<P: Policy>(
 
 /// Line 7 restricted to the candidates that can give `T′ ≠ {tb}`: applies
 /// `f` to the live tuples of relations `rel_min..n` within the
-/// [`candidate_bound`] of `set`, in a scan's order — relation by
+/// `candidate_bound` of `set`, in a scan's order — relation by
 /// relation, ascending id within each. Any other `tb` has `T′ = {tb}`. A
 /// relation the policy cannot bound is scanned whole.
 fn adjacent_candidates<P: Policy>(

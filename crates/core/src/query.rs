@@ -160,13 +160,17 @@ impl<'q> FdQuery<'q> {
     ///
     /// Emission is deterministic: answers of equal rank arrive in
     /// canonical (member-id) order, for every engine and thread count.
+    /// The sequential plan enumerates a whole tie group before it sorts
+    /// and releases it, so under a ranking with few distinct values a
+    /// bound pays for the entire tie group it cuts into.
     pub fn ranked(mut self, f: impl MonotoneCDetermined + Send + Sync + 'q) -> Self {
         self.ranking = Some(Box::new(f));
         self
     }
 
     /// Bounds a ranked query to the k highest-ranking answers
-    /// (Theorem 5.5). Requires [`ranked`](Self::ranked).
+    /// (Theorem 5.5). Requires [`ranked`](Self::ranked). The whole tie
+    /// group at the k-th rank is enumerated first (see `ranked`).
     pub fn top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k);
         self

@@ -113,7 +113,7 @@ impl TupleSet {
         self.tuples.binary_search(&t).is_ok()
     }
 
-    /// The member from relation `rel`, if any (see [`member_from`]).
+    /// The member from relation `rel`, if any (see `member_from`).
     pub fn tuple_from(&self, db: &Database, rel: RelId) -> Option<TupleId> {
         member_from(db, &self.tuples, rel)
     }
@@ -132,7 +132,7 @@ impl TupleSet {
         rels
     }
 
-    /// Is this a subset of `other`? (See [`is_sorted_subset`].)
+    /// Is this a subset of `other`? (See `is_sorted_subset`.)
     pub fn is_subset_of(&self, other: &TupleSet) -> bool {
         is_sorted_subset(&self.tuples, &other.tuples)
     }

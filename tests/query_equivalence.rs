@@ -216,12 +216,36 @@ fn parallel_ranked_top_k_and_threshold_match_sequential() {
     }
 }
 
+/// `db` after inserting two rows into every relation (each a copy of a
+/// live row with its last column taken from another row, so the copies
+/// get overflow ids and join differently) and deleting one row per
+/// relation.
+fn churned(mut db: Database) -> Database {
+    for r in 0..db.num_relations() {
+        let rel = RelId(r as u16);
+        let rows: Vec<TupleId> = db.tuples_of(rel).collect();
+        for k in 0..2 {
+            let mut values = db.tuple_values(rows[(3 * k + 1) % rows.len()]).to_vec();
+            let last = values.len() - 1;
+            values[last] = db.tuple_values(rows[(5 * k + 2) % rows.len()])[last].clone();
+            db.insert_tuple(rel, values).unwrap();
+        }
+    }
+    for r in 0..db.num_relations() {
+        let t = db.tuples_of(RelId(r as u16)).nth(2).unwrap();
+        db.remove_tuple(t).unwrap();
+    }
+    db
+}
+
 /// The sequential and parallel ranked plans against an oracle that
 /// ranks every answer of the unranked plan and sorts once by
 /// `canonical_rank_order`: the same sets, ranks and order, and the same
 /// prefixes under `.top_k` (at a tie boundary) and `.threshold`, over
-/// seeded chain/star databases and rankings. Covers the exact mode and a
-/// non-exact similarity.
+/// seeded chain/star databases, one of them churned by inserts and
+/// deletes, and rankings with c = 1, 2 and 3, whose Fig. 3 seeding grows
+/// sets of up to c tuples before merging them. Covers the exact mode and
+/// a non-exact similarity.
 #[test]
 fn parallel_ranked_is_the_sorted_full_disjunction() {
     for seed in 0..5u64 {
@@ -231,11 +255,26 @@ fn parallel_ranked_is_the_sorted_full_disjunction() {
                 star(3, &DataSpec::new(8, 4).typos(0.3).seed(5 + seed)),
             ),
             ("chain4", chain(4, &DataSpec::new(10, 4).seed(3 + seed))),
+            (
+                "churned_star3",
+                churned(star(3, &DataSpec::new(8, 4).typos(0.3).seed(21 + seed))),
+            ),
         ];
         for (name, db) in &dbs {
             let m = [5, 3, 7][seed as usize % 3];
             let imp = ImpScores::from_fn(db, |t| (t.0 % m) as f64);
-            let f = FMax::new(&imp);
+            let (f_max, pair_sum, triple) =
+                (FMax::new(&imp), FPairSum::new(&imp), FTriple::new(&imp));
+            // Seed 0's τ 0.6 case is the slowest, and c = 3 seeding the
+            // costliest: FPairSum runs on four seeds, FTriple on two.
+            let mut rankings: Vec<(&str, &(dyn MonotoneCDetermined + Sync))> =
+                vec![("FMax", &f_max)];
+            if seed >= 1 {
+                rankings.push(("FPairSum", &pair_sum));
+            }
+            if seed >= 3 {
+                rankings.push(("FTriple", &triple));
+            }
             let a = AMin::new(EditDistanceSim, ProbScores::uniform(db, 1.0));
             // τ 0.6 triples chain4's answer count; one seed runs it.
             let taus = if seed == 0 {
@@ -243,42 +282,46 @@ fn parallel_ranked_is_the_sorted_full_disjunction() {
             } else {
                 &[None, Some(0.8)][..]
             };
-            for &tau in taus {
-                let query = || match tau {
-                    None => FdQuery::over(db),
-                    Some(tau) => FdQuery::over(db).approx(&a, tau),
-                };
-                let mut oracle: Vec<(TupleSet, f64)> = query()
-                    .run()
-                    .unwrap()
-                    .into_sets()
-                    .into_iter()
-                    .map(|set| {
-                        let r = f.rank(db, &set);
-                        (set, r)
-                    })
-                    .collect();
-                oracle.sort_by(|x, y| canonical_rank_order(x.1, &x.0, y.1, &y.0));
-                // A cut inside a tie group when there is one, else the middle.
-                let k = (1..oracle.len())
-                    .find(|&i| oracle[i - 1].1 == oracle[i].1)
-                    .unwrap_or(oracle.len() / 2);
-                let r = oracle[oracle.len() / 2].1;
-                let above = oracle.iter().take_while(|x| x.1 >= r).count();
-                for threads in [None, Some(2usize), Some(3)] {
-                    let ctx = format!("{name} seed={seed} m={m} τ={tau:?} threads={threads:?}");
-                    let run = |q: FdQuery<'_>| match threads {
-                        None => q.run(),
-                        Some(t) => q.parallel(t).run(),
+            for (f_name, f) in rankings {
+                for &tau in taus {
+                    let query = || match tau {
+                        None => FdQuery::over(db),
+                        Some(tau) => FdQuery::over(db).approx(&a, tau),
                     };
-                    let run = |q| run(q).unwrap().into_ranked().unwrap();
-                    assert_eq!(run(query().ranked(&f)), oracle, "{ctx}");
-                    assert_eq!(run(query().ranked(&f).top_k(k)), oracle[..k], "{ctx} k={k}");
-                    assert_eq!(
-                        run(query().ranked(&f).threshold(r)),
-                        oracle[..above],
-                        "{ctx} r={r}"
-                    );
+                    let mut oracle: Vec<(TupleSet, f64)> = query()
+                        .run()
+                        .unwrap()
+                        .into_sets()
+                        .into_iter()
+                        .map(|set| {
+                            let r = f.rank(db, &set);
+                            (set, r)
+                        })
+                        .collect();
+                    oracle.sort_by(|x, y| canonical_rank_order(x.1, &x.0, y.1, &y.0));
+                    // A cut inside a tie group when there is one, else the middle.
+                    let k = (1..oracle.len())
+                        .find(|&i| oracle[i - 1].1 == oracle[i].1)
+                        .unwrap_or(oracle.len() / 2);
+                    let r = oracle[oracle.len() / 2].1;
+                    let above = oracle.iter().take_while(|x| x.1 >= r).count();
+                    for threads in [None, Some(2usize), Some(3)] {
+                        let ctx = format!(
+                            "{name} seed={seed} m={m} {f_name} τ={tau:?} threads={threads:?}"
+                        );
+                        let run = |q: FdQuery<'_>| match threads {
+                            None => q.run(),
+                            Some(t) => q.parallel(t).run(),
+                        };
+                        let run = |q| run(q).unwrap().into_ranked().unwrap();
+                        assert_eq!(run(query().ranked(f)), oracle, "{ctx}");
+                        assert_eq!(run(query().ranked(f).top_k(k)), oracle[..k], "{ctx} k={k}");
+                        assert_eq!(
+                            run(query().ranked(f).threshold(r)),
+                            oracle[..above],
+                            "{ctx} r={r}"
+                        );
+                    }
                 }
             }
         }
