@@ -33,6 +33,7 @@ use crate::stats::Stats;
 use crate::tupleset::{is_sorted_subset, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, RelId, TupleId};
+use std::cell::RefCell;
 
 /// Per-tuple correctness probabilities `prob(t)` (Section 6), in `[0,1]`.
 #[derive(Debug, Clone)]
@@ -181,12 +182,29 @@ fn pair_connected(db: &Database, t1: TupleId, t2: TupleId) -> bool {
     db.rels_connected(db.rel_of(t1), db.rel_of(t2))
 }
 
-/// Is the member list connected as a tuple set?
+thread_local! {
+    /// [`members_connected`]'s working copy of the members, reused.
+    static COMPONENT: RefCell<Vec<TupleId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Is the member list a structurally valid, connected tuple set: its
+/// members from distinct relations whose relations are connected? Runs
+/// on every score, so it allocates nothing.
 fn members_connected(db: &Database, members: &[TupleId]) -> bool {
-    let mut rels: Vec<RelId> = members.iter().map(|&t| db.rel_of(t)).collect();
-    rels.sort_unstable();
-    rels.dedup();
-    rels.len() == members.len() && db.subset_connected(&rels)
+    let distinct = members.iter().enumerate().all(|(i, &t)| {
+        let rel = db.rel_of(t);
+        members[..i].iter().all(|&u| db.rel_of(u) != rel)
+    });
+    let Some(&first) = members.first() else {
+        return true;
+    };
+    distinct
+        && COMPONENT.with_borrow_mut(|component| {
+            component.clear();
+            component.extend_from_slice(members);
+            retain_component(db, component, db.rel_of(first));
+            component.len() == members.len()
+        })
 }
 
 /// `A_min` (Example 6.1): the minimum over member probabilities and the
@@ -474,20 +492,17 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<Union> {
+        // As `jcc::union_with`: the member list is built only when the
+        // union grows `S`.
+        if t_prime.iter().all(|&t| s.contains(t)) {
+            let same = members_connected(db, s.tuples()) && self.accepts(db, s.tuples(), stats);
+            return same.then_some(Union::Same);
+        }
         let mut members: Vec<TupleId> = s.tuples().iter().chain(t_prime).copied().collect();
         members.sort_unstable();
         members.dedup();
-        if !members_connected(db, &members) {
-            return None;
-        }
-        let grows = members.len() > s.len();
-        self.accepts(db, &members, stats).then(|| {
-            if grows {
-                Union::Grown(rebuild(db, members))
-            } else {
-                Union::Same
-            }
-        })
+        let grown = members_connected(db, &members) && self.accepts(db, &members, stats);
+        grown.then(|| Union::Grown(rebuild(db, members)))
     }
 }
 

@@ -28,10 +28,10 @@
 //! posting lists hand each delta only the results it touches. The session
 //! layer (`crate::session`) keeps one store and maintains it.
 
-use crate::getnext::{Engine, Exact, Fifo};
-use crate::incremental::FdConfig;
+use crate::getnext::{Engine, Exact};
+use crate::incremental::{FdConfig, Fifo};
 use crate::jcc::{extend_to_maximal, rebuild, retain_component};
-use crate::lists::{CompleteStore, IncompleteQueue};
+use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::{FxHashMap, FxHashSet};
@@ -246,25 +246,26 @@ fn insert_in(
     for &t in seeds {
         queue.push(t, TupleSet::singleton(db, t), &mut stats);
     }
-    let fifo = Fifo {
-        ri: db.rel_of(seeds[0]),
-        queue,
-    };
-    let complete = CompleteStore::new(cfg.engine);
-    let mut engine = Engine::new(db, Exact, fifo, complete, cfg.page_size, stats);
-    engine.seeds = seeds.to_vec();
-
+    let mut fifo = Fifo::new(db.rel_of(seeds[0]), queue, CompleteStore::new(cfg.engine));
+    fifo.seeds = seeds.to_vec();
+    let mut engine = Engine::new(db, Exact, fifo, cfg.page_size, stats);
+    let mut printed = Printed::default();
     let mut added: Vec<TupleSet> = Vec::new();
-    while let Some((_, set)) = engine.get_next_result() {
+    while let Some((ri, _, set)) = engine.pop_extend() {
         engine.stats.results += 1;
-        // The Complete store already suppresses subsets of printed sets;
-        // the exact-print set additionally drops exact re-derivations
-        // (two seeds contained in one maximal set each derive it once).
-        if engine.printed.insert(set.tuples()) {
-            let roots: Vec<TupleId> = seeds.iter().copied().filter(|&s| set.contains(s)).collect();
-            engine.complete.insert(set.tuples(), &roots);
-            added.push(set);
+        // Two seeds in one maximal set each derive it. A re-derivation
+        // of a printed set is not printed again, and its candidate loop
+        // is skipped: line 7 depends only on the set, so it would
+        // regenerate the `T′` the first derivation already processed.
+        if !printed.insert(set.tuples()) {
+            continue;
         }
+        engine.derive(ri, &set);
+        // The set registers under every seed it contains, so line 11
+        // drops a subset whatever its root.
+        let roots: Vec<TupleId> = seeds.iter().copied().filter(|&s| set.contains(s)).collect();
+        engine.frontier.complete.insert(set.tuples(), &roots);
+        added.push(set);
     }
     let mut stats = engine.stats;
 
@@ -360,7 +361,7 @@ fn delete_in(db: &Database, removed: &[TupleId], prev: &ResultStore<'_>) -> Dele
 /// The net effect of one batched commit (k mutations, one maintenance
 /// pass) on the full disjunction.
 #[derive(Debug, Clone, Default)]
-pub struct BatchDelta {
+pub(crate) struct BatchDelta {
     /// Previous results that must be retracted: sets touching a removed
     /// tuple, plus sets subsumed by a new maximal set.
     pub retracted: Vec<TupleSet>,

@@ -23,21 +23,26 @@
 //! * a **consistency [`Policy`]** — [`Exact`] (`JCC`, lines 2, 8 and 14
 //!   as written) or [`Approx`](crate::Approx) (`A(·) ≥ τ`, the starred
 //!   lines of Figs. 5–6);
-//! * a **[`Frontier`]** — the FIFO [`Fifo`] list of Fig. 1, or one rank
-//!   heap per relation for Fig. 3 (`priority::RankHeaps`).
+//! * a **[`Frontier`]** — the FIFO list of Fig. 1 (`incremental::Fifo`),
+//!   or one rank heap per relation for Fig. 3 (`priority::RankHeaps`),
+//!   each kept beside its driver.
 //!
 //! The four algorithms are the four combinations; the exactly-once
 //! drivers, the parallel drivers and delta maintenance all run this one
-//! candidate loop.
+//! candidate loop. The engine holds only the database, the policy, the
+//! frontier, the pager and the counters. Lines 10 and 11 ask the
+//! frontier ([`Frontier::root_of`], [`Frontier::covered`]), which owns
+//! the `Complete` list(s) and, in a delta run, the seed tuples. Printing
+//! (Section 4's exactly-once rule, Fig. 3 line 17) is the drivers' part:
+//! [`Engine::get_next_result`] returns each extension to its caller.
 //!
 //! Line 8's `T′` is a sorted member list, not a tuple set: the policy
 //! writes it into a reused buffer ([`Policy::for_each_subset`]), and
-//! lines 10–14 read the slice — the root test, the seeded memo, line
-//! 11's containment test and line 14's union. A [`TupleSet`] with its
-//! bindings is built only for a merge that grows an entry (line 14) or
-//! for a new `Incomplete` entry (line 18), so a candidate that lines
-//! 10–11 drop, or that merges into an entry already holding it,
-//! allocates nothing.
+//! lines 10–14 read the slice — the root test, line 11's containment
+//! test and line 14's union. A [`TupleSet`] with its bindings is built
+//! only for a merge that grows an entry (line 14) or for a new
+//! `Incomplete` entry (line 18), so a candidate that lines 10–11 drop,
+//! or that merges into an entry already holding it, allocates nothing.
 //!
 //! Line 7 is written as a scan of every tuple, but a candidate that is
 //! consistent with no schema-adjacent member of `T` has `T′ = {tb}`,
@@ -53,10 +58,8 @@
 //! (`candidate_bound`).
 
 use crate::jcc::{extend_to_maximal_from, maximal_subset_into, rebuild, union_with, Union};
-use crate::lists::{CompleteStore, IncompleteQueue, Printed};
 use crate::stats::Stats;
 use crate::tupleset::{member_from, TupleSet};
-use fd_relational::fxhash::FxHashSet;
 use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
 use std::cell::RefCell;
@@ -182,7 +185,8 @@ impl Policy for Exact {
     }
 }
 
-/// Where pending tuple sets wait: the `Incomplete` list(s).
+/// Where pending tuple sets wait: the `Incomplete` list(s), with the
+/// state lines 10 and 11 read.
 ///
 /// Both frontiers merge `T′` only into an entry sharing its root (the
 /// ranked queues by Lemma 4.4: each holds roots of one relation), and a
@@ -194,6 +198,16 @@ pub(crate) trait Frontier {
     /// Line 1: removes the next pending set, with the relation `Ri` of
     /// the list it came from and its root (its tuple of `Ri`).
     fn pop(&mut self, stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)>;
+
+    /// Line 10: the root of `t_prime` in `Ri`'s list, if it has one — by
+    /// default its tuple of `Ri`.
+    fn root_of(&self, db: &Database, ri: RelId, t_prime: &[TupleId]) -> Option<TupleId> {
+        member_from(db, t_prime, ri)
+    }
+
+    /// Line 11: is the member list `t` of `T′`, rooted at `root`,
+    /// contained in a result of `Ri`'s `Complete` list?
+    fn covered(&mut self, ri: RelId, root: TupleId, t: &[TupleId], stats: &mut Stats) -> bool;
 
     /// Lines 14–15: merges the member list `t_prime` into a pending set
     /// of `Ri`'s list sharing its root. Returns the merge success.
@@ -209,61 +223,6 @@ pub(crate) trait Frontier {
 
     /// Line 18: appends a new pending set to `Ri`'s list.
     fn push(&mut self, db: &Database, ri: RelId, root: TupleId, set: TupleSet, stats: &mut Stats);
-
-    /// Line 11: is `t_prime`, rooted at `root`, contained in a result of
-    /// `Ri`'s `Complete` list? By default that list is the engine's one
-    /// `complete`.
-    fn covered(
-        &self,
-        complete: &CompleteStore,
-        _ri: RelId,
-        root: TupleId,
-        t_prime: &[TupleId],
-        stats: &mut Stats,
-    ) -> bool {
-        complete.contains_superset(t_prime, root, stats)
-    }
-}
-
-/// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
-/// Table 3's batch-front order.
-#[derive(Debug)]
-pub(crate) struct Fifo {
-    pub(crate) ri: RelId,
-    pub(crate) queue: IncompleteQueue,
-}
-
-impl Frontier for Fifo {
-    fn pop(&mut self, _stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)> {
-        let (root, set) = self.queue.pop()?;
-        Some((self.ri, root, set))
-    }
-
-    fn try_merge<P: Policy>(
-        &mut self,
-        db: &Database,
-        policy: &P,
-        _ri: RelId,
-        root: TupleId,
-        t_prime: &[TupleId],
-        stats: &mut Stats,
-    ) -> bool {
-        self.queue
-            .try_merge(root, P::OFFER_EVERY_ENTRY, stats, |s, stats| {
-                policy.union(db, s, t_prime, stats)
-            })
-    }
-
-    fn push(
-        &mut self,
-        _db: &Database,
-        _ri: RelId,
-        root: TupleId,
-        set: TupleSet,
-        stats: &mut Stats,
-    ) {
-        self.queue.push(root, set, stats);
-    }
 }
 
 /// Block-based scan (Section 7): applies `f` to every live tuple of
@@ -334,56 +293,28 @@ fn adjacent_candidates<P: Policy>(
 }
 
 /// One execution of the `GETNEXTRESULT` loop: the database, the policy,
-/// the frontier, the shared `Complete` list and the run's counters.
+/// the frontier (which holds the lists lines 10–18 read) and the run's
+/// counters. The drivers print: they decide what a popped extension
+/// adds to `Complete` and whether it is output.
 pub(crate) struct Engine<'db, P, Q> {
     pub(crate) db: &'db Database,
     pub(crate) policy: P,
     pub(crate) frontier: Q,
-    /// Printed results. The drivers insert into it (the printing rule is
-    /// theirs); line 11 reads it through [`Frontier::covered`], which the
-    /// ranked queues answer from their own lists instead.
-    pub(crate) complete: CompleteStore,
-    /// Fig. 3 line 17's exact-print set. Only the drivers that read it
-    /// fill it: the ranked stream and the seeded delta run.
-    pub(crate) printed: Printed,
     pager: Option<Pager<'db>>,
     /// First relation index of the extension and candidate scans (0 for
     /// the standalone algorithm; `i + 1` under Section 7's repeated-work
     /// optimization, which relies on a global `Complete`).
     pub(crate) rel_min: usize,
-    /// Tightens line 10's root filter from "contains a tuple of `Ri`" to
-    /// "contains one of these tuples". Used by the delta-maintenance run
-    /// seeded at freshly inserted tuples: with a single seed `t` that run
-    /// is `INCREMENTALFD(R', i)` over the database in which `Ri` is
-    /// replaced by `{t}` (Theorem 4.10 then says it emits exactly the
-    /// maximal join-consistent connected sets containing `t`); with `k`
-    /// seeds it is the batched union of those runs — `Incomplete` starts
-    /// from all `k` singletons, a derivation's root is the first seed it
-    /// contains, and printed sets register under *every* contained seed
-    /// so the line-11 suppression stays root-complete. Empty means no
-    /// seed filter.
-    pub(crate) seeds: Vec<TupleId>,
-    /// Derivation memo for seeded runs: the canonical member lists of
-    /// every `T′` already processed by lines 10–18. A re-derived exact
-    /// duplicate is a no-op — it is either still in `Incomplete` (the
-    /// line-14 merge with its own growth succeeds trivially), was merged
-    /// into an entry that still covers it, or is covered by a printed
-    /// superset (`Complete` only grows) — so it can skip the store scans
-    /// entirely. Seeded runs re-derive heavily (cross-seed derivations
-    /// repeat per pop), which is why they carry the memo; the plain runs
-    /// keep the paper's exact trace.
-    memo: FxHashSet<Box<[TupleId]>>,
     pub(crate) stats: Stats,
 }
 
 impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
-    /// An engine over `frontier` and `complete`; `page_size` switches the
-    /// candidate scans to block-based execution.
+    /// An engine over `frontier`; `page_size` switches the candidate
+    /// scans to block-based execution.
     pub(crate) fn new(
         db: &'db Database,
         policy: P,
         frontier: Q,
-        complete: CompleteStore,
         page_size: Option<usize>,
         stats: Stats,
     ) -> Self {
@@ -391,12 +322,8 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             db,
             policy,
             frontier,
-            complete,
-            printed: Printed::default(),
             pager: page_size.map(|ps| Pager::new(db, ps)),
             rel_min: 0,
-            seeds: Vec::new(),
-            memo: FxHashSet::default(),
             stats,
         }
     }
@@ -406,39 +333,38 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
         self.pager.as_ref().map_or(0, |p| p.stats().pages_read())
     }
 
-    /// One call of `GETNEXTRESULT`. Returns the root and the maximally
-    /// extended tuple set removed from the frontier (Fig. 2 returns it
-    /// for printing; the caller decides whether to print it and appends
-    /// it to `Complete`). Returns `None` when the frontier is empty.
+    /// One call of `GETNEXTRESULT`: [`pop_extend`](Self::pop_extend),
+    /// then [`derive`](Self::derive). Returns the root and the extension
+    /// (Fig. 2 returns it for printing), or `None` when the frontier is
+    /// empty.
     pub(crate) fn get_next_result(&mut self) -> Option<(TupleId, TupleSet)> {
+        let (ri, root, set) = self.pop_extend()?;
+        self.derive(ri, &set);
+        Some((root, set))
+    }
+
+    /// Lines 1–6: removes the next pending set and extends it to a
+    /// maximal one, with the relation of its list and its root.
+    pub(crate) fn pop_extend(&mut self) -> Option<(RelId, TupleId, TupleSet)> {
+        let (ri, root, set) = self.frontier.pop(&mut self.stats)?;
+        let set = self
+            .policy
+            .extend(self.db, set, self.rel_min, &mut self.stats);
+        Some((ri, root, set))
+    }
+
+    /// Lines 7–18: derives the successors of the extension `set` popped
+    /// from `Ri`'s list.
+    pub(crate) fn derive(&mut self, ri: RelId, set: &TupleSet) {
         let Engine {
             db,
             policy,
             frontier,
-            complete,
-            printed,
             pager,
             rel_min,
-            seeds,
-            memo,
             stats,
         } = self;
         let db: &Database = db;
-        // Line 1: remove the first tuple set.
-        let (ri, root, set) = frontier.pop(stats)?;
-        // Lines 2–6: maximal extension.
-        let set = policy.extend(db, set, *rel_min, stats);
-
-        // Multi-seed runs re-derive a maximal set once per contained seed
-        // (the singletons are all queued before any suppression can kick
-        // in). The candidate loop below depends only on (db, set), so a
-        // re-derivation of an already-printed set would regenerate exactly
-        // the T′ collection the first emission already processed — skip the
-        // scan and let the caller's `printed` check drop the duplicate.
-        if !seeds.is_empty() && printed.contains(set.tuples()) {
-            return Some((root, set));
-        }
-
         // Line 7 visits only the adjacent candidates of an unpaged run.
         // Any other candidate has `T′ = {tb}`. Line 10 keeps it only if
         // `tb` is a root; line 11 drops it if a printed set contains `tb`.
@@ -446,42 +372,19 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
         // (both frontiers merge by root), and that entry already contains
         // `tb`: the merge changes nothing, so skipping `tb` is exact.
         // Reuse runs (`rel_min > i`) never see a tuple of `Ri`.
-        // Lines 7–18: derive successor tuple sets.
         let visit = |tb| {
             stats.candidate_scans += 1;
             if set.contains(tb) {
                 return;
             }
             // Line 8.
-            policy.for_each_subset(db, &set, tb, stats, |t_prime, stats| {
-                // Line 10: must contain a tuple from Ri (one of the seed
-                // tuples in a delta-maintenance run). The any-seed filter
-                // is what makes the multi-seed run sound: printed sets
-                // suppress derivations of *every* contained seed, and in
-                // exchange each pop re-seeds the cross-root
-                // representatives that suppression removes. (A tighter
-                // "inherit the popped root" filter loses exactly those
-                // representatives and drops results.)
-                let new_root = if seeds.is_empty() {
-                    member_from(db, t_prime, ri)
-                } else {
-                    seeds
-                        .iter()
-                        .copied()
-                        .find(|s| t_prime.binary_search(s).is_ok())
-                };
-                let Some(new_root) = new_root else {
+            policy.for_each_subset(db, set, tb, stats, |t_prime, stats| {
+                // Line 10: must contain a root.
+                let Some(new_root) = frontier.root_of(db, ri, t_prime) else {
                     return;
                 };
-                // Seeded runs: skip exact re-derivations (see `memo`).
-                if !seeds.is_empty() {
-                    if memo.contains(t_prime) {
-                        return;
-                    }
-                    memo.insert(t_prime.into());
-                }
                 // Line 11: already represented in Complete?
-                if frontier.covered(complete, ri, new_root, t_prime, stats) {
+                if frontier.covered(ri, new_root, t_prime, stats) {
                     return;
                 }
                 // Lines 14–15: merge into a pending entry sharing the root.
@@ -494,17 +397,17 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             });
         };
         match pager {
-            None => adjacent_candidates(db, policy, &set, *rel_min, visit),
+            None => adjacent_candidates(db, policy, set, *rel_min, visit),
             Some(pager) => scan_tuples_from(db, *rel_min, pager, visit),
         }
-        Some((root, set))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lists::StoreEngine;
+    use crate::incremental::Fifo;
+    use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
     use fd_relational::tourist_database;
 
     const C1: TupleId = TupleId(0);
@@ -527,18 +430,8 @@ mod tests {
         for t in seeds {
             queue.push(t, TupleSet::singleton(db, t), &mut stats);
         }
-        let fifo = Fifo {
-            ri: RelId(0),
-            queue,
-        };
-        Engine::new(
-            db,
-            Exact,
-            fifo,
-            CompleteStore::new(engine),
-            page_size,
-            stats,
-        )
+        let fifo = Fifo::new(RelId(0), queue, CompleteStore::new(engine));
+        Engine::new(db, Exact, fifo, page_size, stats)
     }
 
     fn pending(e: &Engine<'_, Exact, Fifo>) -> Vec<Vec<TupleId>> {
@@ -572,7 +465,7 @@ mod tests {
         let db = tourist_database();
         let mut e = engine(&db, StoreEngine::Scan, db.tuples_of(RelId(0)), None);
         let (_, r1) = e.get_next_result().unwrap();
-        e.complete.insert(r1.tuples(), &[C1]);
+        e.frontier.complete.insert(r1.tuples(), &[C1]);
 
         let before = pending(&e);
         let (_, r2) = e.get_next_result().unwrap();
@@ -591,14 +484,14 @@ mod tests {
         let mut e = engine(&db, StoreEngine::Indexed, [C3], None);
         let mut count = 0;
         while let Some((root, set)) = e.get_next_result() {
-            e.complete.insert(set.tuples(), &[root]);
+            e.frontier.complete.insert(set.tuples(), &[root]);
             count += 1;
         }
         // Starting from {c3} alone: {c3,a3} is the only reachable result
         // rooted at c3... plus any sets derived via the candidate loop that
         // contain a Climates tuple reachable from it.
         assert!(count >= 1);
-        assert!(e.complete.iter().any(|s| s == [C3, TupleId(5)]));
+        assert!(e.frontier.complete.iter().any(|s| s == [C3, TupleId(5)]));
     }
 
     #[test]
@@ -608,7 +501,7 @@ mod tests {
             let mut e = engine(&db, StoreEngine::Indexed, db.tuples_of(RelId(0)), page_size);
             let mut out = Vec::new();
             while let Some((root, set)) = e.get_next_result() {
-                e.complete.insert(set.tuples(), &[root]);
+                e.frontier.complete.insert(set.tuples(), &[root]);
                 out.push(set.tuples().to_vec());
             }
             (out, e.pages_read())

@@ -6,22 +6,23 @@
 //!   delivery). [`FdiIter`] is the exact run, [`ApproxFdIter`] the
 //!   approximate one (Fig. 5).
 //! * [`MultiRunIter`] computes the entire `FD(R)` by running the algorithm
-//!   for every `i ≤ n` and suppressing duplicates, exactly as Section 4
-//!   prescribes (a set is emitted by the run of its *smallest* member
-//!   relation). [`FdIter`] is the exact driver, [`ApproxAllIter`] the
-//!   approximate one. Section 7's alternative `Incomplete`
-//!   initializations are selected through [`FdConfig`].
+//!   for every `i ≤ n` and emitting each set only in the run of its
+//!   *smallest* member relation, exactly as Section 4 prescribes.
+//!   [`FdIter`] is the exact driver, [`ApproxAllIter`] the approximate
+//!   one. Section 7's alternative `Incomplete` initializations are
+//!   selected through [`FdConfig`].
 //!
 //! [`ApproxFdIter`]: crate::ApproxFdIter
 //! [`ApproxAllIter`]: crate::ApproxAllIter
 
-use crate::getnext::{Engine, Exact, Fifo, Policy};
+use crate::getnext::{Engine, Exact, Frontier, Policy};
 use crate::init::InitStrategy;
 use crate::lists::{CompleteStore, IncompleteQueue, StoreEngine};
 use crate::stats::Stats;
-use crate::tupleset::{members_label, TupleSet};
+use crate::tupleset::{member_from, members_label, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, RelId, TupleId};
+use std::ops::Range;
 
 /// Execution knobs shared by all variants.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,6 +50,98 @@ impl FdConfig {
     }
 }
 
+/// The FIFO frontier of `INCREMENTALFD(R, i)`: one `Incomplete` list in
+/// Table 3's batch-front order and the run's `Complete` list, which its
+/// driver fills (the printing rule is the driver's).
+///
+/// A delta run seeded at freshly inserted tuples replaces `Ri` by the
+/// seeds (Theorem 4.10's `R′`): with one seed `t` it is
+/// `INCREMENTALFD(R′, i)` over the database in which `Ri` is `{t}`, and
+/// with `k` seeds the batched union of those runs. Line 10 then takes
+/// the first seed `T′` contains as its root, and line 11 also drops a
+/// `T′` derived before: a re-derived duplicate is still pending (its
+/// merge would change nothing), merged into an entry that covers it, or
+/// contained in a printed set. Seeded runs re-derive heavily (cross-seed
+/// derivations repeat per pop); the plain runs keep the paper's trace.
+#[derive(Debug)]
+pub(crate) struct Fifo {
+    pub(crate) ri: RelId,
+    pub(crate) queue: IncompleteQueue,
+    pub(crate) complete: CompleteStore,
+    /// The seed tuples of a delta run; empty means `Ri`.
+    pub(crate) seeds: Vec<TupleId>,
+    /// The member lists of every `T′` a seeded run has derived.
+    memo: FxHashSet<Box<[TupleId]>>,
+}
+
+impl Fifo {
+    /// The frontier of `INCREMENTALFD(R, i)` over `queue` and `complete`.
+    pub(crate) fn new(ri: RelId, queue: IncompleteQueue, complete: CompleteStore) -> Self {
+        Fifo {
+            ri,
+            queue,
+            complete,
+            seeds: Vec::new(),
+            memo: FxHashSet::default(),
+        }
+    }
+}
+
+impl Frontier for Fifo {
+    fn pop(&mut self, _stats: &mut Stats) -> Option<(RelId, TupleId, TupleSet)> {
+        let (root, set) = self.queue.pop()?;
+        Some((self.ri, root, set))
+    }
+
+    fn root_of(&self, db: &Database, ri: RelId, t_prime: &[TupleId]) -> Option<TupleId> {
+        if self.seeds.is_empty() {
+            return member_from(db, t_prime, ri);
+        }
+        // Any seed, not the popped root: a printed set suppresses the
+        // derivations of every seed it contains, and each pop re-seeds
+        // the cross-root ones that suppression removes. Inheriting the
+        // popped root would lose them and drop results.
+        let mut seeds = self.seeds.iter().copied();
+        seeds.find(|s| t_prime.binary_search(s).is_ok())
+    }
+
+    fn covered(&mut self, _ri: RelId, root: TupleId, t: &[TupleId], stats: &mut Stats) -> bool {
+        if !self.seeds.is_empty() {
+            if self.memo.contains(t) {
+                return true;
+            }
+            self.memo.insert(t.into());
+        }
+        self.complete.contains_superset(t, root, stats)
+    }
+
+    fn try_merge<P: Policy>(
+        &mut self,
+        db: &Database,
+        policy: &P,
+        _ri: RelId,
+        root: TupleId,
+        t_prime: &[TupleId],
+        stats: &mut Stats,
+    ) -> bool {
+        self.queue
+            .try_merge(root, P::OFFER_EVERY_ENTRY, stats, |s, stats| {
+                policy.union(db, s, t_prime, stats)
+            })
+    }
+
+    fn push(
+        &mut self,
+        _db: &Database,
+        _ri: RelId,
+        root: TupleId,
+        set: TupleSet,
+        stats: &mut Stats,
+    ) {
+        self.queue.push(root, set, stats);
+    }
+}
+
 /// Iterator over `FDi(R)` under the exact policy (Fig. 1).
 pub type FdiIter<'db> = RunIter<'db, Exact>;
 
@@ -61,10 +154,6 @@ pub type FdIter<'db> = MultiRunIter<'db, Exact>;
 /// time.
 pub struct RunIter<'db, P> {
     engine: Engine<'db, P, Fifo>,
-    /// Section 7 reuse strategies: do not re-print a result contained in a
-    /// previously printed one ("We must only print tuple sets that are not
-    /// contained in previously printed tuple sets").
-    suppress_contained: bool,
 }
 
 impl<'db> FdiIter<'db> {
@@ -91,33 +180,26 @@ impl<'db, P: Policy> RunIter<'db, P> {
                 incomplete.push(t, TupleSet::singleton(db, t), &mut stats);
             }
         }
-        let complete = CompleteStore::new(cfg.engine);
-        Self::from_parts(db, ri, policy, 0, false, incomplete, complete, cfg, stats)
+        let fifo = Fifo::new(ri, incomplete, CompleteStore::new(cfg.engine));
+        Self::from_parts(db, policy, fifo, 0, cfg, stats)
     }
 
     /// Custom initialization (Remarks 4.3/4.5 allow it as long as every
     /// tuple of `Ri` is covered and no two initial sets lie in one result).
     /// Used by the Section 7 strategies; `rel_min` restricts the scans to
-    /// relations `≥ rel_min` and `complete` may carry over prior results.
-    #[allow(clippy::too_many_arguments)]
+    /// relations `≥ rel_min` and the frontier's `Complete` may carry over
+    /// prior results.
     pub(crate) fn from_parts(
         db: &'db Database,
-        ri: RelId,
         policy: P,
+        fifo: Fifo,
         rel_min: usize,
-        suppress_contained: bool,
-        queue: IncompleteQueue,
-        complete: CompleteStore,
         cfg: FdConfig,
         stats: Stats,
     ) -> Self {
-        let fifo = Fifo { ri, queue };
-        let mut engine = Engine::new(db, policy, fifo, complete, cfg.page_size, stats);
+        let mut engine = Engine::new(db, policy, fifo, cfg.page_size, stats);
         engine.rel_min = rel_min;
-        RunIter {
-            engine,
-            suppress_contained,
-        }
+        RunIter { engine }
     }
 
     /// Counters accumulated so far.
@@ -144,6 +226,7 @@ impl<'db, P: Policy> RunIter<'db, P> {
             .collect();
         let comp = self
             .engine
+            .frontier
             .complete
             .iter()
             .map(|s| members_label(db, s))
@@ -159,22 +242,28 @@ impl<P: Policy> Iterator for RunIter<'_, P> {
     fn next(&mut self) -> Option<TupleSet> {
         loop {
             let (root, set) = self.engine.get_next_result()?;
-            let engine = &mut self.engine;
-            engine.stats.results += 1;
+            let Engine {
+                frontier,
+                rel_min,
+                stats,
+                ..
+            } = &mut self.engine;
+            stats.results += 1;
             // Section 7 reuse strategies: with scans restricted to later
             // relations, a popped seed may be (contained in) an already
             // printed result — its candidate loop still ran, but it must
-            // not be printed again.
-            if self.suppress_contained
-                && engine
+            // not be printed again ("We must only print tuple sets that are
+            // not contained in previously printed tuple sets").
+            if *rel_min > 0
+                && frontier
                     .complete
-                    .contains_superset(set.tuples(), root, &mut engine.stats)
+                    .contains_superset(set.tuples(), root, stats)
             {
                 continue;
             }
             // Every member is a lookup root: any later subset shares at
             // least its own root tuple with the set.
-            engine.complete.insert(set.tuples(), set.tuples());
+            frontier.complete.insert(set.tuples(), set.tuples());
             return Some(set);
         }
     }
@@ -200,21 +289,21 @@ pub fn fdi(db: &Database, ri: RelId) -> Vec<TupleSet> {
 /// With the default [`InitStrategy::Singletons`], run `i` re-derives sets
 /// already produced by earlier runs; following Section 4, a set is emitted
 /// only by the run of its smallest member relation (the "contains a tuple
-/// from `R1..R_{i-1}`" test). The Section 7 strategies instead reuse
-/// previous results and restrict the scans; a global canonical filter
-/// guarantees exactly-once emission for every strategy.
+/// from `R1..R_{i-1}`" test), which is all the exactly-once rule needs.
+/// The Section 7 strategies instead reuse previous results and restrict
+/// the scans; there a set of emitted member lists keeps the emission
+/// exactly-once where Remark 4.5's precondition is heuristic.
 pub struct MultiRunIter<'db, P> {
     db: &'db Database,
     cfg: FdConfig,
     /// The policy between runs (each run owns it while it is in flight).
     policy: Option<P>,
     current: Option<Box<RunIter<'db, P>>>,
-    next_rel: usize,
-    /// All results produced so far (drives the reuse strategies).
+    /// The relations whose runs have not started, in run order.
+    rels: Range<usize>,
+    /// Reuse strategies: all results produced so far (the seeds of the
+    /// next runs) and their member lists.
     produced: Vec<TupleSet>,
-    /// Canonical fingerprints of emitted sets (safety net making every
-    /// strategy exactly-once even where Remark 4.5's precondition is
-    /// heuristic).
     emitted: FxHashSet<Box<[TupleId]>>,
     /// Counters of the finished runs.
     stats: Stats,
@@ -236,12 +325,18 @@ impl<'db> FdIter<'db> {
 
 impl<'db, P: Policy> MultiRunIter<'db, P> {
     pub(crate) fn with_policy(db: &'db Database, policy: P, cfg: FdConfig) -> Self {
+        Self::over(db, policy, cfg, 0..db.num_relations())
+    }
+
+    /// The runs of the relations `rels` only: the results whose smallest
+    /// member relation lies in `rels` (a parallel worker's shard).
+    pub(crate) fn over(db: &'db Database, policy: P, cfg: FdConfig, rels: Range<usize>) -> Self {
         MultiRunIter {
             db,
             cfg,
             policy: Some(policy),
             current: None,
-            next_rel: 0,
+            rels,
             produced: Vec::new(),
             emitted: FxHashSet::default(),
             stats: Stats::new(),
@@ -264,7 +359,7 @@ impl<'db, P: Policy> MultiRunIter<'db, P> {
     }
 
     /// Folds the finished run's statistics in and starts the next run;
-    /// false when all `n` runs are done.
+    /// false when all runs are done.
     fn advance_run(&mut self) -> bool {
         if let Some(done) = self.current.take() {
             self.pages_done += done.pages_read();
@@ -272,11 +367,10 @@ impl<'db, P: Policy> MultiRunIter<'db, P> {
             self.stats.merge(&engine.stats);
             self.policy = Some(engine.policy);
         }
-        if self.next_rel >= self.db.num_relations() {
+        let Some(rel_idx) = self.rels.next() else {
             return false;
-        }
-        let ri = RelId(self.next_rel as u16);
-        self.next_rel += 1;
+        };
+        let ri = RelId(rel_idx as u16);
         let policy = self.policy.take().expect("policy returned by the last run");
         let run = self
             .cfg
@@ -298,26 +392,21 @@ impl<P: Policy> Iterator for MultiRunIter<'_, P> {
                 }
                 return None;
             };
-            match cur.next() {
-                None => {
-                    if !self.advance_run() {
-                        return None;
-                    }
+            let Some(set) = cur.next() else {
+                if !self.advance_run() {
+                    return None;
                 }
-                Some(set) => {
-                    // Exactly-once emission: with singleton initialization
-                    // this coincides with the paper's "contains a tuple
-                    // from R1..R_{i-1}" suppression (such a set was
-                    // already produced by the earlier run); it also makes
-                    // the Section 7 reuse strategies safe where Remark
-                    // 4.5's precondition is heuristic.
-                    if self.emitted.insert(set.tuples().into()) {
-                        if self.cfg.init != InitStrategy::Singletons {
-                            self.produced.push(set.clone());
-                        }
-                        return Some(set);
-                    }
+                continue;
+            };
+            if self.cfg.init == InitStrategy::Singletons {
+                // Section 4: emit a set only in the run of its smallest
+                // member relation; that run emitted any other.
+                if !set.has_tuple_before(self.db, cur.engine.frontier.ri) {
+                    return Some(set);
                 }
+            } else if self.emitted.insert(set.tuples().into()) {
+                self.produced.push(set.clone());
+                return Some(set);
             }
         }
     }

@@ -20,7 +20,7 @@
 //! E11 measures.
 
 use crate::getnext::Policy;
-use crate::incremental::{FdConfig, RunIter};
+use crate::incremental::{FdConfig, Fifo, RunIter};
 use crate::jcc::{rebuild, retain_component};
 use crate::lists::{CompleteStore, IncompleteQueue};
 use crate::stats::Stats;
@@ -72,17 +72,8 @@ impl InitStrategy {
         for prev in produced {
             complete.insert(prev.tuples(), prev.tuples());
         }
-        RunIter::from_parts(
-            db,
-            ri,
-            policy,
-            ri.index() + 1,
-            true,
-            incomplete,
-            complete,
-            cfg,
-            stats,
-        )
+        let fifo = Fifo::new(ri, incomplete, complete);
+        RunIter::from_parts(db, policy, fifo, ri.index() + 1, cfg, stats)
     }
 }
 

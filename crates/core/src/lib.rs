@@ -77,7 +77,7 @@ pub mod store;
 pub use approx::{
     AMin, AProd, Approx, ApproxAllIter, ApproxFdIter, ApproxJoin, ProbScores, RankedApproxFdIter,
 };
-pub use delta::{BatchDelta, DeleteDelta, InsertDelta};
+pub use delta::{DeleteDelta, InsertDelta};
 pub use error::FdError;
 pub use getnext::{Exact, Policy};
 pub use incremental::{canonicalize, fdi, FdConfig, FdIter, FdiIter, MultiRunIter, RunIter};

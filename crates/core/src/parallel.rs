@@ -3,9 +3,11 @@
 //! **Batch.** `FD(R) = ⋃ᵢ FDi(R)` and the `n` runs of `INCREMENTALFD`
 //! are mutually independent (Section 4) — an embarrassingly parallel
 //! structure the paper's Section 7 block/DBMS discussion gestures at.
-//! Each worker computes one or more `FDi` runs; a result is *owned* by
-//! the run of its smallest member relation, so the per-run outputs are
-//! disjoint and no cross-thread deduplication is needed.
+//! Each worker runs the sequential driver (`MultiRunIter`) over a
+//! contiguous slice of the relations, from singletons. That driver emits
+//! a result only in the run of its smallest member relation (Section
+//! 4's exactly-once rule), so the shard outputs are disjoint and no
+//! cross-thread deduplication is needed.
 //!
 //! **Ranked.** `PRIORITYINCREMENTALFD` shards the same way: a worker
 //! seeds the priority queues `Incomplete_i` for a contiguous slice of the
@@ -36,12 +38,13 @@
 //! approximate modes parallelize the same way.
 
 use crate::getnext::Policy;
-use crate::incremental::{FdConfig, RunIter};
+use crate::incremental::{FdConfig, MultiRunIter};
+use crate::init::InitStrategy;
 use crate::priority::RankedIter;
 use crate::ranking::{canonical_rank_order, MonotoneCDetermined};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
-use fd_relational::{Database, RelId};
+use fd_relational::Database;
 
 /// Static partition of `n` relation indices into at most `threads`
 /// contiguous shards.
@@ -102,24 +105,13 @@ pub(crate) fn parallel_runs<P: Policy + Sync>(
     if n == 0 {
         return (Vec::new(), Stats::new(), 0);
     }
+    // The query builder admits no reuse strategy here: a shard's runs
+    // have no results of the earlier shards to reuse.
+    debug_assert_eq!(cfg.init, InitStrategy::Singletons);
     let (outs, stats, pages) = run_sharded(&shard_relations(n, threads), |lo, hi| {
-        let mut out = Vec::new();
-        let mut stats = Stats::new();
-        let mut pages = 0;
-        for rel_idx in lo..hi {
-            let ri = RelId(rel_idx as u16);
-            let mut iter = RunIter::with_policy(db, ri, policy.by_ref(), cfg);
-            for set in &mut iter {
-                // Ownership rule: emit a set only in the run of its
-                // smallest member relation.
-                if !set.has_tuple_before(db, ri) {
-                    out.push(set);
-                }
-            }
-            stats.merge(iter.stats());
-            pages += iter.pages_read();
-        }
-        (out, stats, pages)
+        let mut it = MultiRunIter::over(db, policy.by_ref(), cfg, lo..hi);
+        let out: Vec<TupleSet> = (&mut it).collect();
+        (out, it.stats_total(), it.pages_read())
     });
     let mut results: Vec<TupleSet> = outs.into_iter().flatten().collect();
     results.sort();

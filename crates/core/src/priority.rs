@@ -19,8 +19,8 @@
 //!   from `Incomplete_i` joins `Complete_i` under its `Ri` root, and
 //!   line 11 drops a `T′` only when one of those contains it;
 //! * the extension is printed unless it was printed before (line 17) — a
-//!   set is generated once per member tuple, so one exact-print set
-//!   shared by all queues filters the duplicates.
+//!   set is generated once per member tuple, so the iterator's one
+//!   exact-print set, shared by all queues, filters the duplicates.
 //!
 //! Theorem 5.5: the top-k answers arrive in polynomial time in the input
 //! and `k`, and by Lemma 5.4 in non-increasing rank order — under the
@@ -42,7 +42,7 @@
 use crate::getnext::{candidate_bound, Engine, Exact, Frontier, Policy};
 use crate::incremental::FdConfig;
 use crate::jcc::Union;
-use crate::lists::{CompleteStore, StoreEngine};
+use crate::lists::{CompleteStore, Printed, StoreEngine};
 use crate::ranking::MonotoneCDetermined;
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
@@ -287,8 +287,7 @@ impl<F: MonotoneCDetermined> Frontier for RankHeaps<F> {
     }
 
     fn covered(
-        &self,
-        _complete: &CompleteStore,
+        &mut self,
         ri: RelId,
         root: TupleId,
         t_prime: &[TupleId],
@@ -309,6 +308,8 @@ pub type RankedFdIter<'db, F> = RankedIter<'db, Exact, F>;
 /// disjunction.
 pub struct RankedIter<'db, P, F> {
     engine: Engine<'db, P, RankHeaps<F>>,
+    /// Line 17: the sets printed so far.
+    printed: Printed,
 }
 
 impl<'db, F: MonotoneCDetermined> RankedFdIter<'db, F> {
@@ -367,11 +368,9 @@ impl<'db, P: Policy, F: MonotoneCDetermined> RankedIter<'db, P, F> {
                 heaps.push(db, ri, root, set, &mut stats);
             }
         }
-        // The engine's own `Complete` stays empty: line 11 reads
-        // `completes`, line 17 reads the engine's `printed` set.
-        let complete = CompleteStore::new(cfg.engine);
         RankedIter {
-            engine: Engine::new(db, policy, heaps, complete, cfg.page_size, stats),
+            engine: Engine::new(db, policy, heaps, cfg.page_size, stats),
+            printed: Printed::default(),
         }
     }
 
@@ -409,7 +408,7 @@ impl<P: Policy, F: MonotoneCDetermined> Iterator for RankedIter<'_, P, F> {
             let qi = engine.db.rel_of(root).index() - frontier.rel_lo;
             frontier.completes[qi].insert(set.tuples(), &[root]);
             // Line 17: print unless this exact set was printed before.
-            if !engine.printed.insert(set.tuples()) {
+            if !self.printed.insert(set.tuples()) {
                 continue;
             }
             let rank = rank(&frontier.f, engine.db, &set, &mut engine.stats);

@@ -125,13 +125,6 @@ impl TupleSet {
         self.tuples.iter().any(|&t| db.rel_of(t) < rel)
     }
 
-    /// The distinct relations of the members, ascending.
-    pub fn relations(&self, db: &Database) -> Vec<RelId> {
-        let mut rels: Vec<RelId> = self.tuples.iter().map(|&t| db.rel_of(t)).collect();
-        rels.dedup();
-        rels
-    }
-
     /// Is this a subset of `other`? (See `is_sorted_subset`.)
     pub fn is_subset_of(&self, other: &TupleSet) -> bool {
         is_sorted_subset(&self.tuples, &other.tuples)
@@ -156,11 +149,6 @@ impl TupleSet {
     /// Renders as the paper prints tuple sets: `{c1, a2, s1}`.
     pub fn label(&self, db: &Database) -> String {
         members_label(db, &self.tuples)
-    }
-
-    /// Stable display-independent form for assertions: sorted tuple ids.
-    pub fn canonical(&self) -> &[TupleId] {
-        &self.tuples
     }
 }
 
@@ -307,13 +295,6 @@ mod tests {
         let db = tourist_database();
         let s = TupleSet::from_parts(vec![TupleId(0), TupleId(4), TupleId(6)], Vec::new());
         assert_eq!(s.label(&db), "{c1, a2, s1}");
-    }
-
-    #[test]
-    fn relations_are_deduped_and_sorted() {
-        let db = tourist_database();
-        let s = TupleSet::from_parts(vec![TupleId(0), TupleId(6)], Vec::new());
-        assert_eq!(s.relations(&db), vec![RelId(0), RelId(2)]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! `fd_core` re-exports.
 //!
 //! Tracking is compiled in under `debug_assertions` (any default test
-//! run) or `--features lockcheck` (CI pins it on explicitly so the
-//! check survives profile changes); in a release build without the
-//! feature these tests compile to nothing.
+//! run) or `--features lockcheck` (CI runs a release build with the
+//! feature, so the feature-gated arm is tested on its own); in a release
+//! build without the feature these tests compile to nothing.
 #![cfg(any(debug_assertions, feature = "lockcheck"))]
 
 use fd_core::obs::lockcheck::TrackedMutex;

@@ -81,13 +81,13 @@ pub mod cli;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use fd_core::{
-        fdi, AMin, AProd, ApproxAllIter, ApproxFdIter, AttrMax, BatchDelta, ChannelSink, Commit,
-        CommitTimings, Counter, DeleteDelta, EventLog, EventSink, FMax, FPairSum, FSum, FTriple,
-        FdConfig, FdError, FdEvent, FdIter, FdQuery, FdResult, FdSession, FdStream, FdiIter,
-        FsyncPolicy, Gauge, Histogram, ImpScores, InitStrategy, InsertDelta, MetricsServer,
-        MonotoneCDetermined, ProbScores, QueryTimings, RankedFdIter, RankingFunction, Registry,
-        ServeError, ServeOptions, Server, SessionHandle, ShutdownHandle, SinkId, Span, Stats,
-        StoreEngine, TopKUpdate, TupleSet, VecSink,
+        fdi, AMin, AProd, ApproxAllIter, ApproxFdIter, AttrMax, ChannelSink, Commit, CommitTimings,
+        Counter, DeleteDelta, EventLog, EventSink, FMax, FPairSum, FSum, FTriple, FdConfig,
+        FdError, FdEvent, FdIter, FdQuery, FdResult, FdSession, FdStream, FdiIter, FsyncPolicy,
+        Gauge, Histogram, ImpScores, InitStrategy, InsertDelta, MetricsServer, MonotoneCDetermined,
+        ProbScores, QueryTimings, RankedFdIter, RankingFunction, Registry, ServeError,
+        ServeOptions, Server, SessionHandle, ShutdownHandle, SinkId, Span, Stats, StoreEngine,
+        TopKUpdate, TupleSet, VecSink,
     };
     pub use fd_relational::{
         tourist_database, AttrId, Change, Database, DatabaseBuilder, Delta, DeltaBatch, RelId,
