@@ -5,15 +5,16 @@
 //! maximal ones. Exponential in the worst case — use only on small
 //! databases (tests, property checks, the NP-hardness demonstration).
 
-use fd_core::jcc::{add_tuple, can_add};
-use fd_core::{ApproxJoin, RankingFunction, Stats, TupleSet};
+use fd_core::jcc::{is_jcc, rebuild};
+use fd_core::{ApproxJoin, RankingFunction, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, TupleId};
 
 /// Every JCC tuple set of the database (not only the maximal ones),
-/// discovered by connectivity-preserving growth from each singleton.
+/// discovered by connectivity-preserving growth from each singleton. A
+/// set grows by the definition, [`is_jcc`] on the grown member list, not
+/// through the engine's merge.
 pub fn all_jcc_sets(db: &Database) -> Vec<TupleSet> {
-    let mut stats = Stats::new();
     let mut seen: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
     let mut out: Vec<TupleSet> = Vec::new();
     let mut stack: Vec<TupleSet> = db
@@ -25,8 +26,8 @@ pub fn all_jcc_sets(db: &Database) -> Vec<TupleSet> {
             continue;
         }
         for t in db.all_tuples() {
-            if !set.contains(t) && can_add(db, &set, t, &mut stats) {
-                stack.push(add_tuple(db, &set, t));
+            if let Some(members) = with_member(&set, t).filter(|m| is_jcc(db, m)) {
+                stack.push(rebuild(db, members));
             }
         }
         out.push(set);
@@ -59,19 +60,25 @@ pub fn oracle_afd<A: ApproxJoin>(db: &Database, a: &A, tau: f64) -> Vec<TupleSet
             continue;
         }
         for t in db.all_tuples() {
-            if set.contains(t) || set.tuple_from(db, db.rel_of(t)).is_some() {
+            if set.tuple_from(db, db.rel_of(t)).is_some() {
                 continue;
             }
-            let mut members = set.tuples().to_vec();
-            let pos = members.partition_point(|&x| x < t);
-            members.insert(pos, t);
-            if a.score(db, &members) >= tau {
-                stack.push(fd_core::jcc::rebuild(db, members));
+            if let Some(members) = with_member(&set, t).filter(|m| a.score(db, m) >= tau) {
+                stack.push(rebuild(db, members));
             }
         }
         out.push(set);
     }
     keep_maximal(out)
+}
+
+/// The sorted member list of `set ∪ {t}`, or `None` when `t` is a
+/// member.
+fn with_member(set: &TupleSet, t: TupleId) -> Option<Vec<TupleId>> {
+    let pos = set.tuples().binary_search(&t).err()?;
+    let mut members = set.tuples().to_vec();
+    members.insert(pos, t);
+    Some(members)
 }
 
 /// The top-k answers by definition: rank every maximal set, sort

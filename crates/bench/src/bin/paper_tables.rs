@@ -141,24 +141,23 @@ fn figure_4_examples() {
     );
     let t = fd_core::jcc::rebuild(&db, vec![c1, a2, s1]);
     let mut stats = fd_core::Stats::new();
-    let m_min = amin.maximal_subsets(&db, &t, s2, 0.4, &mut stats);
-    let m_prod = aprod.maximal_subsets(&db, &t, s2, 0.4, &mut stats);
-    println!(
-        "Example 6.3 (τ=0.4): A_min maximal subsets: {}",
-        m_min
-            .into_iter()
-            .map(|s| fd_core::jcc::rebuild(&db, s).label(&db))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!(
-        "Example 6.3 (τ=0.4): A_prod maximal subsets: {}",
-        m_prod
-            .into_iter()
-            .map(|s| fd_core::jcc::rebuild(&db, s).label(&db))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let variants: [(&str, &dyn ApproxJoin); 2] = [("A_min", &amin), ("A_prod", &aprod)];
+    for (name, a) in variants {
+        let mut labels = Vec::new();
+        a.for_each_maximal_subset(
+            &db,
+            &t,
+            s2,
+            0.4,
+            &mut Vec::new(),
+            &mut stats,
+            &mut |m, _| labels.push(fd_core::jcc::rebuild(&db, m.to_vec()).label(&db)),
+        );
+        println!(
+            "Example 6.3 (τ=0.4): {name} maximal subsets: {}",
+            labels.join(", ")
+        );
+    }
 }
 
 /// E3: total-runtime comparison (Cor. 4.9 vs reference \[3\] and \[2\]).

@@ -25,7 +25,7 @@
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
 use crate::init::InitStrategy;
-use crate::jcc::{rebuild, retain_component, Union};
+use crate::jcc::{extend_greedy, rebuild, retain_component, Union};
 use crate::priority::RankedIter;
 use crate::ranking::MonotoneCDetermined;
 use crate::sim::Similarity;
@@ -85,18 +85,26 @@ pub trait ApproxJoin {
     /// Must return 0 for disconnected sets and be antitone under growth.
     fn score(&self, db: &Database, members: &[TupleId]) -> f64;
 
-    /// Fig. 6 line 8: the sorted member lists of all **maximal** subsets
-    /// `T′ ⊆ T ∪ {tb}` that contain `tb` and have `A(T′) ≥ τ`. `A` is
+    /// Fig. 6 line 8: calls `f` on the sorted member list of every
+    /// **maximal** subset `T′ ⊆ T ∪ {tb}` that contains `tb` and has
+    /// `A(T′) ≥ τ`. `buf` is the caller's reused scratch list: a join
+    /// function with a unique maximal subset writes it there. `A` is
     /// *efficiently computable* (Definition 6.4) when this runs in
     /// polynomial time.
-    fn maximal_subsets(
+    // Line 8's inputs (`T`, `tb`, `τ`) plus the caller's buffer, counters
+    // and callback; a bundling struct would only move them, and the
+    // method must stay object-safe for `BoxedApprox`.
+    #[allow(clippy::too_many_arguments)]
+    fn for_each_maximal_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
-    ) -> Vec<Vec<TupleId>>;
+        f: &mut dyn FnMut(&[TupleId], &mut Stats),
+    );
 
     /// Bounds Fig. 6 line 7 for the member `m` of the popped set: appends
     /// to `out`, in any order, a superset of the tuples `tb` of `rel`
@@ -125,15 +133,17 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for &A {
         (**self).score(db, members)
     }
 
-    fn maximal_subsets(
+    fn for_each_maximal_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
-    ) -> Vec<Vec<TupleId>> {
-        (**self).maximal_subsets(db, set, tb, tau, stats)
+        f: &mut dyn FnMut(&[TupleId], &mut Stats),
+    ) {
+        (**self).for_each_maximal_subset(db, set, tb, tau, buf, stats, f)
     }
 
     fn candidates(
@@ -153,15 +163,17 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
         (**self).score(db, members)
     }
 
-    fn maximal_subsets(
+    fn for_each_maximal_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
-    ) -> Vec<Vec<TupleId>> {
-        (**self).maximal_subsets(db, set, tb, tau, stats)
+        f: &mut dyn FnMut(&[TupleId], &mut Stats),
+    ) {
+        (**self).for_each_maximal_subset(db, set, tb, tau, buf, stats, f)
     }
 
     fn candidates(
@@ -245,33 +257,35 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
     /// Prop. 6.5's linear procedure, generalized to handle a same-relation
     /// member of `tb`: drop members that can never accompany `tb` (same
     /// relation, or connected with `sim < τ`), keep `tb`'s component. The
-    /// result is the unique maximal subset, or nothing when
-    /// `A({tb}) < τ`.
-    fn maximal_subsets(
+    /// result is the unique maximal subset, written to `buf`, or nothing
+    /// when `A({tb}) < τ`.
+    fn for_each_maximal_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
-    ) -> Vec<Vec<TupleId>> {
+        f: &mut dyn FnMut(&[TupleId], &mut Stats),
+    ) {
         stats.approx_evals += 1;
         if self.prob.prob(tb) < tau {
-            return Vec::new();
+            return;
         }
         let rel_b = db.rel_of(tb);
-        let mut kept = Vec::with_capacity(set.len() + 1);
-        kept.extend(set.tuples().iter().copied().filter(|&t| {
+        buf.clear();
+        buf.extend(set.tuples().iter().copied().filter(|&t| {
             db.rel_of(t) != rel_b
                 && (!pair_connected(db, t, tb) || {
                     stats.approx_evals += 1;
                     self.sim.sim(db, t, tb) >= tau
                 })
         }));
-        insert_member(&mut kept, tb);
-        retain_component(db, &mut kept, rel_b);
-        debug_assert!(self.score(db, &kept) >= tau);
-        vec![kept]
+        insert_member(buf, tb);
+        retain_component(db, buf, rel_b);
+        debug_assert!(self.score(db, buf) >= tau);
+        f(buf, stats);
     }
 
     /// `A_min({m, tb}) ≤ sim(m, tb)`, so the similarity's bound is one.
@@ -319,14 +333,18 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
         p
     }
 
-    fn maximal_subsets(
+    /// A removal search from `tb`'s component of `T ∪ {tb}`; calls `f`
+    /// once per maximal subset found.
+    fn for_each_maximal_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
+        _buf: &mut Vec<TupleId>,
         stats: &mut Stats,
-    ) -> Vec<Vec<TupleId>> {
+        f: &mut dyn FnMut(&[TupleId], &mut Stats),
+    ) {
         let rel_b = db.rel_of(tb);
         let mut members: Vec<TupleId> = set
             .tuples()
@@ -373,7 +391,9 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
             out.retain(|kept| !is_sorted_subset(kept, &cand));
             out.push(cand);
         }
-        out
+        for t_prime in &out {
+            f(t_prime, stats);
+        }
     }
 
     /// `A_prod({m, tb}) = sim(m, tb)`, so the similarity's bound is one.
@@ -393,14 +413,6 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
 fn insert_member(members: &mut Vec<TupleId>, t: TupleId) {
     let pos = members.partition_point(|&x| x < t);
     members.insert(pos, t);
-}
-
-/// Sorted `members` plus `t`, as a new list.
-fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
-    let mut out = Vec::with_capacity(members.len() + 1);
-    out.extend_from_slice(members);
-    insert_member(&mut out, t);
-    out
 }
 
 /// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
@@ -449,18 +461,7 @@ impl<A: ApproxJoin> Policy for Approx<A> {
     /// Fig. 6 lines 2–6: greedily extend while the score stays above τ,
     /// scanning whole relations.
     fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet {
-        crate::jcc::extend_greedy(
-            db,
-            set,
-            rel_min,
-            stats,
-            |_, _, _| false,
-            |set, tg, stats| {
-                let members = with_member(set.tuples(), tg);
-                self.accepts(db, &members, stats)
-                    .then(|| rebuild(db, members))
-            },
-        )
+        extend_greedy(db, self, set, rel_min, stats, |_, _, _| false)
     }
 
     /// The join function's bound ([`ApproxJoin::candidates`]).
@@ -474,17 +475,17 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
         mut f: impl FnMut(&[TupleId], &mut Stats),
     ) {
-        for t_prime in self.a.maximal_subsets(db, set, tb, self.tau, stats) {
-            f(&t_prime, stats);
-        }
+        self.a
+            .for_each_maximal_subset(db, set, tb, self.tau, buf, stats, &mut f)
     }
 
-    /// Fig. 6 lines 14–15 analog: a structural union that stays above τ.
-    /// Members must be relation-disjoint (shared tuples allowed) and the
-    /// result connected.
+    /// Fig. 6 lines 4 and 14–15 analog: a structural union that stays
+    /// above τ. Members must be relation-disjoint (shared tuples allowed)
+    /// and the result connected.
     fn union(
         &self,
         db: &Database,
@@ -644,16 +645,29 @@ mod tests {
         // T = {c1, s1, a2}, tb = s2.
         let t = crate::jcc::rebuild(&db, vec![C1, A2, S1]);
 
+        let mut subsets = |a: &dyn ApproxJoin| {
+            let mut subs: Vec<Vec<TupleId>> = Vec::new();
+            a.for_each_maximal_subset(
+                &db,
+                &t,
+                S2,
+                tau,
+                &mut Vec::new(),
+                &mut stats,
+                &mut |m, _| subs.push(m.to_vec()),
+            );
+            subs
+        };
+
         // A_min: the unique maximal subset is {c1, s2, a2}.
         let amin = AMin::new(sim.clone(), prob);
-        let subs = amin.maximal_subsets(&db, &t, S2, tau, &mut stats);
-        assert_eq!(subs, vec![vec![C1, A2, S2]]);
+        assert_eq!(subsets(&amin), vec![vec![C1, A2, S2]]);
         assert!(amin.score(&db, &[C1, A2, S2]) >= tau);
 
         // A_prod: {c1,s2,a2} scores 0.32 < τ; the two maximal subsets are
         // {c1, s2} and {s2, a2}.
         let aprod = AProd::new(sim);
-        let mut subs = aprod.maximal_subsets(&db, &t, S2, tau, &mut stats);
+        let mut subs = subsets(&aprod);
         subs.sort();
         assert_eq!(subs, vec![vec![C1, S2], vec![A2, S2]]);
     }

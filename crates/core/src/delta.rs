@@ -309,7 +309,10 @@ pub fn delta_delete_many(
     previous: &[TupleSet],
     cfg: FdConfig,
 ) -> DeleteDelta {
-    let _ = cfg; // store engine choice does not affect this path (yet)
+    // Unused: deletion re-derives remnants without an engine. The
+    // parameter keeps the signature `delta_insert_many`'s, and `perf`'s
+    // commit workload calls both.
+    let _ = cfg;
     delete_in(db, removed, &ResultStore::new(previous, None))
 }
 

@@ -22,7 +22,9 @@
 //!
 //! * a **consistency [`Policy`]** — [`Exact`] (`JCC`, lines 2, 8 and 14
 //!   as written) or [`Approx`](crate::Approx) (`A(·) ≥ τ`, the starred
-//!   lines of Figs. 5–6);
+//!   lines of Figs. 5–6). Line 4's `JCC(T ∪ {tg})` and line 14's
+//!   `JCC(S ∪ T′)` are one predicate, so a set grows only through
+//!   [`Policy::union`]: lines 2–6 try it with `T′ = {tg}`;
 //! * a **[`Frontier`]** — the FIFO list of Fig. 1 (`incremental::Fifo`),
 //!   or one rank heap per relation for Fig. 3 (`priority::RankHeaps`),
 //!   each kept beside its driver.
@@ -30,19 +32,21 @@
 //! The four algorithms are the four combinations; the exactly-once
 //! drivers, the parallel drivers and delta maintenance all run this one
 //! candidate loop. The engine holds only the database, the policy, the
-//! frontier, the pager and the counters. Lines 10 and 11 ask the
-//! frontier ([`Frontier::root_of`], [`Frontier::covered`]), which owns
-//! the `Complete` list(s) and, in a delta run, the seed tuples. Printing
-//! (Section 4's exactly-once rule, Fig. 3 line 17) is the drivers' part:
-//! [`Engine::get_next_result`] returns each extension to its caller.
+//! frontier, the pager, the counters and line 8's buffer. Lines 10 and
+//! 11 ask the frontier ([`Frontier::root_of`], [`Frontier::covered`]),
+//! which owns the `Complete` list(s) and, in a delta run, the seed
+//! tuples. Printing (Section 4's exactly-once rule, Fig. 3 line 17) is
+//! the drivers' part: [`Engine::get_next_result`] returns each extension
+//! to its caller.
 //!
 //! Line 8's `T′` is a sorted member list, not a tuple set: the policy
-//! writes it into a reused buffer ([`Policy::for_each_subset`]), and
-//! lines 10–14 read the slice — the root test, line 11's containment
-//! test and line 14's union. A [`TupleSet`] with its bindings is built
-//! only for a merge that grows an entry (line 14) or for a new
-//! `Incomplete` entry (line 18), so a candidate that lines 10–11 drop,
-//! or that merges into an entry already holding it, allocates nothing.
+//! writes it into the engine's one reused buffer
+//! ([`Policy::for_each_subset`]), and lines 10–14 read the slice — the
+//! root test, line 11's containment test and line 14's union. A
+//! [`TupleSet`] with its bindings is built only for a merge that grows
+//! an entry (line 14) or for a new `Incomplete` entry (line 18), so a
+//! candidate that lines 10–11 drop, or that merges into an entry already
+//! holding it, allocates nothing.
 //!
 //! Line 7 is written as a scan of every tuple, but a candidate that is
 //! consistent with no schema-adjacent member of `T` has `T′ = {tb}`,
@@ -62,7 +66,6 @@ use crate::stats::Stats;
 use crate::tupleset::{member_from, TupleSet};
 use fd_relational::storage::Pager;
 use fd_relational::{Database, RelId, TupleId};
-use std::cell::RefCell;
 
 /// What "consistent" means for one execution: the predicate behind the
 /// extension (lines 2–6), the maximal subsets (line 8) and the merge
@@ -100,22 +103,25 @@ pub trait Policy {
     fn admits(&self, db: &Database, t: TupleId, stats: &mut Stats) -> bool;
 
     /// Lines 2–6: extends `set` to a maximal consistent set, adding only
-    /// tuples of relations `≥ rel_min`.
+    /// tuples of relations `≥ rel_min`, each through
+    /// [`union`](Policy::union).
     fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet;
 
     /// Line 8: calls `f` on the sorted member list of every maximal
-    /// consistent subset of `set ∪ {tb}` that contains `tb`.
+    /// consistent subset of `set ∪ {tb}` that contains `tb`. `buf` is the
+    /// caller's reused scratch list; a unique subset is written there.
     fn for_each_subset(
         &self,
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
         f: impl FnMut(&[TupleId], &mut Stats),
     );
 
-    /// Line 14: the union of a set and a sorted member list, when it is
-    /// consistent.
+    /// Lines 4 and 14: the union of a set and a sorted member list, when
+    /// it is consistent. The only way a tuple set grows.
     fn union(
         &self,
         db: &Database,
@@ -123,12 +129,6 @@ pub trait Policy {
         t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<Union>;
-}
-
-thread_local! {
-    /// The member list of [`Exact::for_each_subset`]'s `T′`, reused
-    /// across candidates.
-    static T_PRIME: RefCell<Vec<TupleId>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The exact policy: join consistency and connectivity (`JCC`), with the
@@ -164,14 +164,13 @@ impl Policy for Exact {
         db: &Database,
         set: &TupleSet,
         tb: TupleId,
+        buf: &mut Vec<TupleId>,
         stats: &mut Stats,
         mut f: impl FnMut(&[TupleId], &mut Stats),
     ) {
         // Footnote 3: the maximal subset is unique.
-        T_PRIME.with_borrow_mut(|t_prime| {
-            maximal_subset_into(db, set, tb, stats, t_prime);
-            f(t_prime, stats)
-        })
+        maximal_subset_into(db, set, tb, stats, buf);
+        f(buf, stats)
     }
 
     fn union(
@@ -306,6 +305,8 @@ pub(crate) struct Engine<'db, P, Q> {
     /// optimization, which relies on a global `Complete`).
     pub(crate) rel_min: usize,
     pub(crate) stats: Stats,
+    /// Line 8's `T′`, reused across candidates.
+    t_prime: Vec<TupleId>,
 }
 
 impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
@@ -325,6 +326,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             pager: page_size.map(|ps| Pager::new(db, ps)),
             rel_min: 0,
             stats,
+            t_prime: Vec::new(),
         }
     }
 
@@ -363,6 +365,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
             pager,
             rel_min,
             stats,
+            t_prime,
         } = self;
         let db: &Database = db;
         // Line 7 visits only the adjacent candidates of an unpaged run.
@@ -378,7 +381,7 @@ impl<'db, P: Policy, Q: Frontier> Engine<'db, P, Q> {
                 return;
             }
             // Line 8.
-            policy.for_each_subset(db, set, tb, stats, |t_prime, stats| {
+            policy.for_each_subset(db, set, tb, t_prime, stats, |t_prime, stats| {
                 // Line 10: must contain a root.
                 let Some(new_root) = frontier.root_of(db, ri, t_prime) else {
                     return;

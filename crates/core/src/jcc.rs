@@ -1,14 +1,14 @@
 //! Join consistency and connectivity (the paper's `JCC` predicate) and the
-//! three primitive operations of `GETNEXTRESULT`:
+//! two primitive operations of `GETNEXTRESULT`:
 //!
-//! * [`can_add`] / [`add_tuple`] — grow a tuple set by one tuple (the
-//!   maximal-extension loop, Fig. 2 lines 2–6);
 //! * [`maximal_subset_into`] — footnote 3's unique maximal subset
 //!   `T′ ⊆ T ∪ {tb}` that contains `tb` (Fig. 2 line 8), as a sorted
 //!   member list in a reused buffer;
 //! * [`union_with`] — the single-linear-pass `JCC(S ∪ T′)` test of
-//!   Theorem 4.8 plus the actual merge (Fig. 2 lines 14–15), taking
-//!   `T′` as that member list.
+//!   Theorem 4.8 plus the actual merge, taking `T′` as a sorted member
+//!   list. It is the only way a set grows: line 14 merges `T′`, and the
+//!   maximal extension of lines 2–6 ([`extend_to_maximal_from`]) adds
+//!   `tg` as the one-member list `[tg]`.
 //!
 //! `T′` stays a member list through lines 10–14; a [`TupleSet`] (with its
 //! bindings) is built only for a merge that grows an entry (line 14) or
@@ -18,6 +18,7 @@
 //! All predicates implement the paper's null semantics: a shared attribute
 //! is consistent only when both sides are equal **and non-null**.
 
+use crate::getnext::{Exact, Policy};
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::{AttrId, Database, RelId, TupleId, Value};
@@ -60,83 +61,7 @@ fn agrees_with(db: &Database, bindings: &[(AttrId, Value, TupleId)], t: TupleId)
     Some(shared)
 }
 
-/// Can tuple `t` be added to `set` while keeping it join consistent and
-/// connected (`JCC(T ∪ {t})`, Fig. 2 line 4)?
-///
-/// For a valid non-empty `set` this checks:
-/// 1. `t`'s relation is not already represented (sets hold one tuple per
-///    relation);
-/// 2. every attribute of `t` that some member also has is equal & non-null
-///    on both sides — one merge pass over the sorted bindings;
-/// 3. `t`'s relation shares an attribute with some member relation
-///    (connectivity is preserved because `set` is itself connected).
-pub fn can_add(db: &Database, set: &TupleSet, t: TupleId, stats: &mut Stats) -> bool {
-    stats.jcc_checks += 1;
-    if set.is_empty() {
-        return true;
-    }
-    let rel = db.rel_of(t);
-    if set.tuple_from(db, rel).is_some() {
-        return false;
-    }
-    // Connectivity first (cheap: relation-graph adjacency, no allocation).
-    if !set
-        .tuples()
-        .iter()
-        .any(|&m| db.rels_connected(db.rel_of(m), rel))
-    {
-        return false;
-    }
-    agrees_with(db, set.bindings(), t).is_some()
-}
-
-/// Adds tuple `t` to `set`, assuming [`can_add`] approved it. Returns the
-/// grown set; merging the sorted binding lists is linear.
-pub fn add_tuple(db: &Database, set: &TupleSet, t: TupleId) -> TupleSet {
-    let mut tuples = Vec::with_capacity(set.len() + 1);
-    tuples.extend_from_slice(set.tuples());
-    let pos = tuples.partition_point(|&x| x < t);
-    tuples.insert(pos, t);
-
-    let schema = db.tuple_schema(t);
-    let values = db.tuple_values(t);
-    let new_bindings = schema.columns_by_attr();
-    let mut merged = Vec::with_capacity(set.bindings().len() + new_bindings.len());
-    let old = set.bindings();
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() || j < new_bindings.len() {
-        if j >= new_bindings.len() {
-            merged.push(old[i].clone());
-            i += 1;
-        } else if i >= old.len() {
-            let (a, col) = new_bindings[j];
-            merged.push((a, values[col as usize].clone(), t));
-            j += 1;
-        } else {
-            let (a_new, col) = new_bindings[j];
-            match old[i].0.cmp(&a_new) {
-                std::cmp::Ordering::Less => {
-                    merged.push(old[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((a_new, values[col as usize].clone(), t));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Shared attribute: values are equal non-null by
-                    // `can_add`; keep the existing binding.
-                    merged.push(old[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    TupleSet::from_parts(tuples, merged)
-}
-
-/// A consistent union `S ∪ T′` (Fig. 2 lines 14–15).
+/// A consistent union `S ∪ T′` (Fig. 2 lines 4 and 14–15).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Union {
     /// `T′ ⊆ S`: the union is `S` itself.
@@ -145,9 +70,10 @@ pub enum Union {
     Grown(TupleSet),
 }
 
-/// `JCC(S ∪ T′)` plus the union itself (Fig. 2 lines 14–15), for a valid
-/// set `S` and the sorted member list of a valid `T′`. Returns `None`
-/// when the union is not a join-consistent connected tuple set.
+/// `JCC(S ∪ T′)` plus the union itself (Fig. 2 lines 14–15, and line 4
+/// with `T′ = {tg}`), for a valid set `S` and the sorted member list of a
+/// valid `T′`. Returns `None` when the union is not a join-consistent
+/// connected tuple set.
 ///
 /// Implements the single-pass criterion of Theorem 4.8 on the members of
 /// `T′` outside `S`: none may share a relation with `S`, each must agree
@@ -193,8 +119,8 @@ pub fn union_with(
             push_bindings(db, m, &mut bindings);
         }
     }
-    // Stable: on a shared attribute `S`'s binding stays, as the fold of
-    // `add_tuple`s would keep it.
+    // Stable: on a shared attribute `S`'s binding stays, so a set grown
+    // one tuple at a time keeps each attribute's first origin.
     bindings.sort_by_key(|b| b.0);
     bindings.dedup_by_key(|b| b.0);
     Some(Union::Grown(TupleSet::from_parts(tuples, bindings)))
@@ -364,7 +290,7 @@ pub fn extend_to_maximal(db: &Database, set: TupleSet, stats: &mut Stats) -> Tup
 /// [`extend_to_maximal`] restricted to candidate tuples from relations
 /// with index `≥ rel_min` — Section 7's "iterate only over tuples in
 /// `R_{i+1}, …, R_n`" refinement for the repeated-work-minimizing
-/// initialization strategies.
+/// initialization strategies. This is [`Exact`]'s extension.
 ///
 /// Candidates come from [`Database::probe`] rather than a relation scan:
 /// a connected relation always shares at least one attribute with some
@@ -372,40 +298,35 @@ pub fn extend_to_maximal(db: &Database, set: TupleSet, stats: &mut Stats) -> Tup
 /// probe intersects posting lists on those bindings and yields — in
 /// ascending id order, the same first-match order as the scan it
 /// replaces — exactly the tuples agreeing with the set on every shared
-/// attribute. [`can_add`] stays as the authoritative `JCC` check on each
-/// candidate (it also keeps the operation counts meaningful).
+/// attribute. [`union_with`] with `T′ = {tg}` stays the authoritative
+/// `JCC` check on each candidate (it also keeps the operation counts
+/// meaningful).
 pub fn extend_to_maximal_from(
     db: &Database,
     set: TupleSet,
     rel_min: usize,
     stats: &mut Stats,
 ) -> TupleSet {
-    extend_greedy(
-        db,
-        set,
-        rel_min,
-        stats,
-        |set, rel, out| {
-            db.probe(rel, set.bindings(), out);
-            true
-        },
-        |set, t, stats| can_add(db, set, t, stats).then(|| add_tuple(db, set, t)),
-    )
+    extend_greedy(db, &Exact, set, rel_min, stats, |set, rel, out| {
+        db.probe(rel, set.bindings(), out);
+        true
+    })
 }
 
 /// The greedy fixpoint behind both policies' extensions: for each
 /// relation `≥ rel_min` not yet represented but connected to the set,
-/// add the first candidate that `grow` accepts (one tuple per relation),
-/// and repeat passes until one adds nothing. `candidates` appends a
-/// relation's candidates to a reused buffer, ascending, and returns
-/// `true`; returning `false` scans the relation instead.
-pub(crate) fn extend_greedy(
+/// add the first candidate `tg` whose [`Policy::union`] with the set
+/// grows it (one tuple per relation), and repeat passes until one adds
+/// nothing. Only the candidate source is the policy's: `candidates`
+/// appends a relation's candidates to a reused buffer, ascending, and
+/// returns `true`; returning `false` scans the relation instead.
+pub(crate) fn extend_greedy<P: Policy>(
     db: &Database,
+    policy: &P,
     mut set: TupleSet,
     rel_min: usize,
     stats: &mut Stats,
     mut candidates: impl FnMut(&TupleSet, RelId, &mut Vec<TupleId>) -> bool,
-    mut grow: impl FnMut(&TupleSet, TupleId, &mut Stats) -> Option<TupleSet>,
 ) -> TupleSet {
     let mut buf = Vec::new();
     loop {
@@ -427,7 +348,10 @@ pub(crate) fn extend_greedy(
             let probed = candidates(&set, rel, &mut buf);
             let mut try_grow = |t| {
                 stats.extension_scans += 1;
-                grow(&set, t, stats)
+                match policy.union(db, &set, &[t], stats)? {
+                    Union::Grown(grown) => Some(grown),
+                    Union::Same => None,
+                }
             };
             let grown = if probed {
                 buf.iter().find_map(|&t| try_grow(t))
@@ -520,39 +444,47 @@ mod tests {
         assert!(!tuples_join_consistent(&db, A1, S1)); // Toronto ≠ London
     }
 
+    /// `set ∪ {t}` through [`union_with`], when it grows `set`.
+    fn grown(db: &Database, set: &TupleSet, t: TupleId) -> Option<TupleSet> {
+        match union_with(db, set, &[t], &mut Stats::new())? {
+            Union::Grown(grown) => Some(grown),
+            Union::Same => None,
+        }
+    }
+
     #[test]
     fn can_add_enforces_relation_uniqueness() {
         let db = tourist_database();
-        let mut stats = Stats::new();
         let set = TupleSet::singleton(&db, C1);
-        assert!(!can_add(&db, &set, C2, &mut stats));
-        assert!(can_add(&db, &set, A1, &mut stats));
+        assert!(grown(&db, &set, C2).is_none());
+        assert_eq!(grown(&db, &set, A1).unwrap().tuples(), &[C1, A1]);
     }
 
     #[test]
     fn can_add_checks_all_members_not_just_bindings_of_one() {
         let db = tourist_database();
-        let mut stats = Stats::new();
         let set = rebuild(&db, vec![C1, A1]); // Canada, Toronto
                                               // s1 is Canada/London: conflicts with a1's Toronto via City.
-        assert!(!can_add(&db, &set, S1, &mut stats));
+        assert!(grown(&db, &set, S1).is_none());
         // s2 has City ⊥, conflicting with a1 having City bound.
-        assert!(!can_add(&db, &set, S2, &mut stats));
+        assert!(grown(&db, &set, S2).is_none());
     }
 
     #[test]
     fn add_tuple_merges_bindings() {
         let db = tourist_database();
-        let set = rebuild(&db, vec![C1, A2]);
-        assert_eq!(set.len(), 2);
+        let set = grown(&db, &TupleSet::singleton(&db, C1), A2).unwrap();
+        assert_eq!(set.tuples(), &[C1, A2]);
         let climate = db.attr_id("Climate").unwrap();
         let hotel = db.attr_id("Hotel").unwrap();
         let country = db.attr_id("Country").unwrap();
         assert_eq!(set.binding(climate), Some(&Value::str("diverse")));
         assert_eq!(set.binding(hotel), Some(&Value::str("Ramada")));
         assert_eq!(set.binding(country), Some(&Value::str("Canada")));
-        // 2 + 4 schemas attrs, 1 shared (Country): 5 bindings.
+        // 2 + 4 schemas attrs, 1 shared (Country): 5 bindings, the
+        // shared one from c1.
         assert_eq!(set.bindings().len(), 5);
+        assert_eq!(set.bindings(), rebuild(&db, vec![C1, A2]).bindings());
     }
 
     #[test]

@@ -86,6 +86,13 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// so one client cannot grow the daemon's memory without limit.
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// The longest line a [`Client`] reads, newline included; a longer one
+/// is a protocol error, so a bad peer cannot grow the client without
+/// limit. The daemon echoes an unknown command of up to
+/// `MAX_LINE_BYTES` with its error prefix and [`GRAMMAR`], so the cap
+/// leaves room for that.
+const MAX_REPLY_BYTES: usize = 2 * MAX_LINE_BYTES;
+
 /// The most mutations one `begin` block may queue. A further `insert` or
 /// `delete` gets `error transaction too large …` and is counted in
 /// `fd_serve_batch_rejections_total`; the transaction stays open, so the
@@ -1547,14 +1554,24 @@ impl Client {
         Ok(())
     }
 
-    /// Reads one line (without the newline); `None` on EOF.
+    /// Reads one line (without the newline); `None` on EOF. A line of
+    /// more than `MAX_REPLY_BYTES` is a [`ServeError::Protocol`].
     pub fn read_line(&mut self) -> Result<Option<String>, ServeError> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Ok(None),
-            Ok(_) => Ok(Some(line.trim_end_matches(['\n', '\r']).to_owned())),
-            Err(e) => Err(ServeError::from(e)),
+        let mut buf = Vec::new();
+        let n = (&mut self.reader)
+            .take(MAX_REPLY_BYTES as u64)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            return Ok(None);
         }
+        if n == MAX_REPLY_BYTES && buf.last() != Some(&b'\n') {
+            return Err(ServeError::Protocol {
+                reason: format!("server line longer than {MAX_REPLY_BYTES} bytes"),
+            });
+        }
+        let line = String::from_utf8(buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok(Some(line.trim_end_matches(['\n', '\r']).to_owned()))
     }
 
     /// Reads one reply block: every line up to and including the next
@@ -1602,6 +1619,22 @@ mod tests {
     use super::*;
     use crate::session::FdSession;
     use fd_relational::tourist_database;
+
+    #[test]
+    fn client_rejects_an_endless_server_line() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&vec![b'x'; MAX_REPLY_BYTES + 1]).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        assert!(matches!(
+            client.read_line(),
+            Err(ServeError::Protocol { .. })
+        ));
+        peer.join().unwrap();
+    }
 
     #[test]
     fn parse_commands_cover_the_grammar() {

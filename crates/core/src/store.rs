@@ -461,7 +461,8 @@ fn decode_snapshot(body: &str) -> Result<Snapshot, StoreError> {
     let num_results: usize = next("results")?
         .parse()
         .map_err(|_| corrupt("snapshot: bad result count"))?;
-    let mut results = Vec::with_capacity(num_results);
+    // The count comes from the file: grow as sets parse, never reserve it.
+    let mut results = Vec::new();
     for _ in 0..num_results {
         let ids = next("set")?;
         let mut set = Vec::new();
@@ -897,6 +898,30 @@ mod tests {
         let last = raw.len() - 2;
         raw[last] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            store.read_snapshot(),
+            Err(StoreError::Corrupt { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_result_count_beyond_the_body_is_corrupt() {
+        let dir = temp_dir("snapcount");
+        let db = tourist_database();
+        let store = Store::create(&dir).unwrap();
+        store.write_snapshot(&db, &[], 0).unwrap();
+        let raw = String::from_utf8(std::fs::read(store.snapshot_path()).unwrap()).unwrap();
+        let (_, body) = raw.split_once('\n').unwrap();
+        // A count no vector can reserve (`usize::MAX / 24` and up), under
+        // a valid header: only the parse can reject it.
+        let body = body.replace("\nresults 0\n", &format!("\nresults {}\n", usize::MAX));
+        let header = format!(
+            "fdsnap {SNAPSHOT_VERSION} len={} crc={:08x}\n",
+            body.len(),
+            crc32(body.as_bytes())
+        );
+        std::fs::write(store.snapshot_path(), header + &body).unwrap();
         assert!(matches!(
             store.read_snapshot(),
             Err(StoreError::Corrupt { .. })

@@ -2,8 +2,8 @@
 //! of the paper leans on.
 
 use fd_core::jcc::{
-    add_tuple, can_add, extend_to_maximal, is_jcc, maximal_subset_with, rebuild, try_union,
-    tuples_join_consistent,
+    extend_to_maximal, is_jcc, maximal_subset_with, rebuild, try_union, tuples_join_consistent,
+    union_with, Union,
 };
 use fd_core::sim::{levenshtein, string_similarity};
 use fd_core::{Stats, TupleSet};
@@ -59,6 +59,14 @@ fn all_jcc(db: &Database) -> Vec<Vec<TupleId>> {
     out
 }
 
+/// Sorted `members` plus `t`.
+fn with_member(members: &[TupleId], t: TupleId) -> Vec<TupleId> {
+    let mut out = members.to_vec();
+    let pos = out.partition_point(|&x| x < t);
+    out.insert(pos, t);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,16 +83,25 @@ proptest! {
         }
     }
 
-    /// `can_add` + `add_tuple` preserve the full JCC predicate.
+    /// A set grows by one tuple through `union_with` exactly when the
+    /// grown member list is JCC, and the grown set has those members.
     #[test]
     fn growth_preserves_jcc(db in arb_db()) {
         let mut stats = Stats::new();
         for jcc in all_jcc(&db) {
-            let set = rebuild(&db, jcc);
+            let set = rebuild(&db, jcc.clone());
             for t in db.all_tuples() {
-                if !set.contains(t) && can_add(&db, &set, t, &mut stats) {
-                    let grown = add_tuple(&db, &set, t);
-                    prop_assert!(is_jcc(&db, grown.tuples()));
+                if set.contains(t) {
+                    continue;
+                }
+                let grown = with_member(&jcc, t);
+                match union_with(&db, &set, &[t], &mut stats) {
+                    Some(Union::Grown(u)) => {
+                        prop_assert!(is_jcc(&db, &grown));
+                        prop_assert_eq!(u.tuples(), grown.as_slice());
+                    }
+                    Some(Union::Same) => prop_assert!(false, "{t} is not a member"),
+                    None => prop_assert!(!is_jcc(&db, &grown)),
                 }
             }
         }
@@ -136,9 +153,7 @@ proptest! {
                 // Maximality: no further member of T can join.
                 for &m in set.tuples() {
                     if !sub.contains(m) {
-                        let mut cand = sub.tuples().to_vec();
-                        let pos = cand.partition_point(|&x| x < m);
-                        cand.insert(pos, m);
+                        let cand = with_member(sub.tuples(), m);
                         prop_assert!(!is_jcc(&db, &cand), "{m} was wrongly dropped");
                     }
                 }
@@ -155,7 +170,7 @@ proptest! {
             prop_assert!(is_jcc(&db, maximal.tuples()));
             for tg in db.all_tuples() {
                 if !maximal.contains(tg) {
-                    prop_assert!(!can_add(&db, &maximal, tg, &mut stats));
+                    prop_assert!(!is_jcc(&db, &with_member(maximal.tuples(), tg)));
                 }
             }
         }

@@ -156,9 +156,21 @@ fn figure_4_and_examples_6_1_6_3() {
     // Example 6.3: maximal subsets of {c1,s1,a2} ∪ {s2} at τ = 0.4.
     let t = full_disjunction::core::jcc::rebuild(&db, vec![C1, A2, S1]);
     let mut stats = Stats::new();
-    let m1 = amin.maximal_subsets(&db, &t, S2, 0.4, &mut stats);
-    assert_eq!(m1, vec![vec![C1, A2, S2]]);
-    let mut m2 = aprod.maximal_subsets(&db, &t, S2, 0.4, &mut stats);
+    let mut subsets = |a: &dyn ApproxJoin| {
+        let mut subs: Vec<Vec<TupleId>> = Vec::new();
+        a.for_each_maximal_subset(
+            &db,
+            &t,
+            S2,
+            0.4,
+            &mut Vec::new(),
+            &mut stats,
+            &mut |m, _| subs.push(m.to_vec()),
+        );
+        subs
+    };
+    assert_eq!(subsets(&amin), vec![vec![C1, A2, S2]]);
+    let mut m2 = subsets(&aprod);
     m2.sort();
     assert_eq!(m2, vec![vec![C1, S2], vec![A2, S2]]);
 }
