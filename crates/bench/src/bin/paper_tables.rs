@@ -146,6 +146,7 @@ fn figure_4_examples() {
         let mut labels = Vec::new();
         a.for_each_maximal_subset(
             &db,
+            &fd_core::SimMemo::default(),
             &t,
             s2,
             0.4,

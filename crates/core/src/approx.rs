@@ -21,6 +21,11 @@
 //! Those changes are the [`Approx`] policy of the shared `GETNEXTRESULT`
 //! engine; [`ApproxFdIter`], [`ApproxAllIter`] and [`RankedApproxFdIter`]
 //! are the engine's iterators under that policy.
+//!
+//! `A(T)` is evaluated over and over, but `sim(t, t′)` is a fixed
+//! function of the pair for the whole run, and so is line 7's bound for
+//! a (member, relation) pair. The policy keeps both in one [`SimMemo`]
+//! per run, which its parallel workers share.
 
 use crate::getnext::Policy;
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
@@ -34,6 +39,9 @@ use crate::tupleset::{is_sorted_subset, TupleSet};
 use fd_relational::fxhash::FxHashSet;
 use fd_relational::{Database, RelId, TupleId};
 use std::cell::RefCell;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Per-tuple correctness probabilities `prob(t)` (Section 6), in `[0,1]`.
 #[derive(Debug, Clone)]
@@ -85,19 +93,29 @@ pub trait ApproxJoin {
     /// Must return 0 for disconnected sets and be antitone under growth.
     fn score(&self, db: &Database, members: &[TupleId]) -> f64;
 
+    /// [`score`](Self::score) with the pair similarities read through the
+    /// run's memo. The approximate policy scores through this; the
+    /// default ignores the memo.
+    fn score_with(&self, db: &Database, memo: &SimMemo, members: &[TupleId]) -> f64 {
+        let _ = memo;
+        self.score(db, members)
+    }
+
     /// Fig. 6 line 8: calls `f` on the sorted member list of every
     /// **maximal** subset `T′ ⊆ T ∪ {tb}` that contains `tb` and has
-    /// `A(T′) ≥ τ`. `buf` is the caller's reused scratch list: a join
-    /// function with a unique maximal subset writes it there. `A` is
-    /// *efficiently computable* (Definition 6.4) when this runs in
-    /// polynomial time.
-    // Line 8's inputs (`T`, `tb`, `τ`) plus the caller's buffer, counters
-    // and callback; a bundling struct would only move them, and the
-    // method must stay object-safe for `BoxedApprox`.
+    /// `A(T′) ≥ τ`, reading pair similarities through `memo`. `buf` is
+    /// the caller's reused scratch list: a join function with a unique
+    /// maximal subset writes it there. `A` is *efficiently computable*
+    /// (Definition 6.4) when this runs in polynomial time.
+    // Line 8's inputs (`T`, `tb`, `τ`) plus the run's memo and the
+    // caller's buffer, counters and callback; a bundling struct would
+    // only move them, and the method must stay object-safe for
+    // `BoxedApprox`.
     #[allow(clippy::too_many_arguments)]
     fn for_each_maximal_subset(
         &self,
         db: &Database,
+        memo: &SimMemo,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
@@ -133,9 +151,14 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for &A {
         (**self).score(db, members)
     }
 
+    fn score_with(&self, db: &Database, memo: &SimMemo, members: &[TupleId]) -> f64 {
+        (**self).score_with(db, memo, members)
+    }
+
     fn for_each_maximal_subset(
         &self,
         db: &Database,
+        memo: &SimMemo,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
@@ -143,7 +166,7 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for &A {
         stats: &mut Stats,
         f: &mut dyn FnMut(&[TupleId], &mut Stats),
     ) {
-        (**self).for_each_maximal_subset(db, set, tb, tau, buf, stats, f)
+        (**self).for_each_maximal_subset(db, memo, set, tb, tau, buf, stats, f)
     }
 
     fn candidates(
@@ -163,9 +186,14 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
         (**self).score(db, members)
     }
 
+    fn score_with(&self, db: &Database, memo: &SimMemo, members: &[TupleId]) -> f64 {
+        (**self).score_with(db, memo, members)
+    }
+
     fn for_each_maximal_subset(
         &self,
         db: &Database,
+        memo: &SimMemo,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
@@ -173,7 +201,7 @@ impl<A: ApproxJoin + ?Sized> ApproxJoin for Box<A> {
         stats: &mut Stats,
         f: &mut dyn FnMut(&[TupleId], &mut Stats),
     ) {
-        (**self).for_each_maximal_subset(db, set, tb, tau, buf, stats, f)
+        (**self).for_each_maximal_subset(db, memo, set, tb, tau, buf, stats, f)
     }
 
     fn candidates(
@@ -237,6 +265,10 @@ impl<S: Similarity> AMin<S> {
 
 impl<S: Similarity> ApproxJoin for AMin<S> {
     fn score(&self, db: &Database, members: &[TupleId]) -> f64 {
+        self.score_with(db, &SimMemo::default(), members)
+    }
+
+    fn score_with(&self, db: &Database, memo: &SimMemo, members: &[TupleId]) -> f64 {
         if members.is_empty() || !members_connected(db, members) {
             return 0.0;
         }
@@ -247,7 +279,7 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
         for (i, &t1) in members.iter().enumerate() {
             for &t2 in &members[i + 1..] {
                 if pair_connected(db, t1, t2) {
-                    m = m.min(self.sim.sim(db, t1, t2));
+                    m = m.min(memo.sim(db, &self.sim, t1, t2));
                 }
             }
         }
@@ -262,6 +294,7 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
     fn for_each_maximal_subset(
         &self,
         db: &Database,
+        memo: &SimMemo,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
@@ -279,12 +312,12 @@ impl<S: Similarity> ApproxJoin for AMin<S> {
             db.rel_of(t) != rel_b
                 && (!pair_connected(db, t, tb) || {
                     stats.approx_evals += 1;
-                    self.sim.sim(db, t, tb) >= tau
+                    memo.sim(db, &self.sim, t, tb) >= tau
                 })
         }));
         insert_member(buf, tb);
         retain_component(db, buf, rel_b);
-        debug_assert!(self.score(db, buf) >= tau);
+        debug_assert!(self.score_with(db, memo, buf) >= tau);
         f(buf, stats);
     }
 
@@ -319,6 +352,10 @@ impl<S: Similarity> AProd<S> {
 
 impl<S: Similarity> ApproxJoin for AProd<S> {
     fn score(&self, db: &Database, members: &[TupleId]) -> f64 {
+        self.score_with(db, &SimMemo::default(), members)
+    }
+
+    fn score_with(&self, db: &Database, memo: &SimMemo, members: &[TupleId]) -> f64 {
         if members.is_empty() || !members_connected(db, members) {
             return 0.0;
         }
@@ -326,7 +363,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
         for (i, &t1) in members.iter().enumerate() {
             for &t2 in &members[i + 1..] {
                 if pair_connected(db, t1, t2) {
-                    p *= self.sim.sim(db, t1, t2);
+                    p *= memo.sim(db, &self.sim, t1, t2);
                 }
             }
         }
@@ -338,6 +375,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
     fn for_each_maximal_subset(
         &self,
         db: &Database,
+        memo: &SimMemo,
         set: &TupleSet,
         tb: TupleId,
         tau: f64,
@@ -366,7 +404,7 @@ impl<S: Similarity> ApproxJoin for AProd<S> {
                 continue;
             }
             stats.approx_evals += 1;
-            if self.score(db, &cand) >= tau {
+            if self.score_with(db, memo, &cand) >= tau {
                 found.push(cand);
                 continue;
             }
@@ -415,6 +453,180 @@ fn insert_member(members: &mut Vec<TupleId>, t: TupleId) {
     members.insert(pos, t);
 }
 
+/// A [`SimMemo`] table that would take more bytes than this is not
+/// built; its lookups then compute.
+const MEMO_TABLE_BYTES: usize = 8 << 20;
+
+/// The most entries of type `T` a [`SimMemo`] table may hold.
+fn memo_cap<T>() -> usize {
+    MEMO_TABLE_BYTES / std::mem::size_of::<T>()
+}
+
+/// A pair slot no similarity has been stored in: a NaN pattern. A
+/// similarity returning this very NaN is recomputed on every call.
+const UNKNOWN: u64 = u64::MAX;
+
+/// One run's memo of an approximate join function's similarity work,
+/// built by the [`Approx`] policy over the run's database and dropped
+/// with it. It holds two tables:
+///
+/// * the **pair table**: the exact `f64` value of `sim(t1, t2)` for
+///   every pair of tuples of two distinct connected relations, one
+///   lock-free slot each, filled on first use ([`sim`](Self::sim));
+/// * the **candidate table**: line 7's bound for a (member, relation)
+///   pair, the id list [`ApproxJoin::candidates`] appended or "cannot
+///   bound, scan", computed once per run.
+///
+/// Parallel workers share one memo. A table over 8 MiB (2²⁰ pair
+/// slots; 2¹⁸ candidate keys on 64-bit targets) is not built, and its
+/// lookups compute directly; so does
+/// [`SimMemo::default`], the memo of a call outside a run. The memo is
+/// per run, not per join function: one [`AMin`] may score databases
+/// whose equal tuple ids are different tuples.
+#[derive(Default)]
+pub struct SimMemo {
+    /// Relations of the database.
+    rels: usize,
+    /// Rows of each relation (tombstones included): the pair table's
+    /// strides.
+    rows: Vec<usize>,
+    /// The first slot of each connected relation pair `r1 < r2`'s block
+    /// of `pairs`, at `r1 * rels + r2`; empty when the pair table is
+    /// not built.
+    blocks: Vec<Option<usize>>,
+    /// `sim` bits by (row of `t1`, row of `t2`) within a block, or
+    /// [`UNKNOWN`].
+    pairs: Vec<AtomicU64>,
+    /// Line 7's bound by `m * rels + rel`: `Some(ids)`, or `None` when
+    /// the join function cannot bound it.
+    candidates: Vec<OnceLock<Option<Vec<TupleId>>>>,
+}
+
+impl SimMemo {
+    /// Both tables, sized for `db`, each left out above the size cap.
+    pub(crate) fn new(db: &Database) -> Self {
+        let rels = db.num_relations();
+        let rows: Vec<usize> = (0..rels)
+            .map(|r| db.relation(RelId(r as u16)).len())
+            .collect();
+        let mut blocks = vec![None; rels * rels];
+        let mut slots = 0usize;
+        for r1 in 0..rels {
+            for r2 in r1 + 1..rels {
+                if db.rels_connected(RelId(r1 as u16), RelId(r2 as u16)) {
+                    blocks[r1 * rels + r2] = Some(slots);
+                    slots = slots.saturating_add(rows[r1].saturating_mul(rows[r2]));
+                }
+            }
+        }
+        if slots > memo_cap::<AtomicU64>() {
+            blocks = Vec::new();
+            slots = 0;
+        }
+        let keys = (db.tuple_id_bound() as usize).saturating_mul(rels);
+        let keys = if keys > memo_cap::<OnceLock<Option<Vec<TupleId>>>>() {
+            0
+        } else {
+            keys
+        };
+        SimMemo {
+            rels,
+            rows,
+            blocks,
+            pairs: (0..slots).map(|_| AtomicU64::new(UNKNOWN)).collect(),
+            candidates: (0..keys).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Slots of the pair table (0 when it is not built).
+    fn pair_slots(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Keys of the candidate table (0 when it is not built).
+    fn candidate_slots(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// `s.sim(db, t1, t2)` for tuples of two connected relations, from
+    /// the pair table when it holds the pair. `db` is the database the
+    /// memo was built over, the one passed along with it; `s` is
+    /// symmetric, so a pair is computed once whichever way round it is
+    /// asked.
+    pub fn sim<S: Similarity + ?Sized>(
+        &self,
+        db: &Database,
+        s: &S,
+        t1: TupleId,
+        t2: TupleId,
+    ) -> f64 {
+        let (a, b) = (db.locate(t1), db.locate(t2));
+        let ((r1, row1, t1), (r2, row2, t2)) = if a.0 <= b.0 {
+            ((a.0, a.1, t1), (b.0, b.1, t2))
+        } else {
+            ((b.0, b.1, t2), (a.0, a.1, t1))
+        };
+        debug_assert!(
+            self.blocks.is_empty()
+                || (row1 < self.rows[r1.index()] && row2 < self.rows[r2.index()]),
+            "a memo asked about another database"
+        );
+        let slot = self
+            .blocks
+            .get(r1.index() * self.rels + r2.index())
+            .copied()
+            .flatten()
+            .and_then(|block| self.pairs.get(block + row1 * self.rows[r2.index()] + row2));
+        let Some(slot) = slot else {
+            return s.sim(db, t1, t2);
+        };
+        // Relaxed: a slot publishes nothing but its own value, and workers
+        // racing on an empty slot store the same bits.
+        let bits = slot.load(Ordering::Relaxed);
+        if bits != UNKNOWN {
+            return f64::from_bits(bits);
+        }
+        let v = s.sim(db, t1, t2);
+        slot.store(v.to_bits(), Ordering::Relaxed);
+        v
+    }
+
+    /// Line 7's bound for `m` and `rel`: appends the ids `bound` appends
+    /// and returns what it returns. `bound` runs once per run and key;
+    /// later lookups read the candidate table.
+    fn candidates(
+        &self,
+        m: TupleId,
+        rel: RelId,
+        out: &mut Vec<TupleId>,
+        bound: impl FnOnce(&mut Vec<TupleId>) -> bool,
+    ) -> bool {
+        let Some(slot) = self.candidates.get(m.index() * self.rels + rel.index()) else {
+            return bound(out);
+        };
+        let ids = slot.get_or_init(|| {
+            let mut ids = Vec::new();
+            bound(&mut ids).then_some(ids)
+        });
+        match ids {
+            Some(ids) => {
+                out.extend_from_slice(ids);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl fmt::Debug for SimMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimMemo")
+            .field("pair_slots", &self.pair_slots())
+            .field("candidate_slots", &self.candidate_slots())
+            .finish()
+    }
+}
+
 /// The approximate consistency policy `(A, τ)` of Figs. 5–6: a set is
 /// consistent when it is structurally valid and `A(T) ≥ τ`. Members of
 /// such a set may disagree on shared attributes, so nothing here relies
@@ -422,21 +634,31 @@ fn insert_member(members: &mut Vec<TupleId>, t: TupleId) {
 /// [`ApproxJoin::candidates`] when the join function bounds them (for
 /// [`AMin`] and [`AProd`], when their similarity does), and so does
 /// Fig. 3's seed growth; the extension scans whole relations.
+///
+/// The policy is built over the run's database with one [`SimMemo`]:
+/// every score reads pair similarities through it, and each
+/// (member, relation) bound is probed once per run. Its borrowed form
+/// ([`Policy::by_ref`]) shares the memo with parallel workers.
 #[derive(Debug)]
 pub struct Approx<A> {
     a: A,
     tau: f64,
+    memo: Arc<SimMemo>,
 }
 
 impl<A: ApproxJoin> Approx<A> {
-    pub(crate) fn new(a: A, tau: f64) -> Self {
-        Approx { a, tau }
+    pub(crate) fn new(db: &Database, a: A, tau: f64) -> Self {
+        Approx {
+            a,
+            tau,
+            memo: Arc::new(SimMemo::new(db)),
+        }
     }
 
     /// Does the member list reach the threshold?
     fn accepts(&self, db: &Database, members: &[TupleId], stats: &mut Stats) -> bool {
         stats.approx_evals += 1;
-        self.a.score(db, members) >= self.tau
+        self.a.score_with(db, &self.memo, members) >= self.tau
     }
 }
 
@@ -451,6 +673,7 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         Approx {
             a: &self.a,
             tau: self.tau,
+            memo: Arc::clone(&self.memo),
         }
     }
 
@@ -464,9 +687,12 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         extend_greedy(db, self, set, rel_min, stats, |_, _, _| false)
     }
 
-    /// The join function's bound ([`ApproxJoin::candidates`]).
+    /// The join function's bound ([`ApproxJoin::candidates`]), probed
+    /// once per run and key.
     fn candidates(&self, db: &Database, m: TupleId, rel: RelId, out: &mut Vec<TupleId>) -> bool {
-        self.a.candidates(db, m, rel, self.tau, out)
+        self.memo.candidates(m, rel, out, |out| {
+            self.a.candidates(db, m, rel, self.tau, out)
+        })
     }
 
     /// Fig. 6 line 8: possibly several maximal subsets.
@@ -480,7 +706,7 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         mut f: impl FnMut(&[TupleId], &mut Stats),
     ) {
         self.a
-            .for_each_maximal_subset(db, set, tb, self.tau, buf, stats, &mut f)
+            .for_each_maximal_subset(db, &self.memo, set, tb, self.tau, buf, stats, &mut f)
     }
 
     /// Fig. 6 lines 4 and 14–15 analog: a structural union that stays
@@ -541,7 +767,7 @@ impl<'db, A: ApproxJoin> ApproxFdIter<'db, A> {
     /// `engine` selects the `Complete` store structure, `page_size`
     /// switches the candidate scans to block-based execution.
     pub fn with_config(db: &'db Database, ri: RelId, a: A, tau: f64, cfg: FdConfig) -> Self {
-        Self::with_policy(db, ri, Approx::new(a, tau), cfg)
+        Self::with_policy(db, ri, Approx::new(db, a, tau), cfg)
     }
 }
 
@@ -560,7 +786,7 @@ impl<'db, A: ApproxJoin> ApproxAllIter<'db, A> {
             init: InitStrategy::Singletons,
             ..cfg
         };
-        Self::with_policy(db, Approx::new(a, tau), cfg)
+        Self::with_policy(db, Approx::new(db, a, tau), cfg)
     }
 }
 
@@ -579,14 +805,14 @@ impl<'db, A: ApproxJoin, F: MonotoneCDetermined> RankedApproxFdIter<'db, A, F> {
     /// switches the candidate scans to block-based execution.
     pub fn with_config(db: &'db Database, a: A, tau: f64, f: F, cfg: FdConfig) -> Self {
         let n = db.num_relations();
-        Self::for_policy(db, Approx::new(a, tau), f, cfg, 0..n)
+        Self::for_policy(db, Approx::new(db, a, tau), f, cfg, 0..n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{ExactSim, TableSim};
+    use crate::sim::{EditDistanceSim, ExactSim, TableSim};
     use fd_relational::tourist_database;
 
     fn approx_full_disjunction<A: ApproxJoin>(db: &Database, a: &A, tau: f64) -> Vec<TupleSet> {
@@ -649,6 +875,7 @@ mod tests {
             let mut subs: Vec<Vec<TupleId>> = Vec::new();
             a.for_each_maximal_subset(
                 &db,
+                &SimMemo::default(),
                 &t,
                 S2,
                 tau,
@@ -733,6 +960,52 @@ mod tests {
         let afd = approx_full_disjunction(&db, &amin, 0.5);
         // c1 (prob 0.1) can appear in no result.
         assert!(afd.iter().all(|s| !s.contains(TupleId(0))));
+    }
+
+    /// The pair table covers the pairs of connected relations (all three
+    /// tourist relations share `Country`: 3·3 + 3·4 + 3·4 slots), holds
+    /// what the similarity computes whichever way round a pair is asked,
+    /// and the candidate table has a key per (tuple, relation).
+    #[test]
+    fn memo_tables_cover_connected_pairs_and_store_exact_values() {
+        let db = tourist_database();
+        let memo = SimMemo::new(&db);
+        assert_eq!(memo.pair_slots(), 33);
+        assert_eq!(memo.candidate_slots(), 10 * 3);
+        let tuples: Vec<TupleId> = db.all_tuples().collect();
+        for _ in 0..2 {
+            for &t1 in &tuples {
+                for &t2 in &tuples {
+                    if db.rel_of(t1) != db.rel_of(t2) {
+                        let direct = EditDistanceSim.sim(&db, t1, t2);
+                        assert_eq!(memo.sim(&db, &EditDistanceSim, t1, t2), direct);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Above the size cap the pair table is left out and `sim` computes.
+    #[test]
+    fn memo_skips_a_pair_table_over_the_slot_cap() {
+        let rows = 1025; // 1025² pair slots > 2²⁰
+        let mut b = fd_relational::DatabaseBuilder::new();
+        let mut r = b.relation("R", &["A"]);
+        for i in 0..rows {
+            r.row([i as i64]);
+        }
+        let mut s = b.relation("S", &["A"]);
+        for i in 0..rows {
+            s.row([i as i64 + 1]);
+        }
+        let db = b.build().unwrap();
+        let memo = SimMemo::new(&db);
+        assert_eq!(memo.pair_slots(), 0);
+        assert_eq!(memo.candidate_slots(), 2 * rows * 2);
+        let (t1, t2) = (TupleId(3), TupleId(rows as u32 + 3));
+        let direct = EditDistanceSim.sim(&db, t1, t2);
+        assert!(direct > 0.0 && direct < 1.0);
+        assert_eq!(memo.sim(&db, &EditDistanceSim, t1, t2), direct);
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod store;
 
 pub use approx::{
     AMin, AProd, Approx, ApproxAllIter, ApproxFdIter, ApproxJoin, ProbScores, RankedApproxFdIter,
+    SimMemo,
 };
 pub use delta::{DeleteDelta, InsertDelta};
 pub use error::FdError;

@@ -809,7 +809,7 @@ mod tests {
             .collect();
         let mut union: Vec<TupleSet> = Vec::new();
         for (lo, hi) in [(0usize, 2usize), (2, 3)] {
-            let policy = crate::Approx::new(&a, 0.9);
+            let policy = crate::Approx::new(&db, &a, 0.9);
             let shard = RankedIter::for_policy(&db, policy, &f, FdConfig::default(), lo..hi);
             union.extend(shard.map(|(s, _)| s));
         }

@@ -574,7 +574,7 @@ fn build_inner(parts: QueryParts<'_>) -> Box<dyn Plan + '_> {
     } = parts;
     match approx {
         None => plan(db, Exact, config, ranking, threads),
-        Some((a, tau)) => plan(db, Approx::new(a, tau), config, ranking, threads),
+        Some((a, tau)) => plan(db, Approx::new(db, a, tau), config, ranking, threads),
     }
 }
 

@@ -246,7 +246,9 @@ impl Similarity for EditDistanceSim {
     /// the first one, so the tuples whose value there reaches `τ` against
     /// `m`'s are a superset: one test per distinct value
     /// ([`Database::probe_similar`]). Only for `τ > 0`: nulls are not
-    /// indexed, and `value_similarity(⊥, ·) = 0` passes at `τ = 0`.
+    /// indexed, and `value_similarity(⊥, ·) = 0` passes at `τ = 0`. An
+    /// approximate run probes each (member, relation) pair once and reads
+    /// the answer from its memo after that ([`crate::approx::SimMemo`]).
     fn candidates(
         &self,
         db: &Database,

@@ -6,7 +6,7 @@
 use full_disjunction::baselines::{join_nonempty_direct, oracle_fd};
 use full_disjunction::core::sim::TableSim;
 use full_disjunction::core::{
-    canonicalize, AMin, AProd, ApproxJoin, ExactSim, FdConfig, ProbScores,
+    canonicalize, AMin, AProd, ApproxJoin, ExactSim, FdConfig, ProbScores, SimMemo,
 };
 use full_disjunction::prelude::*;
 use full_disjunction::relational::join::natural_join_all;
@@ -160,6 +160,7 @@ fn figure_4_and_examples_6_1_6_3() {
         let mut subs: Vec<Vec<TupleId>> = Vec::new();
         a.for_each_maximal_subset(
             &db,
+            &SimMemo::default(),
             &t,
             S2,
             0.4,
