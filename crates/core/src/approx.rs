@@ -27,7 +27,7 @@
 //! a (member, relation) pair. The policy keeps both in one [`SimMemo`]
 //! per run, which its parallel workers share.
 
-use crate::getnext::Policy;
+use crate::getnext::{candidate_bound, Policy};
 use crate::incremental::{FdConfig, MultiRunIter, RunIter};
 use crate::init::InitStrategy;
 use crate::jcc::{extend_greedy, rebuild, retain_component, Union};
@@ -632,8 +632,9 @@ impl fmt::Debug for SimMemo {
 /// such a set may disagree on shared attributes, so nothing here relies
 /// on bindings. Line 7 takes its candidates from
 /// [`ApproxJoin::candidates`] when the join function bounds them (for
-/// [`AMin`] and [`AProd`], when their similarity does), and so does
-/// Fig. 3's seed growth; the extension scans whole relations.
+/// [`AMin`] and [`AProd`], when their similarity does), and so do
+/// lines 2–6's extension and Fig. 3's seed growth; a relation the join
+/// function cannot bound is scanned whole.
 ///
 /// The policy is built over the run's database with one [`SimMemo`]:
 /// every score reads pair similarities through it, and each
@@ -682,9 +683,20 @@ impl<A: ApproxJoin> Policy for Approx<A> {
     }
 
     /// Fig. 6 lines 2–6: greedily extend while the score stays above τ,
-    /// scanning whole relations.
+    /// trying each relation's tuples within line 7's bound
+    /// (`candidate_bound`), ascending, and scanning a relation the join
+    /// function cannot bound. The bound loses no tuple the scan would
+    /// pick: a connected `set ∪ {tg}` has a member `m` adjacent to `tg`,
+    /// and `A` is antitone, so `A({m, tg}) ≥ A(set ∪ {tg}) ≥ τ` puts `tg`
+    /// in `m`'s bound.
     fn extend(&self, db: &Database, set: TupleSet, rel_min: usize, stats: &mut Stats) -> TupleSet {
-        extend_greedy(db, self, set, rel_min, stats, |_, _, _| false)
+        extend_greedy(db, self, set, rel_min, stats, |set, rel, out| {
+            candidate_bound(db, self, set.tuples(), rel, out) && {
+                out.sort_unstable();
+                out.dedup();
+                true
+            }
+        })
     }
 
     /// The join function's bound ([`ApproxJoin::candidates`]), probed
@@ -719,11 +731,23 @@ impl<A: ApproxJoin> Policy for Approx<A> {
         t_prime: &[TupleId],
         stats: &mut Stats,
     ) -> Option<Union> {
-        // As `jcc::union_with`: the member list is built only when the
-        // union grows `S`.
-        if t_prime.iter().all(|&t| s.contains(t)) {
-            let same = members_connected(db, s.tuples()) && self.accepts(db, s.tuples(), stats);
-            return same.then_some(Union::Same);
+        // As `jcc::union_with`: `S` is consistent, so `T′ ⊆ S` is `S`
+        // itself; a member of `T′ \ S` from a relation `S` holds is a
+        // clash. Neither needs a score, and the member list is built only
+        // when the union may grow `S`.
+        let mut grows = false;
+        for &t in t_prime {
+            if s.contains(t) {
+                continue;
+            }
+            if s.tuple_from(db, db.rel_of(t)).is_some() {
+                return None;
+            }
+            grows = true;
+        }
+        if !grows {
+            debug_assert!(self.a.score_with(db, &self.memo, s.tuples()) >= self.tau);
+            return Some(Union::Same);
         }
         let mut members: Vec<TupleId> = s.tuples().iter().chain(t_prime).copied().collect();
         members.sort_unstable();
@@ -1006,6 +1030,34 @@ mod tests {
         let direct = EditDistanceSim.sim(&db, t1, t2);
         assert!(direct > 0.0 && direct < 1.0);
         assert_eq!(memo.sim(&db, &EditDistanceSim, t1, t2), direct);
+    }
+
+    /// Fig. 4 at τ 0.75 with `S = {c1, a2}` (`A_min` 0.8): the union
+    /// scores only a `T′` that may grow `S`.
+    fn figure_4_union(t_prime: &[TupleId]) -> (Option<Union>, u64) {
+        let (db, sim, prob) = figure_4();
+        let policy = Approx::new(&db, AMin::new(sim, prob), 0.75);
+        let s = rebuild(&db, vec![C1, A2]);
+        let mut stats = Stats::new();
+        let union = policy.union(&db, &s, t_prime, &mut stats);
+        (union, stats.approx_evals)
+    }
+
+    #[test]
+    fn a_clashing_union_is_rejected_unscored() {
+        // a1 and a3 are Accommodations tuples, as is `S`'s a2.
+        assert_eq!(figure_4_union(&[TupleId(3)]), (None, 0));
+        assert_eq!(figure_4_union(&[C1, TupleId(5)]), (None, 0));
+    }
+
+    #[test]
+    fn a_union_inside_s_is_s_unscored() {
+        assert_eq!(figure_4_union(&[C1]), (Some(Union::Same), 0));
+        assert_eq!(figure_4_union(&[C1, A2]), (Some(Union::Same), 0));
+        // A growing union is scored: {c1, a2, s1} has A_min 0.8.
+        let (grown, evals) = figure_4_union(&[A2, S1]);
+        assert!(matches!(grown, Some(Union::Grown(ref g)) if g.tuples() == [C1, A2, S1]));
+        assert_eq!(evals, 1);
     }
 
     #[test]

@@ -76,7 +76,8 @@ use fd_relational::{Database, RelId, TupleId};
 pub trait Policy {
     /// Does the list-scan store (`StoreEngine::Scan`) offer line 14's
     /// `T′` to every `Incomplete` entry, as Fig. 2 does? The exact policy
-    /// does; an approximate union attempt costs a score evaluation, so
+    /// does; an approximate union attempt that may grow the entry costs
+    /// a score evaluation (a relation clash or `T′ ⊆ S` costs none), so
     /// the approximate policy offers `T′` to its root's entries only.
     /// Either way, `T′` may join several entries of its root, and the
     /// first in pop order takes it, under both stores.
@@ -122,6 +123,12 @@ pub trait Policy {
 
     /// Lines 4 and 14: the union of a set and a sorted member list, when
     /// it is consistent. The only way a tuple set grows.
+    ///
+    /// `s` must itself be consistent — a pending entry, a set being
+    /// extended or a growing seed — and both policies rely on it: they
+    /// answer `T′ ⊆ S` with [`Union::Same`] without re-testing `S`, and
+    /// reject a member of `T′ \ S` from a relation `S` holds before any
+    /// test.
     fn union(
         &self,
         db: &Database,

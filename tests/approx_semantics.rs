@@ -278,3 +278,48 @@ fn a_run_computes_each_pair_similarity_and_bound_once() {
     assert_eq!(sims, distinct_pairs, "a pair similarity computed twice");
     assert_eq!(probes, distinct_keys, "a line-7 bound probed twice");
 }
+
+/// `EditDistanceSim` without its line-7 bound: `candidates` keeps the
+/// default `false`, so line 7 and lines 2–6's extension scan every
+/// relation.
+struct UnboundedEditDistance;
+
+impl Similarity for UnboundedEditDistance {
+    fn sim(&self, db: &Database, t1: TupleId, t2: TupleId) -> f64 {
+        EditDistanceSim.sim(db, t1, t2)
+    }
+}
+
+/// The extension tries only the tuples within line 7's bound when the
+/// similarity gives one, and that loses nothing: the bounded and the
+/// scanning run emit the same sets in the same order, the oracle's, and
+/// the bounded run tries fewer extension candidates.
+#[test]
+fn bounded_extension_matches_the_scanning_one() {
+    let db = star(3, &DataSpec::new(12, 6).seed(0xFD).typos(0.2));
+    let tau = 0.8;
+    let (bounded, bounded_scans) = sets_and_extension_scans(&db, &amin_edit(&db), tau);
+    let unbounded = AMin::new(UnboundedEditDistance, ProbScores::uniform(&db, 1.0));
+    let (scanned, scanned_scans) = sets_and_extension_scans(&db, &unbounded, tau);
+    assert_eq!(bounded, scanned, "emission differs");
+    assert_eq!(canonicalize(bounded), oracle_afd(&db, &amin_edit(&db), tau));
+    assert!(
+        bounded_scans < scanned_scans,
+        "{bounded_scans} bounded against {scanned_scans} scanned extension candidates"
+    );
+}
+
+/// One approximate run's sets, in emission order, and its
+/// `extension_scans`.
+fn sets_and_extension_scans<A: ApproxJoin + Sync>(
+    db: &Database,
+    a: &A,
+    tau: f64,
+) -> (Vec<TupleSet>, u64) {
+    let result = FdQuery::over(db)
+        .approx(a, tau)
+        .run()
+        .expect("valid approx query");
+    let scans = result.stats().extension_scans;
+    (result.into_sets(), scans)
+}
